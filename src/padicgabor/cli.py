@@ -157,33 +157,58 @@ def _emit(doc, args, table_text: str | None = None) -> None:
         sys.stdout.write(payload)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _task_int(task: dict, key: str, default: int | None = None, lo: int | None = None,
+              hi: int | None = None) -> int:
+    value = task.get(key, default)
+    if value is None:
+        raise ConfigError(f"missing required key {key!r} in task")
+    if not _is_int(value):
+        raise ConfigError(f"task {key} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ConfigError(f"task {key} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ConfigError(f"task {key} {value} exceeds region {hi}")
+    return value
+
+
 def cmd_density(args) -> int:
     config = _load_config(args.config)
     params = _parse_group(config)
     lam = _parse_points(_require(config, "lambda", "config"), params)
     task = config.get("task", {})
-    region = task.get("region")
-    if region is None:
-        raise ConfigError("missing required key 'region' in task")
+    if not isinstance(task, dict):
+        raise ConfigError("task must be an object")
+    region = _task_int(task, "region")
     n_range = task.get("n_range", [0, region])
-    if not (isinstance(n_range, list) and len(n_range) == 2):
-        raise ConfigError("task n_range must be [lo, hi]")
+    if not (isinstance(n_range, list) and len(n_range) == 2 and all(map(_is_int, n_range))
+            and n_range[0] <= n_range[1] <= region):
+        raise ConfigError(f"task n_range must be integers [lo, hi], lo <= hi <= region "
+                          f"{region}, got {n_range!r}")
+    checks = task.get("checks", [])
+    if not isinstance(checks, list):
+        raise ConfigError(f"task checks must be a list, got {checks!r}")
+    # each check's key is read, and validated, only when that check runs
+    sep_scale = _task_int(task, "separation_scale", 0, hi=region) if "separation" in checks else 0
+    fin_scale = _task_int(task, "finite_scale", 0, hi=region) if "finite" in checks else 0
+    power = _task_int(task, "automorphism_power", 2, lo=1) if "automorphism" in checks else 1
     try:
         prof = density_profile(lam, (n_range[0], n_range[1]), region)
     except ValueError as exc:
         raise ConfigError(str(exc))
     doc = {"profile": prof.to_json_dict()}
-    checks = task.get("checks", [])
     if "separation" in checks:
-        scale = task.get("separation_scale", 0)
-        parts = separated_decomposition(lam, scale, region) if lam.ambient == "group" else None
+        parts = separated_decomposition(lam, sep_scale, region) if lam.ambient == "group" else None
         doc["uniformly_separated"] = {
-            "scale": scale,
-            "separated": is_uniformly_separated(lam, scale),
+            "scale": sep_scale,
+            "separated": is_uniformly_separated(lam, sep_scale),
         }
         if parts is not None:
             doc["decomposition"] = {
-                "scale": scale,
+                "scale": sep_scale,
                 "parts": [
                     {
                         "label": part.label,
@@ -194,8 +219,7 @@ def cmd_density(args) -> int:
                 ],
             }
     if "finite" in checks:
-        scale = task.get("finite_scale", 0)
-        rep = finite_density_check(lam, scale, region)
+        rep = finite_density_check(lam, fin_scale, region)
         doc["finite_density"] = {
             "scale": rep.n,
             "max_per_ball": rep.max_per_ball,
@@ -205,7 +229,6 @@ def cmd_density(args) -> int:
             ],
         }
     if "automorphism" in checks:
-        power = task.get("automorphism_power", 2)
         rep = automorphism_invariance_check(
             lam, power, (n_range[0], min(n_range[1], region // power)), region
         )

@@ -6,6 +6,12 @@ balls of measure p**n (group) or p**2n (phase); a density profile records,
 per scale, the largest and smallest number of points per ball together with
 the exact rational ratios count / measure.
 
+Within a region A^R H the scale-n ball of x is keyed by the exact integer
+x*p^R mod p^(R-n), which is the index of its coset in the canonical section
+of A^R H / A^n H.  Each point set computes x*p^R once per coordinate, so a
+scale costs one ``mod`` per point and one ``Counter``; a phase point's key
+is k_x + p^(R-n) * k_xi.
+
 The maximum is taken over all balls of the ambient space (balls missing the
 set contribute 0 only to the minimum side).  Because any finite set makes the
 global minimum zero, the minimum is taken over the balls tiling a declared
@@ -16,11 +22,13 @@ read the rows as finite-scale surrogates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .geometry import Ball, PhaseBall, coset_rep, section, split_section
-from .localfield import GroupElement, GroupParams
+from .geometry import Ball, PhaseBall, anchored_int
+from .localfield import GroupParams
 
 GROUP = "group"
 PHASE = "phase"
@@ -37,6 +45,7 @@ class PointSet:
     ambient: str
     points: tuple
     params: GroupParams = None
+    _ints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ambient not in (GROUP, PHASE):
@@ -64,16 +73,39 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def _key(self, pt, n: int):
+    def _coords(self, pt) -> tuple:
+        return (pt,) if self.ambient == GROUP else pt
+
+    @cached_property
+    def _finest(self) -> int | None:
+        """Least R with every coordinate in A^R H; None when all coordinates are zero."""
+        vals = [c.valuation() for pt in self.points for c in self._coords(pt) if not c.is_zero()]
+        return -min(vals) if vals else None
+
+    def ball_keys(self, n: int, region: int) -> list[int]:
+        """Scale-n ball key of every point, in order: x*p^region mod p^(region-n).
+
+        Keys of point sets in one region share the anchor and compare directly.
+        """
+        if not self.points:
+            return []
+        ints = self._ints.get(region)
+        if ints is None:
+            self.require_in_region(region)
+            ints = tuple(
+                tuple(anchored_int(c, region) for c in self._coords(pt)) for pt in self.points
+            )
+            self._ints[region] = ints
+        q = self.params.p ** max(region - n, 0)
         if self.ambient == GROUP:
-            return coset_rep(pt, n)
-        return (coset_rep(pt[0], n), coset_rep(pt[1], n))
+            return [a % q for (a,) in ints]
+        return [a % q + q * (b % q) for a, b in ints]
 
     def buckets(self, n: int) -> dict:
         """Map ball key -> list of point positions, at scale n."""
         out: dict = {}
-        for i, pt in enumerate(self.points):
-            out.setdefault(self._key(pt, n), []).append(i)
+        for i, key in enumerate(self.ball_keys(n, self._finest or 0)):
+            out.setdefault(key, []).append(i)
         return out
 
     def _point_text(self, pt) -> str:
@@ -83,13 +115,13 @@ class PointSet:
 
     def require_in_region(self, region: int) -> None:
         """Every coordinate must lie in A^region H; names the first offender."""
+        if self._finest is None or self._finest <= region:
+            return
         for pt in self.points:
-            coords = (pt,) if self.ambient == GROUP else pt
-            for c in coords:
-                if c.valuation() < -region:
-                    raise ValueError(
-                        f"point {self._point_text(pt)} lies outside the region A^{region}H"
-                    )
+            if any(c.valuation() < -region for c in self._coords(pt)):
+                raise ValueError(
+                    f"point {self._point_text(pt)} lies outside the region A^{region}H"
+                )
 
     @property
     def dimension_factor(self) -> int:
@@ -160,7 +192,7 @@ def count_in_ball(lam: PointSet, ball) -> int:
 
 
 def _scale_counts(lam: PointSet, n: int, region: int) -> tuple[int, int]:
-    counts = [len(v) for v in lam.buckets(n).values()]
+    counts = Counter(lam.ball_keys(n, region)).values()
     max_count = max(counts, default=0)
     d = lam.dimension_factor
     total_balls = lam.params.p ** ((region - n) * d) if lam.params else 0
@@ -194,7 +226,7 @@ def density_profile(lam: PointSet, n_range: tuple[int, int], region: int) -> Den
 
 def is_uniformly_separated(lam: PointSet, n: int) -> bool:
     """True iff every scale-n ball holds at most one point (with multiplicity)."""
-    return all(len(v) <= 1 for v in lam.buckets(n).values())
+    return len(lam.buckets(n)) == len(lam)
 
 
 @dataclass(frozen=True)
@@ -209,43 +241,28 @@ def separated_decomposition(lam: PointSet, n: int, region: int) -> list[Decompos
 
     Points of each scale-n ball are labeled 1..r in input order; part (j, c0)
     collects the j-th point of every ball whose section representative has
-    C0-component c0.  The parts are disjoint sub-multisets whose union is lam,
-    each is uniformly separated at scale n, and there are at most p * N_n of
-    them where N_n is the maximal per-ball count.
+    C0-component c0, the top digit of the ball key.  The parts are disjoint
+    sub-multisets whose union is lam, each is uniformly separated at scale n,
+    and there are at most p * N_n of them where N_n is the maximal per-ball
+    count.
     """
     if lam.ambient != GROUP:
         raise ValueError("separated decomposition is defined for group point sets")
     if not lam.points:
         return []
-    lam.require_in_region(region)
-    width = region - n
-    outer = section(lam.params, width, 0)
-    sp = split_section(outer) if width >= 1 else None
-
-    def c0_index_of(c: GroupElement) -> int:
-        if sp is None:
-            return 0
-        c0, _ = sp.decompose(c)
-        return sp.c0.index_of(c0)
-
-    # canonical ball order: by position of the section representative c = A^-n key
-    ordered = sorted(
-        lam.buckets(n).items(), key=lambda kv: outer.index_of(kv[0].automorphism(-n))
-    )
+    if n > region:
+        raise ValueError(f"scale {n} exceeds region {region}")
+    p, q = lam.params.p, lam.params.p ** (region - n)
+    seen: Counter = Counter()
     parts: dict[tuple[int, int], list[int]] = {}
-    for key, positions in ordered:
-        ci = c0_index_of(key.automorphism(-n))
-        for j, pos in enumerate(positions, start=1):
-            parts.setdefault((j, ci), []).append(pos)
-    out = []
-    for (j, ci) in sorted(parts):
-        positions = sorted(parts[(j, ci)])
-        out.append(
-            DecompositionPart(
-                j, ci, PointSet.group(tuple(lam.points[i] for i in positions), lam.params)
-            )
-        )
-    return out
+    for pos, key in enumerate(lam.ball_keys(n, region)):
+        seen[key] += 1
+        parts.setdefault((seen[key], key * p // q), []).append(pos)  # c0 = top digit
+    return [
+        DecompositionPart(j, ci, PointSet.group(tuple(lam.points[i] for i in parts[j, ci]),
+                                                lam.params))
+        for j, ci in sorted(parts)
+    ]
 
 
 @dataclass(frozen=True)
@@ -293,16 +310,16 @@ def union_profile(lams: list[PointSet], n_range: tuple[int, int], region: int) -
         if l.ambient != ambient:
             raise ValueError("mixed ambients in union")
     merged = PointSet(ambient, tuple(pt for l in lams for pt in l.points), params)
+    profile = density_profile(merged, n_range, region)
     n_lo, n_hi = n_range
     for n in range(n_lo, n_hi + 1):
-        union_counts = {k: len(v) for k, v in merged.buckets(n).items()}
-        part_counts: dict = {}
+        # keys of every part are anchored at the region, so they compare with merged keys
+        part_counts = Counter()
         for l in lams:
-            for k, v in l.buckets(n).items():
-                part_counts[k] = part_counts.get(k, 0) + len(v)
-        if union_counts != part_counts:
+            part_counts.update(l.ball_keys(n, region))
+        if Counter(merged.ball_keys(n, region)) != part_counts:
             raise InvariantViolation(f"per-ball additivity failed at scale {n}")
-    return density_profile(merged, n_range, region)
+    return profile
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,20 @@ def coset_rep(x: GroupElement, n: int) -> GroupElement:
     return GroupElement(x.params, coeffs=tuple((e, d) for e, d in x.coeffs if e < -n))
 
 
+def anchored_int(x: GroupElement, anchor: int) -> int:
+    """x * p**anchor as an exact integer (digits read base p in modular mode).
+
+    Defined for x in A^anchor H.  Reduced mod p**(anchor - n) it is the position
+    of the scale-n ball of x in the canonical section of A^anchor H / A^n H.
+    """
+    p = x.params.p
+    if x.params.mode == CARRY:
+        if anchor >= x.vexp:
+            return x.num * p ** (anchor - x.vexp)
+        return x.num // p ** (x.vexp - anchor)
+    return sum(d * p ** (e + anchor) for e, d in x.coeffs)
+
+
 def same_ball(x: GroupElement, y: GroupElement, n: int) -> bool:
     """True iff x and y lie in one coset of A^n H, i.e. val(x - y) >= -n."""
     return (x - y).valuation() >= -n
@@ -111,10 +125,7 @@ class Section:
 
     def index_of(self, c: GroupElement) -> int:
         """Position of a member in the canonical enumeration."""
-        p = self.params.p
-        if self.params.mode == CARRY:
-            return c.num * p ** (self.outer - c.vexp)
-        return sum(d * p ** (e + self.outer) for e, d in c.coeffs)
+        return anchored_int(c, self.outer)
 
     def __str__(self) -> str:
         return "{" + ", ".join(e.text() for e in self.elements) + "}"

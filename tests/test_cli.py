@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from padicgabor.cli import main
 
 
@@ -232,3 +234,40 @@ def test_explicit_phase_lambda_and_union(tmp_path, capsys):
     assert main(["density", "--config", cfg]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["profile"]["rows"][0]["max_count"] == 2  # two points per unit ball
+
+
+CHECKED_TASK = {"region": 3, "n_range": [0, 3], "checks": ["separation", "finite", "automorphism"]}
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        {**CHECKED_TASK, "automorphism_power": 0},
+        {**CHECKED_TASK, "automorphism_power": -1},
+        {**CHECKED_TASK, "automorphism_power": "2"},
+        {**CHECKED_TASK, "region": "2"},
+        {**CHECKED_TASK, "region": True},
+        {**CHECKED_TASK, "separation_scale": 4},
+        {**CHECKED_TASK, "finite_scale": 4},
+        {**CHECKED_TASK, "finite_scale": 0.5},
+        {**CHECKED_TASK, "n_range": [0, 4]},
+        {**CHECKED_TASK, "n_range": [2, 1]},
+        {**CHECKED_TASK, "n_range": ["0", 3]},
+        {**CHECKED_TASK, "checks": "finite"},
+        {"n_range": [0, 3]},
+        [],
+    ],
+    ids=[
+        "power-zero", "power-negative", "power-string", "region-string", "region-bool",
+        "separation-above-region", "finite-above-region", "finite-float",
+        "n-range-above-region", "n-range-reversed", "n-range-string", "checks-string",
+        "region-missing", "task-not-object",
+    ],
+)
+def test_density_bad_task_exits_2(tmp_path, capsys, task):
+    cfg = write_config(tmp_path, "d.json", {**DENSITY_SECTION, "task": task})
+    assert main(["density", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

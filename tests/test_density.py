@@ -14,7 +14,7 @@ from padicgabor.density import (
     separated_decomposition,
     union_profile,
 )
-from padicgabor.geometry import ball_of, phase_ball_of, section
+from padicgabor.geometry import ball_of, coset_rep, phase_ball_of, section, split_section
 from padicgabor.localfield import CARRY, MODULAR, GroupElement, GroupParams
 from padicgabor.rng import SplitMix64
 
@@ -259,3 +259,121 @@ def test_point_set_validation():
         PointSet.group([GroupElement.zero(P2), GroupElement.zero(P3)])
     with pytest.raises(ValueError):
         PointSet("weird", (), P2)
+
+
+# -- differential tests against the GroupElement oracle ---------------------------------
+
+M3 = GroupParams(3, MODULAR)
+
+
+def ref_buckets(lam, n):
+    """Ball of every point keyed by its canonical coset representative(s)."""
+    out = {}
+    for i, pt in enumerate(lam.points):
+        key = coset_rep(pt, n) if lam.ambient == "group" else tuple(coset_rep(c, n) for c in pt)
+        out.setdefault(key, []).append(i)
+    return out
+
+
+def ref_counts(lam, n, region):
+    counts = [len(v) for v in ref_buckets(lam, n).values()]
+    balls = lam.params.p ** ((region - n) * lam.dimension_factor)
+    low = min(counts) if counts and len(counts) >= balls else 0
+    return max(counts, default=0), low
+
+
+def ref_decomposition(lam, n, region):
+    """(label, c0 index, point texts) per part, built from sections and split sections."""
+    width = region - n
+    outer = section(lam.params, width, 0)
+    sp = split_section(outer) if width >= 1 else None
+    parts = {}
+    for key, positions in sorted(
+        ref_buckets(lam, n).items(), key=lambda kv: outer.index_of(kv[0].automorphism(-n))
+    ):
+        c = key.automorphism(-n)
+        ci = sp.c0.index_of(sp.decompose(c)[0]) if sp else 0
+        for j, pos in enumerate(positions, start=1):
+            parts.setdefault((j, ci), []).append(pos)
+    return [(j, ci, [lam.points[i].text() for i in sorted(parts[(j, ci)])])
+            for j, ci in sorted(parts)]
+
+
+def random_element(params, rng, region, digits):
+    """Element of A^region H with digits up to exponent -region + digits - 1."""
+    p = params.p
+    if params.mode == CARRY:
+        num = rng.next_below(2 * p**digits) - p**digits  # negative numerators too
+        return GroupElement.from_rational(params, num, region)
+    return GroupElement.from_coeffs(
+        params, {e - region: rng.next_below(p) for e in range(digits)}
+    )
+
+
+def random_lambda(params, ambient, rng, region, digits, size):
+    def draw():
+        if ambient == "group":
+            return random_element(params, rng, region, digits)
+        return (random_element(params, rng, region, digits),
+                random_element(params, rng, region, digits))
+
+    pts = []
+    for _ in range(size):
+        pts.append(pts[rng.next_below(len(pts))] if pts and rng.next_below(4) == 0 else draw())
+    return PointSet(ambient, tuple(pts), params)
+
+
+DIFF_CASES = [
+    (seed, params, ambient, region)
+    for seed, (params, ambient, region) in enumerate(
+        (params, ambient, region)
+        for params in (P2, P3, M2, M3)
+        for ambient in ("group", "phase")
+        for region in (-1, 0, 2)
+    )
+]
+
+
+@pytest.mark.parametrize("seed,params,ambient,region", DIFF_CASES)
+def test_integer_keys_match_coset_oracle(seed, params, ambient, region):
+    rng = SplitMix64(100 + seed)
+    digits = 4 if ambient == "group" else 3
+    lam = random_lambda(params, ambient, rng, region, digits, 40)
+    n_lo = -region - 3  # reaches scales below -region
+    for n in range(n_lo, region + 2):
+        want = sorted(ref_buckets(lam, n).values())
+        assert sorted(lam.buckets(n).values()) == want
+        assert is_uniformly_separated(lam, n) == all(len(v) == 1 for v in want)
+    prof = density_profile(lam, (n_lo, region), region)
+    assert [(r.max_count, r.min_count) for r in prof.rows] == [
+        ref_counts(lam, n, region) for n in range(n_lo, region + 1)
+    ]
+    rep = finite_density_check(lam, n_lo, region)
+    assert rep.max_per_ball == ref_counts(lam, n_lo, region)[0]
+    assert [row[1] for row in rep.rows] == [
+        ref_counts(lam, m, region)[0] for m in range(n_lo + 1, region + 1)
+    ]
+    inv = automorphism_invariance_check(lam, 2, (n_lo // 2, region // 2), region)
+    assert [(row.max_count, row.min_count) for row in inv.rows] == [
+        ref_counts(lam, 2 * j, region) for j in range(n_lo // 2, region // 2 + 1)
+    ]
+    if ambient == "group":
+        for n in range(n_lo, region + 1):
+            got = [(part.label, part.c0_index, [pt.text() for pt in part.points.points])
+                   for part in separated_decomposition(lam, n, region)]
+            assert got == ref_decomposition(lam, n, region)
+
+
+@pytest.mark.parametrize("params", (P2, P3, M2, M3))
+def test_union_parts_with_different_finest_digits(params):
+    # one part uses digits down to exponent -3, the other only integers: per-set
+    # anchors would disagree, so the additivity check needs the shared region anchor
+    rng = SplitMix64(36 + params.p)
+    fine = random_lambda(params, "group", rng, 3, 5, 30)
+    coarse = random_lambda(params, "group", rng, 0, 2, 30)
+    merged = PointSet.group(fine.points + coarse.points, params)
+    prof = union_profile([fine, coarse], (-3, 3), 3)
+    assert prof.rows == density_profile(merged, (-3, 3), 3).rows
+    assert [(r.max_count, r.min_count) for r in prof.rows] == [
+        ref_counts(merged, n, 3) for n in range(-3, 4)
+    ]
