@@ -50,7 +50,6 @@ from .localfield import (
     GroupParams,
     ParamMismatchError,
     Phase,
-    apply_automorphism,
     pairing_phase,
     parse_element,
 )

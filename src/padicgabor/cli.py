@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 failed verification or violated internal identity,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -93,8 +94,10 @@ def _parse_function(doc: dict, space: ModelSpace, role: str) -> ModelFunction:
                 fn = fn.scaled(float(space.params.p) ** (-set_scale / 2.0))
             return fn
         if kind == "coeffs":
-            values = _require(doc, "values", role)
-            fn = ModelFunction(space, [complex(re, im) for re, im in values])
+            values = [complex(re, im) for re, im in _require(doc, "values", role)]
+            if not all(map(cmath.isfinite, values)):
+                raise ConfigError(f"{role} values must be finite (no NaN or Infinity)")
+            fn = ModelFunction(space, values)
             if fn.is_zero():
                 raise ConfigError(f"{role} must be nonzero")
             return fn
@@ -145,11 +148,19 @@ def _parse_points(doc: dict, params: GroupParams) -> PointSet:
     raise ConfigError(f"unknown lambda type {kind!r}")
 
 
+def _dumps(doc) -> str:
+    """Strict JSON: a NaN or infinity in a result (say, from overflow) is an input error."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ConfigError(f"result is not finite ({exc}); the inputs are too large")
+
+
 def _emit(doc, args, table_text: str | None = None) -> None:
     if getattr(args, "table", False) and table_text is not None:
         payload = table_text + "\n"
     else:
-        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        payload = _dumps(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -357,7 +368,7 @@ def cmd_verify(args) -> int:
             for r in results
         ]
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            fh.write(_dumps(doc))
     return 0 if passed == len(results) else 1
 
 

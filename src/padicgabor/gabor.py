@@ -10,8 +10,8 @@ space, the natural desk-scale reading of "frame for L^2".  Classification:
 * TightFrame  -- spanning with equal bounds (reported with the constant);
 * Frame       -- spanning with a positive lower bound;
 * Incomplete  -- rank below dim.  Every finite system has a finite upper
-  bound, so a Bessel-only system at desk scale is exactly an incomplete one;
-  the BesselOnly label is kept in the vocabulary but never wins.
+  bound, so a Bessel-only system at desk scale is exactly an incomplete one
+  and no BesselOnly label is ever produced.
 
 Multiplicity matters: a repeated point contributes its rank-one term twice.
 """
@@ -31,7 +31,6 @@ from .model import ModelFunction, ResolutionError, inner, modulate, stft, transl
 ONB = "ONB"
 TIGHT_FRAME = "TightFrame"
 FRAME = "Frame"
-BESSEL_ONLY = "BesselOnly"
 INCOMPLETE = "Incomplete"
 
 RANK_TOL = 1e-9

@@ -103,27 +103,24 @@ def _jacobi(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-30):
     return np.diagonal(a).real.copy(), v
 
 
+def _sorted_eigs(matrix: HermitianMatrix):
+    """Eigenvalues (ascending) with matching orthonormal eigenvector columns."""
+    vals, vecs = _jacobi(matrix.entries)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], vecs[:, order]
+
+
 def hermitian_eigs(matrix: HermitianMatrix):
     """All eigenvalues ascending plus the worst relative eigenpair residual."""
     if matrix.dim < 1:
         raise ValueError("dimension must be >= 1")
-    vals, vecs = _jacobi(matrix.entries)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = _sorted_eigs(matrix)
     norm = np.linalg.norm(matrix.entries)
     if norm == 0.0:
         return vals, 0.0
     resid = matrix.entries @ vecs - vecs * vals[np.newaxis, :]
     residual = float(np.max(np.linalg.norm(resid, axis=0))) / norm
     return vals, residual
-
-
-def eig_decomposition(matrix: HermitianMatrix):
-    """Eigenvalues (ascending) with matching orthonormal eigenvector columns."""
-    vals, vecs = _jacobi(matrix.entries)
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
 
 
 def rank(matrix: HermitianMatrix, tol: float = 1e-9) -> int:
@@ -139,7 +136,7 @@ def solve_hermitian(matrix: HermitianMatrix, rhs, tol: float = 1e-9):
 
     rhs may be a vector or a matrix of stacked right-hand sides (columns).
     """
-    vals, vecs = eig_decomposition(matrix)
+    vals, vecs = _sorted_eigs(matrix)
     top = float(np.max(np.abs(vals))) if len(vals) else 0.0
     cutoff = tol * max(1.0, top)
     small = float(np.min(np.abs(vals))) if len(vals) else 0.0

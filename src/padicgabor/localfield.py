@@ -331,11 +331,6 @@ class Phase:
         return Phase.make(self.p, self.num * n, self.denom_exp)
 
 
-def apply_automorphism(x: GroupElement, n: int) -> GroupElement:
-    """Function form of GroupElement.automorphism: A**n x."""
-    return x.automorphism(n)
-
-
 def pairing_phase(x: GroupElement, xi: GroupElement) -> Phase:
     """Exact phase of the self-dual pairing <x, xi>.
 

@@ -7,19 +7,25 @@ Haar measure p**-k, so ||f||^2 = p**-k * sum |f_a|^2 and the indicator of H
 has norm one.
 
 The index set is a finite abelian group: cyclic Z/p**(m+k) in carry mode,
-elementary abelian (Z/p)**(m+k) in modular mode.  Translation is therefore an
-exact permutation of coefficients, modulation an exact diagonal of unit
-phases, and the Fourier transform lands in the mirrored space (m' = k,
-k' = m) on the dual side.  The Fourier kernel is built from exact Phase
-values; carry mode runs a radix-p decimation, modular mode runs one size-p
-contraction per digit with the output digit order reversed (the residue
-pairing couples exponent e with exponent -1-e).
+elementary abelian (Z/p)**(m+k) in modular mode.  Inside a space an element
+is its integer index a (x_a = a / p**m, resp. the polynomial whose base-p
+digits are those of a), so every hot operation is integer-array arithmetic:
+translation is index subtraction (cyclic, resp. digit-wise mod p) and
+therefore an exact permutation of coefficients; modulation is an exact
+diagonal of unit phases read from a root-of-unity table at an integer
+position (a * num * p**(k - vexp) mod p**(m+k), resp. a digit dot product
+mod p).  The Fourier transform lands in the mirrored space (m' = k, k' = m)
+on the dual side.  Its kernel is built from exact Phase values and runs along
+the last axis of a batch of rows: carry mode is an iterative radix-p
+decimation in time, modular mode one size-p contraction per digit with the
+output digit order reversed (the residue pairing couples exponent e with
+exponent -1-e).
 
-Short-time Fourier transforms are computed one translation row at a time as
-f * conj(T_x g) followed by the fast transform; the resulting grid carries
-every nonzero value of V_g f on the whole plane, since V_g f vanishes for x
-outside A^m H or xi outside the dual window and is constant on cosets of
-A^-k H x A^-m(dual) at model resolution.
+Short-time Fourier transforms gather STFT_BLOCK translation rows at a time,
+f * conj(T_x g) for each row, and run one batched transform per block; the
+resulting grid carries every nonzero value of V_g f on the whole plane,
+since V_g f vanishes for x outside A^m H or xi outside the dual window and
+is constant on cosets of A^-k H x A^-m(dual) at model resolution.
 """
 
 from __future__ import annotations
@@ -29,8 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import coset_rep, section
-from .localfield import CARRY, GroupElement, GroupParams, Phase, pairing_phase
+from .geometry import Section, anchored_int, section
+from .localfield import CARRY, GroupElement, GroupParams, Phase
+
+
+# translation rows per batched transform in stft: bounds the working set to
+# a few STFT_BLOCK x dim arrays next to the dim x dim grid
+STFT_BLOCK = 64
 
 
 class ResolutionError(ValueError):
@@ -47,10 +58,11 @@ class ModelSpace:
         self.m = m
         self.k = k
         self.dim = params.p ** (m + k)
-        self.index_section = section(params, m, -k)
-        self._index_of = {el: i for i, el in enumerate(self.index_section.elements)}
+        self._section: Section | None = None
         self._dual: "ModelSpace | None" = None
         self._neg_roots: np.ndarray | None = None
+        self._unit_roots: np.ndarray | None = None
+        self._kernel: np.ndarray | None = None
         self._rev_perm: np.ndarray | None = None
         self._digit_matrix: np.ndarray | None = None
 
@@ -77,11 +89,15 @@ class ModelSpace:
         return self._dual
 
     @property
+    def index_section(self) -> Section:
+        """The canonical section of A^m H / A^-k H; element i is index i."""
+        if self._section is None:
+            self._section = section(self.params, self.m, -self.k)
+        return self._section
+
+    @property
     def coset_measure(self) -> float:
         return float(self.params.p) ** (-self.k)
-
-    def element(self, i: int) -> GroupElement:
-        return self.index_section[i]
 
     def index_of(self, x: GroupElement) -> int:
         """Index of the coset of x mod A^-k H; requires x in A^m H."""
@@ -90,28 +106,32 @@ class ModelSpace:
                 f"{x.text()} has valuation {x.valuation()} < -{self.m}; "
                 f"embed into a space with larger m"
             )
-        return self._index_of[coset_rep(x, -self.k)]
+        return anchored_int(x, self.m) % self.dim
 
     # -- index-group arithmetic ----------------------------------------------
 
     def _digits(self) -> np.ndarray:
         if self._digit_matrix is None:
             p, width = self.params.p, self.m + self.k
-            idx = np.arange(self.dim)
-            self._digit_matrix = np.stack(
-                [(idx // p**j) % p for j in range(width)], axis=1
-            )
+            places = p ** np.arange(width)
+            self._digit_matrix = np.arange(self.dim)[:, np.newaxis] // places % p
         return self._digit_matrix
+
+    def _shift_table(self, ax: np.ndarray) -> np.ndarray:
+        """Row i: the index of x_b - x_{ax[i]} for every column b."""
+        if self.params.mode == CARRY:
+            return (np.arange(self.dim) - ax[:, np.newaxis]) % self.dim
+        p = self.params.p
+        idx = np.arange(self.dim)
+        out = np.zeros((len(ax), self.dim), dtype=np.int64)
+        for j in range(self.m + self.k):
+            place = p**j
+            out += (idx // place - ax[:, np.newaxis] // place) % p * place
+        return out
 
     def shift_sources(self, x: GroupElement) -> np.ndarray:
         """Permutation sending coefficient index a to the index of x_a - x."""
-        ax = self.index_of(x)
-        if self.params.mode == CARRY:
-            return (np.arange(self.dim) - ax) % self.dim
-        p = self.params.p
-        digits = self._digits()
-        shifted = (digits - digits[ax]) % p
-        return shifted @ (p ** np.arange(self.m + self.k))
+        return self._shift_table(np.array([self.index_of(x)]))[0]
 
     def char_values(self, xi: GroupElement) -> np.ndarray:
         """Unit phases <x_a, xi> over the index section; xi must have val >= -k."""
@@ -120,10 +140,15 @@ class ModelSpace:
                 f"{xi.text()} has valuation {xi.valuation()} < -{self.k}; "
                 f"embed into a space with larger k"
             )
-        return np.array(
-            [pairing_phase(el, xi).complex_value() for el in self.index_section],
-            dtype=complex,
-        )
+        p = self.params.p
+        if self.params.mode == CARRY:
+            # <a / p^m, num / p^vexp> = a * num * p^(k - vexp) / p^(m+k) mod 1
+            step = xi.num * p ** (self.k - xi.vexp) % self.dim
+            return np.conj(self._neg_root_table()[np.arange(self.dim) * step % self.dim])
+        # residue pairing: digit j of x_a (exponent j - m) meets exponent m - 1 - j of xi
+        width = self.m + self.k
+        xi_digits = np.array([xi.digit(self.m - 1 - j) for j in range(width)], dtype=int)
+        return self._unit_root_table()[self._digits() @ xi_digits % p]
 
     # -- fast transform --------------------------------------------------------
 
@@ -140,6 +165,22 @@ class ModelSpace:
             )
         return self._neg_roots
 
+    def _unit_root_table(self) -> np.ndarray:
+        # exp(2 pi i c / p) for c = 0..p-1, from exact Phase values
+        if self._unit_roots is None:
+            p = self.params.p
+            self._unit_roots = np.array(
+                [Phase.make(p, c, 1).complex_value() for c in range(p)], dtype=complex
+            )
+        return self._unit_roots
+
+    def _digit_kernel(self) -> np.ndarray:
+        # the p x p transform of one base-p digit: exp(-2 pi i c d / p)
+        if self._kernel is None:
+            p = self.params.p
+            self._kernel = np.conj(self._unit_root_table()[np.outer(range(p), range(p)) % p])
+        return self._kernel
+
     def _reversal(self) -> np.ndarray:
         if self._rev_perm is None:
             p, width = self.params.p, self.m + self.k
@@ -148,38 +189,46 @@ class ModelSpace:
         return self._rev_perm
 
     def raw_dual_sums(self, vec: np.ndarray) -> np.ndarray:
-        """sum_a vec_a * conj(<x_a, xi_b>) over the dual index section."""
+        """sum_a vec_a * conj(<x_a, xi_b>) over the dual index section.
+
+        Transforms along the last axis, so the rows of a 2-D vec form a batch.
+        """
         p = self.params.p
         width = self.m + self.k
-        if self.params.mode == CARRY:
-            return _radix_dft(np.asarray(vec, dtype=complex), p, self._neg_root_table())
-        kernel = np.array(
-            [
-                [Phase.make(p, c * d, 1).complex_value().conjugate() for d in range(p)]
-                for c in range(p)
-            ],
-            dtype=complex,
-        )
         arr = np.asarray(vec, dtype=complex)
+        rows = arr.reshape(-1, self.dim)
+        if self.params.mode == CARRY:
+            return _radix_dft(rows, p, self._neg_root_table()).reshape(arr.shape)
+        count = len(rows)
+        kernel = self._digit_kernel()
         for j in range(width):
-            arr = arr.reshape(p ** (width - 1 - j), p, p**j)
-            arr = np.einsum("cd,sdt->sct", kernel, arr)
-        flat = arr.reshape(self.dim)
-        return flat[self._reversal()]
+            rows = rows.reshape(count, p ** (width - 1 - j), p, p**j)
+            rows = np.einsum("cd,rsdt->rsct", kernel, rows)
+        return rows.reshape(count, self.dim)[:, self._reversal()].reshape(arr.shape)
 
 
-def _radix_dft(vec: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
-    """out_b = sum_a vec_a * roots[(a*b) % n]; radix-p decimation in time."""
-    n = len(vec)
+def _radix_dft(rows: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
+    """out[:, b] = sum_a rows[:, a] * roots[(a*b) % n]; radix-p decimation in time.
+
+    Iterative, from length-1 transforms up.  At each level the length-(size*p)
+    transform of the subsequence at offset c (stride groups = n / (size*p))
+    combines the p length-size transforms at offsets c + r * groups.
+    """
+    count, n = rows.shape
     if n == 1:
-        return vec.copy()
-    m = n // p
-    subs = [_radix_dft(vec[r::p], p, roots[::p]) for r in range(p)]
-    idx = np.arange(n)
-    out = np.zeros(n, dtype=complex)
-    for r in range(p):
-        out += roots[(r * idx) % n] * np.tile(subs[r], p)
-    return out
+        return rows.copy()
+    out = rows.reshape(count, n, 1)
+    size = 1
+    while size < n:
+        groups = n // (size * p)
+        sub = out.reshape(count, p, groups, size)
+        twiddles = roots[::groups]
+        idx = np.arange(size * p)
+        out = np.zeros((count, groups, size * p), dtype=complex)
+        for r in range(p):
+            out += twiddles[(r * idx) % (size * p)] * np.tile(sub[:, r], (1, 1, p))
+        size *= p
+    return out.reshape(count, n)
 
 
 @dataclass
@@ -219,13 +268,18 @@ class ModelFunction:
             "mode": self.space.params.mode,
             "m": self.space.m,
             "k": self.space.k,
-            "coeffs": [[z.real, z.imag] for z in self.coeffs],
+            "coeffs": _pairs(self.coeffs),
         }
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ModelFunction":
         space = ModelSpace(GroupParams(doc["p"], doc["mode"]), doc["m"], doc["k"])
         return ModelFunction(space, [complex(re, im) for re, im in doc["coeffs"]])
+
+
+def _pairs(vec: np.ndarray) -> list:
+    """[[re, im], ...] as Python floats, for JSON."""
+    return np.column_stack((vec.real, vec.imag)).tolist()
 
 
 def _same_space(f: ModelFunction, g: ModelFunction) -> None:
@@ -242,10 +296,10 @@ def indicator(space: ModelSpace, set_scale: int = 0, shift: GroupElement | None 
     c = shift if shift is not None else GroupElement.zero(space.params)
     if c.valuation() < -space.m:
         raise ValueError(f"shift {c.text()} lies outside A^{space.m}H")
-    coeffs = [
-        1.0 if (el - c).valuation() >= -set_scale else 0.0 for el in space.index_section
-    ]
-    return ModelFunction(space, coeffs)
+    # x_a - c lies in A^set_scale H iff a = index(c) mod p^(m - set_scale)
+    period = space.params.p ** (space.m - set_scale)
+    members = np.arange(space.dim) % period == space.index_of(c) % period
+    return ModelFunction(space, members.astype(float))
 
 
 def inner(f: ModelFunction, g: ModelFunction) -> complex:
@@ -300,20 +354,23 @@ class StftGrid:
             "m": self.space.m,
             "k": self.space.k,
             "dim": self.space.dim,
-            "values": [[z.real, z.imag] for z in self.values.reshape(-1)],
+            "values": _pairs(self.values.reshape(-1)),
         }
 
 
 def stft(f: ModelFunction, g: ModelFunction) -> StftGrid:
-    """Short-time Fourier transform of f against window g, row per translation."""
+    """Short-time Fourier transform of f against window g, STFT_BLOCK rows at a time."""
     _same_space(f, g)
     space = f.space
     n = space.dim
-    values = np.zeros((n, n), dtype=complex)
+    values = np.empty((n, n), dtype=complex)
     measure = space.coset_measure
-    for a in range(n):
-        shifted = g.coeffs[space.shift_sources(space.element(a))]
-        values[a, :] = measure * space.raw_dual_sums(f.coeffs * np.conj(shifted))
+    for start in range(0, n, STFT_BLOCK):
+        stop = min(start + STFT_BLOCK, n)
+        shifted = g.coeffs[space._shift_table(np.arange(start, stop))]
+        if n == 1:
+            shifted = shifted[0]  # numpy rounds length-1 rows of a 2-D product differently
+        values[start:stop] = measure * space.raw_dual_sums(f.coeffs * np.conj(shifted))
     return StftGrid(space, values)
 
 
@@ -378,7 +435,8 @@ def embed(f: ModelFunction, m_new: int, k_new: int) -> ModelFunction:
         )
     target = ModelSpace(space.params, m_new, k_new)
     coeffs = np.zeros(target.dim, dtype=complex)
-    for i, el in enumerate(target.index_section):
-        if el.valuation() >= -space.m:
-            coeffs[i] = f.coeffs[space.index_of(el)]
+    # target element i lies in A^m H iff p^(m_new - m) divides i
+    step = space.params.p ** (m_new - space.m)
+    inside = np.arange(0, target.dim, step)
+    coeffs[inside] = f.coeffs[(inside // step) % space.dim]
     return ModelFunction(target, coeffs)

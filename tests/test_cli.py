@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -270,4 +271,37 @@ def test_density_bad_task_exits_2(tmp_path, capsys, task):
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ")
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+COEFFS_PAIR = {
+    "group": {"p": 2, "mode": "carry"},
+    "model": {"m": 1, "k": 1},
+    "window": {"type": "coeffs", "values": [[1, 0], [0, 1], [0.5, 0], [0, 0]]},
+    "function": {"type": "coeffs", "values": [[0, 1], [1, 0], [0, 0], [0.25, 0]]},
+}
+
+
+@pytest.mark.parametrize("command", ["stft", "norms"])
+@pytest.mark.parametrize("role", ["window", "function"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_coeffs_exit_2(tmp_path, capsys, command, role, bad):
+    values = [list(pair) for pair in COEFFS_PAIR[role]["values"]]
+    values[1][0] = bad  # written as NaN / Infinity / -Infinity, which json.load accepts
+    doc = {**COEFFS_PAIR, role: {"type": "coeffs", "values": values}}
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert "finite" in captured.err
+    assert captured.out == ""
+
+
+def test_overflowing_result_exits_2(tmp_path, capsys):
+    # finite inputs whose squared norm overflows: refused rather than emitted as Infinity
+    doc = {**COEFFS_PAIR, "function": {"type": "coeffs", "values": [[1e200, 0]] * 4}}
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["norms", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: result is not finite")
     assert captured.out == ""

@@ -12,7 +12,6 @@ from padicgabor.localfield import (
     GroupParams,
     ParamMismatchError,
     Phase,
-    apply_automorphism,
     pairing_phase,
     parse_element,
 )
@@ -91,7 +90,6 @@ def test_automorphism_examples():
     assert t.automorphism(2) == GroupElement.from_coeffs(M2, {-1: 1})
     for params in ALL_PARAMS:
         assert GroupElement.zero(params).automorphism(3).is_zero()
-    assert apply_automorphism(GroupElement.one(P2), 1) == GroupElement.one(P2).automorphism(1)
 
 
 def test_automorphism_shifts_valuation():

@@ -9,7 +9,15 @@ import math
 import numpy as np
 import pytest
 
-from padicgabor.localfield import CARRY, MODULAR, GroupElement, GroupParams, pairing_phase
+from padicgabor.geometry import coset_rep
+from padicgabor.localfield import (
+    CARRY,
+    MODULAR,
+    GroupElement,
+    GroupParams,
+    Phase,
+    pairing_phase,
+)
 from padicgabor.model import (
     ModelFunction,
     ModelSpace,
@@ -163,7 +171,8 @@ def test_stft_at_origin_is_inner_product():
 
 def test_stft_matches_entrywise_definition():
     rng = SplitMix64(8)
-    for params, m, k in ((P2, 1, 1), (P3, 1, 1), (M2, 1, 1)):
+    # dim 128 spans several row blocks of stft; dim 81 ends in a ragged block
+    for params, m, k in ((P2, 1, 1), (P3, 1, 1), (M2, 1, 1), (P2, 4, 3), (P3, 2, 2)):
         space = ModelSpace(params, m, k)
         f, g = rand_fn(space, rng), rand_fn(space, rng)
         grid = stft(f, g)
@@ -314,3 +323,153 @@ def test_serialization_round_trip():
     grid_doc = stft(f, f).to_json_dict()
     assert grid_doc["dim"] == space.dim
     assert len(grid_doc["values"]) == space.dim**2
+
+
+# -- index kernels against the GroupElement path, bit for bit ---------------------
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+KERNEL_SPACES = tuple(
+    (params, m, k)
+    for params in (P2, P3, M2, M3)
+    for m, k in ((0, 0), (0, 2), (2, 0), (1, 1), (2, 3))
+)
+
+
+def kernel_elements(space, rng):
+    """Elements of A^m H: section members plus finer, negative and large ones."""
+    params, m, k = space.params, space.m, space.k
+    out = [GroupElement.zero(params)]
+    for _ in range(6):
+        if params.mode == CARRY:
+            num = (rng.next_u64() << 8) - 2**71  # large numerators of either sign
+            out.append(GroupElement.from_rational(params, num, rng.next_below(m + 1)))
+        else:
+            digits = {e: rng.next_below(params.p) for e in range(-m, k + 3)}
+            out.append(GroupElement.from_coeffs(params, digits))
+    return out
+
+
+def test_char_values_match_pairing():
+    rng = SplitMix64(17)
+    for params, m, k in KERNEL_SPACES:
+        space = ModelSpace(params, m, k)
+        # the dual side of A^m H is A^k H: these are exactly the admissible xi
+        members = space.dual.index_section.elements[:: max(1, space.dim // 9)]
+        for xi in kernel_elements(space.dual, rng) + list(members):
+            ref = np.array(
+                [pairing_phase(x, xi).complex_value() for x in space.index_section],
+                dtype=complex,
+            )
+            assert same_bits(space.char_values(xi), ref), (space, xi.text())
+
+
+def test_index_of_matches_coset_lookup():
+    rng = SplitMix64(18)
+    for params, m, k in KERNEL_SPACES:
+        space = ModelSpace(params, m, k)
+        members = space.index_section.elements
+        for x in kernel_elements(space, rng):
+            assert space.index_of(x) == members.index(coset_rep(x, -k)), (space, x.text())
+
+
+def test_indicator_matches_valuation_loop():
+    rng = SplitMix64(19)
+    for params, m, k in KERNEL_SPACES:
+        space = ModelSpace(params, m, k)
+        for shift in kernel_elements(space, rng)[:4]:
+            for scale in range(-k, m + 1):
+                ref = [
+                    1.0 if (x - shift).valuation() >= -scale else 0.0
+                    for x in space.index_section
+                ]
+                got = indicator(space, set_scale=scale, shift=shift).coeffs
+                assert same_bits(got, np.array(ref, dtype=complex)), (space, scale, shift.text())
+
+
+def test_embed_matches_index_loop():
+    rng = SplitMix64(20)
+    for params, m, k in KERNEL_SPACES:
+        space = ModelSpace(params, m, k)
+        f = rand_fn(space, rng)
+        for m_new, k_new in ((m, k), (m + 1, k), (m, k + 1), (m + 2, k + 1)):
+            target = ModelSpace(params, m_new, k_new)
+            ref = np.zeros(target.dim, dtype=complex)
+            for i, x in enumerate(target.index_section):
+                if x.valuation() >= -m:
+                    ref[i] = f.coeffs[space.index_section.elements.index(coset_rep(x, -k))]
+            assert same_bits(embed(f, m_new, k_new).coeffs, ref), (space, m_new, k_new)
+
+
+def recursive_radix_dft(vec, p, roots):
+    """out_b = sum_a vec_a * roots[(a*b) % n], recursively: the bitwise reference."""
+    n = len(vec)
+    if n == 1:
+        return vec.copy()
+    subs = [recursive_radix_dft(vec[r::p], p, roots[::p]) for r in range(p)]
+    idx = np.arange(n)
+    out = np.zeros(n, dtype=complex)
+    for r in range(p):
+        out += roots[(r * idx) % n] * np.tile(subs[r], p)
+    return out
+
+
+def reference_dual_sums(space, vec):
+    """One row at a time, tables rebuilt from Phase: the same float operations in order."""
+    p, width = space.params.p, space.m + space.k
+    if space.params.mode == CARRY:
+        roots = np.array(
+            [Phase.make(p, j, width).complex_value().conjugate() for j in range(space.dim)]
+        )
+        return recursive_radix_dft(vec, p, roots)
+    kernel = np.array(
+        [[Phase.make(p, c * d, 1).complex_value().conjugate() for d in range(p)]
+         for c in range(p)]
+    )
+    arr = vec
+    for j in range(width):
+        arr = np.einsum("cd,sdt->sct", kernel, arr.reshape(p ** (width - 1 - j), p, p**j))
+    digits = [[(i // p**j) % p for j in range(width)] for i in range(space.dim)]
+    reversal = [sum(d * p ** (width - 1 - j) for j, d in enumerate(ds)) for ds in digits]
+    return arr.reshape(space.dim)[reversal]
+
+
+def test_batched_transform_matches_rows_and_oracle():
+    rng = SplitMix64(21)
+    for params, m, k in KERNEL_SPACES + ((P2, 3, 4), (M3, 2, 2)):
+        space = ModelSpace(params, m, k)
+        batch = np.stack([rng.complex_vector(space.dim) for _ in range(5)])
+        out = space.raw_dual_sums(batch)
+        assert out.shape == batch.shape
+        for row, vec in zip(out, batch):
+            assert same_bits(row, space.raw_dual_sums(vec))
+            assert same_bits(row, reference_dual_sums(space, vec))
+            if space.dim <= 81:
+                naive = naive_dual_sums(ModelFunction(space, vec))
+                assert np.max(np.abs(space.coset_measure * row - naive)) <= 1e-12
+
+
+def test_stft_rows_match_reference_bits():
+    rng = SplitMix64(22)
+    for params, m, k in ((P2, 4, 3), (P3, 2, 2), (M2, 3, 4), (M3, 2, 2), (P3, 1, 0)):
+        space = ModelSpace(params, m, k)
+        f, g = rand_fn(space, rng), rand_fn(space, rng)
+        grid = stft(f, g)
+        for a, x in enumerate(space.index_section):
+            shifted = translate(g, x).coeffs
+            row = space.coset_measure * reference_dual_sums(space, f.coeffs * np.conj(shifted))
+            assert same_bits(grid.values[a], row), (space, a)
+
+
+def test_dimension_one_spaces():
+    # numpy rounds a product of 2-D length-1 rows differently from 1-D ones
+    rng = SplitMix64(23)
+    for params in (P2, P3, M2, M3):
+        space = ModelSpace(params, 0, 0)
+        for _ in range(10):
+            f, g = rand_fn(space, rng), rand_fn(space, rng)
+            assert same_bits(fourier(f).coeffs, f.coeffs)
+            assert same_bits(stft(f, g).values[0], 1.0 * (f.coeffs * np.conj(g.coeffs)))
