@@ -27,6 +27,7 @@ from .density import (
 )
 from .gabor import build, frame_bounds
 from .geometry import section
+from .linalg import ConvergenceError
 from .localfield import CARRY, GroupParams, parse_element
 from .model import (
     ModelFunction,
@@ -56,6 +57,8 @@ def _load_config(path: str) -> dict:
 
 
 def _require(doc: dict, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {doc!r}")
     if key not in doc:
         raise ConfigError(f"missing required key {key!r} in {where}")
     return doc[key]
@@ -75,9 +78,9 @@ def _parse_model(doc: dict, params: GroupParams) -> ModelSpace:
     model = _require(doc, "model", "config")
     m = _require(model, "m", "model")
     k = _require(model, "k", "model")
-    if not (isinstance(m, int) and m >= 0):
+    if not (_is_int(m) and m >= 0):
         raise ConfigError(f"model extent m must be an integer >= 0, got {m!r}")
-    if not (isinstance(k, int) and k >= 0):
+    if not (_is_int(k) and k >= 0):
         raise ConfigError(f"model resolution k must be an integer >= 0, got {k!r}")
     return ModelSpace(params, m, k)
 
@@ -87,8 +90,10 @@ def _parse_function(doc: dict, space: ModelSpace, role: str) -> ModelFunction:
     try:
         if kind in ("indicator", "scaled-indicator"):
             set_scale = doc.get("set_scale", 0)
+            if not _is_int(set_scale):
+                raise ConfigError(f"{role} set_scale must be an integer, got {set_scale!r}")
             shift_text = doc.get("shift")
-            shift = parse_element(space.params, shift_text) if shift_text else None
+            shift = parse_element(space.params, shift_text) if shift_text is not None else None
             fn = indicator(space, set_scale=set_scale, shift=shift)
             if kind == "scaled-indicator":
                 fn = fn.scaled(float(space.params.p) ** (-set_scale / 2.0))
@@ -111,7 +116,10 @@ def _parse_function(doc: dict, space: ModelSpace, role: str) -> ModelFunction:
 def _parse_points(doc: dict, params: GroupParams) -> PointSet:
     kind = _require(doc, "type", "lambda")
     if kind == "union":
-        parts = [_parse_points(part, params) for part in _require(doc, "parts", "lambda")]
+        part_docs = _require(doc, "parts", "lambda")
+        if not isinstance(part_docs, list):
+            raise ConfigError(f"union lambda parts must be a list, got {part_docs!r}")
+        parts = [_parse_points(part, params) for part in part_docs]
         if not parts:
             raise ConfigError("union lambda needs at least one part")
         ambient = parts[0].ambient
@@ -132,20 +140,23 @@ def _parse_points(doc: dict, params: GroupParams) -> PointSet:
             )
             return PointSet.phase(pts, params)
         if kind == "product-sections":
-            x_doc = _require(doc, "x", "lambda")
-            xs = section(params, _require(x_doc, "outer", "lambda.x"),
-                         _require(x_doc, "inner", "lambda.x")).elements
+            xs = _section_elements(_require(doc, "x", "lambda"), params, "lambda.x")
             if ambient == "group":
                 return PointSet.group(xs, params)
-            xi_doc = _require(doc, "xi", "lambda")
-            xis = section(params, _require(xi_doc, "outer", "lambda.xi"),
-                          _require(xi_doc, "inner", "lambda.xi")).elements
+            xis = _section_elements(_require(doc, "xi", "lambda"), params, "lambda.xi")
             return PointSet.phase(tuple((x, xi) for x in xs for xi in xis), params)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad lambda: {exc}")
     raise ConfigError(f"unknown lambda type {kind!r}")
+
+
+def _section_elements(doc: dict, params: GroupParams, where: str):
+    outer, inner = _require(doc, "outer", where), _require(doc, "inner", where)
+    if not (_is_int(outer) and _is_int(inner)):
+        raise ConfigError(f"{where} outer and inner must be integers, got {outer!r}, {inner!r}")
+    return section(params, outer, inner).elements
 
 
 def _dumps(doc) -> str:
@@ -302,9 +313,14 @@ def cmd_norms(args) -> int:
     params = _parse_group(config)
     space = _parse_model(config, params)
     f, window = _function_pair(config, space)
-    p_exp = config.get("task", {}).get("p_exp", 2)
+    task = config.get("task", {})
+    if not isinstance(task, dict):
+        raise ConfigError("task must be an object")
+    p_exp = task.get("p_exp", 2)
     if p_exp == "inf":
         p_exp = math.inf
+    elif isinstance(p_exp, bool) or not isinstance(p_exp, (int, float)):
+        raise ConfigError(f'task p_exp must be a number >= 1 or "inf", got {p_exp!r}')
     try:
         grid = stft(f, window)
         mod = modulation_norm(grid, p_exp)
@@ -426,6 +442,9 @@ def main(argv=None) -> int:
         return 2
     except InvariantViolation as exc:
         sys.stderr.write(f"internal invariant violated: {exc}\n")
+        return 1
+    except ConvergenceError as exc:
+        sys.stderr.write(f"eigensolver failed: {exc}\n")
         return 1
 
 

@@ -256,6 +256,8 @@ class GroupElement:
 
 def parse_element(params: GroupParams, text: str) -> GroupElement:
     """Inverse of GroupElement.text()."""
+    if not isinstance(text, str):
+        raise ValueError(f"element text must be a string, got {text!r}")
     text = text.strip()
     if params.mode == CARRY:
         if "/" in text:

@@ -117,7 +117,7 @@ class ModelSpace:
             self._digit_matrix = np.arange(self.dim)[:, np.newaxis] // places % p
         return self._digit_matrix
 
-    def _shift_table(self, ax: np.ndarray) -> np.ndarray:
+    def shift_table(self, ax: np.ndarray) -> np.ndarray:
         """Row i: the index of x_b - x_{ax[i]} for every column b."""
         if self.params.mode == CARRY:
             return (np.arange(self.dim) - ax[:, np.newaxis]) % self.dim
@@ -131,24 +131,33 @@ class ModelSpace:
 
     def shift_sources(self, x: GroupElement) -> np.ndarray:
         """Permutation sending coefficient index a to the index of x_a - x."""
-        return self._shift_table(np.array([self.index_of(x)]))[0]
+        return self.shift_table(np.array([self.index_of(x)]))[0]
 
     def char_values(self, xi: GroupElement) -> np.ndarray:
         """Unit phases <x_a, xi> over the index section; xi must have val >= -k."""
-        if xi.valuation() < -self.k:
-            raise ResolutionError(
-                f"{xi.text()} has valuation {xi.valuation()} < -{self.k}; "
-                f"embed into a space with larger k"
-            )
+        return self.char_rows([xi])[0]
+
+    def char_rows(self, xis) -> np.ndarray:
+        """Row r: char_values(xis[r]), as one integer-indexed table lookup."""
+        for xi in xis:
+            if xi.valuation() < -self.k:
+                raise ResolutionError(
+                    f"{xi.text()} has valuation {xi.valuation()} < -{self.k}; "
+                    f"embed into a space with larger k"
+                )
         p = self.params.p
         if self.params.mode == CARRY:
             # <a / p^m, num / p^vexp> = a * num * p^(k - vexp) / p^(m+k) mod 1
-            step = xi.num * p ** (self.k - xi.vexp) % self.dim
-            return np.conj(self._neg_root_table()[np.arange(self.dim) * step % self.dim])
+            steps = np.array([xi.num * p ** (self.k - xi.vexp) % self.dim for xi in xis],
+                             dtype=np.int64)
+            positions = steps[:, np.newaxis] * np.arange(self.dim) % self.dim
+            return np.conj(self._neg_root_table()[positions])
         # residue pairing: digit j of x_a (exponent j - m) meets exponent m - 1 - j of xi
         width = self.m + self.k
-        xi_digits = np.array([xi.digit(self.m - 1 - j) for j in range(width)], dtype=int)
-        return self._unit_root_table()[self._digits() @ xi_digits % p]
+        xi_digits = np.array(
+            [[xi.digit(self.m - 1 - j) for j in range(width)] for xi in xis], dtype=int
+        ).reshape(len(xis), width)
+        return self._unit_root_table()[xi_digits @ self._digits().T % p]
 
     # -- fast transform --------------------------------------------------------
 
@@ -367,7 +376,7 @@ def stft(f: ModelFunction, g: ModelFunction) -> StftGrid:
     measure = space.coset_measure
     for start in range(0, n, STFT_BLOCK):
         stop = min(start + STFT_BLOCK, n)
-        shifted = g.coeffs[space._shift_table(np.arange(start, stop))]
+        shifted = g.coeffs[space.shift_table(np.arange(start, stop))]
         if n == 1:
             shifted = shifted[0]  # numpy rounds length-1 rows of a 2-D product differently
         values[start:stop] = measure * space.raw_dual_sums(f.coeffs * np.conj(shifted))

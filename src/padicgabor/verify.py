@@ -180,7 +180,7 @@ def check_tight_frame_constant(p_list, size, rng) -> CheckResult:
         sys = _tight_lattice_system(p, mode)
         expected = float(p * p)
         op = frame_operator(sys)
-        vals, _ = hermitian_eigs(HermitianMatrix(op))
+        vals, _, _ = hermitian_eigs(HermitianMatrix(op))
         dev = float(np.max(np.abs(vals - expected)))
         worst = max(worst, dev)
         if dev > 1e-9:

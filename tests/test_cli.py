@@ -2,10 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+from padicgabor import gabor
 from padicgabor.cli import main
+from padicgabor.linalg import ConvergenceError
+from padicgabor.rng import SplitMix64
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_config(tmp_path, name, doc):
@@ -114,6 +122,7 @@ def test_frame_tight_report(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["classification"] == "TightFrame"
     assert abs(doc["c"] - 4.0) <= 1e-9
+    assert doc["sweeps"] == 0  # the frame operator is already diagonal
 
 
 def test_frame_incomplete_report_is_success(tmp_path, capsys):
@@ -304,4 +313,94 @@ def test_overflowing_result_exits_2(tmp_path, capsys):
     assert main(["norms", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: result is not finite")
+    assert captured.out == ""
+
+
+EXPLICIT_TIGHT = {**FRAME_TIGHT, "lambda": {"ambient": "phase", "type": "explicit",
+                                            "points": [["0", "0"], ["1/2", "1/2"]]}}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**EXPLICIT_TIGHT, "lambda": {**EXPLICIT_TIGHT["lambda"], "points": [[1, 2]]}},
+        {**EXPLICIT_TIGHT, "lambda": {**EXPLICIT_TIGHT["lambda"], "points": [["0", 2]]}},
+        {**EXPLICIT_TIGHT, "window": {"type": "indicator", "shift": 3}},
+        {**EXPLICIT_TIGHT, "window": {"type": "indicator", "set_scale": True}},
+        {**EXPLICIT_TIGHT, "lambda": {"type": "union", "parts": 3}},
+        {**EXPLICIT_TIGHT, "lambda": {"type": "union", "parts": [3]}},
+        {**EXPLICIT_TIGHT, "lambda": 3},
+        {**EXPLICIT_TIGHT, "model": {"m": True, "k": 1}},
+        {**EXPLICIT_TIGHT, "model": {"m": 1, "k": True}},
+        {**FRAME_TIGHT, "lambda": {**FRAME_TIGHT["lambda"], "x": {"outer": True, "inner": -1}}},
+    ],
+    ids=[
+        "point-texts-int", "point-xi-int", "shift-int", "set-scale-bool", "parts-int",
+        "part-int", "lambda-int", "model-m-bool", "model-k-bool", "section-outer-bool",
+    ],
+)
+def test_frame_bad_config_exits_2(tmp_path, capsys, doc):
+    cfg = write_config(tmp_path, "f.json", doc)
+    assert main(["frame", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_eigensolver_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def no_convergence(matrix):
+        raise ConvergenceError(60, 1.0, 1e-29)
+
+    monkeypatch.setattr(gabor, "hermitian_eigs", no_convergence)
+    cfg = write_config(tmp_path, "f.json", FRAME_TIGHT)
+    assert main(["frame", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("eigensolver failed: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def _run_cli(args, threads):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "padicgabor.cli", *args], env=env,
+                          capture_output=True, check=True)
+    return done.stdout
+
+
+def test_outputs_independent_of_thread_count(tmp_path):
+    rng = SplitMix64(77)
+    p, m, k = 2, 3, 3
+    dim = p ** (m + k)
+    points = [
+        [f"{rng.next_below(dim)}/2^{m}", f"{rng.next_below(dim)}/2^{k}"] for _ in range(96)
+    ]
+    doc = {
+        "group": {"p": p, "mode": "carry"},
+        "model": {"m": m, "k": k},
+        "window": {"type": "coeffs",
+                   "values": [[z.real, z.imag] for z in rng.complex_vector(dim)]},
+        "lambda": {"ambient": "phase", "type": "explicit", "points": points},
+    }
+    cfg = write_config(tmp_path, "f.json", doc)
+    frames = [_run_cli(["frame", "--config", cfg], threads) for threads in (1, 2)]
+    assert frames[0] == frames[1]
+    assert json.loads(frames[0])["rank"] == dim
+    outs = []
+    for threads in (1, 2):
+        out = tmp_path / f"verify-{threads}.json"
+        stdout = _run_cli(["verify", "--suite", "paper", "--sizes", "small", "--out", str(out)],
+                          threads)
+        outs.append((stdout, out.read_bytes()))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("task", [5, {"p_exp": True}, {"p_exp": "2"}, {"p_exp": 0.5}],
+                         ids=["task-int", "p-exp-bool", "p-exp-string", "p-exp-below-one"])
+def test_norms_bad_task_exits_2(tmp_path, capsys, task):
+    cfg = write_config(tmp_path, "n.json", {**NORMS_CHI, "task": task})
+    assert main(["norms", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
     assert captured.out == ""

@@ -19,7 +19,16 @@ from padicgabor.gabor import (
 from padicgabor.geometry import section
 from padicgabor.linalg import RankDeficiencyError
 from padicgabor.localfield import CARRY, MODULAR, GroupElement, GroupParams
-from padicgabor.model import ModelFunction, ModelSpace, ResolutionError, indicator, inner
+from padicgabor import gabor
+from padicgabor.model import (
+    ModelFunction,
+    ModelSpace,
+    ResolutionError,
+    indicator,
+    inner,
+    modulate,
+    translate,
+)
 from padicgabor.rng import SplitMix64
 
 P2 = GroupParams(2, CARRY)
@@ -56,9 +65,9 @@ def test_build_examples():
     chi = indicator(space)
     origin = (GroupElement.zero(P2), GroupElement.zero(P2))
     sys = build(chi, PointSet.phase([origin], P2))
-    assert np.array_equal(sys.vectors[0].coeffs, chi.coeffs)
+    assert np.array_equal(sys.vector_matrix()[:, 0], chi.coeffs)
     dup = build(chi, PointSet.phase([origin, origin], P2))
-    assert np.array_equal(dup.vectors[0].coeffs, dup.vectors[1].coeffs)
+    assert np.array_equal(dup.vector_matrix()[:, 0], dup.vector_matrix()[:, 1])
     assert dup.count == 2
 
 
@@ -69,9 +78,9 @@ def test_build_coset_invariance_exact():
     xi = GroupElement.from_rational(P2, 3, 2)
     h = GroupElement.integer(P2, 4)    # in A^-k H
     eta = GroupElement.integer(P2, 4)  # annihilates the support window
-    v1 = build(chi, PointSet.phase([(x, xi)], P2)).vectors[0]
-    v2 = build(chi, PointSet.phase([(x + h, xi + eta)], P2)).vectors[0]
-    assert np.array_equal(v1.coeffs, v2.coeffs)
+    v1 = build(chi, PointSet.phase([(x, xi)], P2)).vector_matrix()[:, 0]
+    v2 = build(chi, PointSet.phase([(x + h, xi + eta)], P2)).vector_matrix()[:, 0]
+    assert np.array_equal(v1, v2)
     sys = build(chi, PointSet.phase([(x, xi), (x + h, xi + eta)], P2))
     assert sys.canonical_keys[0] == sys.canonical_keys[1]
 
@@ -160,7 +169,7 @@ def test_frame_inequality_random_sampling():
     for _ in range(100):
         f = rand_fn(space, rng)
         f = f.scaled(1.0 / f.norm())
-        energy = sum(abs(inner(f, v)) ** 2 for v in sys.vectors)
+        energy = sum(abs(inner(f, ModelFunction(space, v))) ** 2 for v in sys.vector_matrix().T)
         assert rep.lower - 1e-8 <= energy <= rep.upper + 1e-8
 
 
@@ -168,11 +177,11 @@ def test_canonical_dual_of_onb_and_tight():
     space = ModelSpace(P2, 2, 2)
     sys = build(indicator(space), onb_points(space))
     duals = canonical_dual(sys)
-    assert max(np.max(np.abs(d.coeffs - v.coeffs)) for d, v in zip(duals, sys.vectors)) <= 1e-10
+    assert np.max(np.abs(duals - sys.vector_matrix())) <= 1e-10
     tight = tight_lattice(P2)
     duals_t = canonical_dual(tight)
     c = frame_bounds(tight).tight_constant
-    assert max(np.max(np.abs(d.coeffs - v.coeffs / c)) for d, v in zip(duals_t, tight.vectors)) <= 1e-10
+    assert np.max(np.abs(duals_t - tight.vector_matrix() / c)) <= 1e-10
 
 
 def test_canonical_dual_reconstruction_and_reciprocity():
@@ -244,7 +253,7 @@ def test_bessel_chain_check():
         assert lhs <= mid + 1e-10
         assert rhs > 0
     # empty system: both sides vanish
-    empty = GaborSystem(sys.window, PointSet.phase((), P2), [], [])
+    empty = GaborSystem(sys.window, PointSet.phase((), P2), np.zeros((space.dim, 0), complex), [])
     lhs, mid, rhs = bessel_chain_check(rand_fn(space, rng), empty, space.m)
     assert lhs == 0.0 and mid == 0.0
     # one point per unit cell (N_0 = 1), unit-ball window: the bound is met exactly
@@ -279,3 +288,83 @@ def test_density_profile_of_frames_meets_threshold():
         overfull = build(chi, ladder_points(space, 1))
         prof2 = density_profile(overfull.lam, (0, m), m)
         assert all(r.lower_ratio >= 1 for r in prof2.rows)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("params", [P2, P3, M2, GroupParams(3, MODULAR)], ids=str)
+@pytest.mark.parametrize("m,k", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2)])
+def test_build_matrix_bitwise_matches_translate_modulate(params, m, k):
+    rng = SplitMix64(45 + 7 * m + k)
+    space = ModelSpace(params, m, k)
+    window = rand_fn(space, rng)
+    pts = [
+        (space.index_section[rng.next_below(space.dim)],
+         space.dual.index_section[rng.next_below(space.dim)])
+        for _ in range(6)
+    ]
+    pts += [pts[0], pts[3], pts[0]]  # repeated points keep their multiplicity
+    sys = build(window, PointSet.phase(tuple(pts), params))
+    ref = np.stack([modulate(translate(window, x), xi).coeffs for x, xi in pts], axis=1)
+    assert same_bits(sys.vector_matrix(), ref)
+    assert sys.vector_matrix().flags.c_contiguous
+    assert sys.count == len(pts)
+
+
+def test_build_empty_system():
+    space = ModelSpace(P2, 1, 1)
+    sys = build(indicator(space), PointSet.phase((), P2))
+    assert sys.vector_matrix().shape == (space.dim, 0) and sys.count == 0
+
+
+def test_frame_bounds_forms_gram_only_for_square_systems(monkeypatch):
+    space = ModelSpace(P2, 2, 2)
+    chi = indicator(space)
+    square = build(chi, onb_points(space))
+    overfull = build(chi, ladder_points(space, 1))
+    incomplete = build(chi, ladder_points(space, -1))
+    calls = []
+    real_gram = gabor.gram
+
+    def counting_gram(sys):
+        calls.append(sys.count)
+        return real_gram(sys)
+
+    monkeypatch.setattr(gabor, "gram", counting_gram)
+    assert frame_bounds(square).classification == "ONB"
+    assert calls == [square.count]
+
+    def no_gram(sys):
+        raise AssertionError("the Gram of a non-square system was formed")
+
+    monkeypatch.setattr(gabor, "gram", no_gram)
+    for sys, label in ((overfull, "TightFrame"), (incomplete, "Incomplete"),
+                       (tight_lattice(P3), "TightFrame")):
+        rep = frame_bounds(sys)
+        assert rep.classification == label
+        assert rep.gram_identity_defect is None
+
+
+def test_analysis_products_match_inner_loops():
+    rng = SplitMix64(46)
+    sys = tight_lattice(P3)
+    space = sys.window.space
+    vecs = [ModelFunction(space, v) for v in sys.vector_matrix().T]
+    for _ in range(5):
+        f = rand_fn(space, rng)
+        lhs, _, _ = bessel_chain_check(f, sys, space.m)
+        ref = sum(abs(inner(f, v)) ** 2 for v in vecs)
+        assert abs(lhs - ref) <= 1e-12 * ref
+    space2 = ModelSpace(P2, 2, 2)
+    extra = ((space2.index_section[3], space2.dual.index_section[5]),)
+    frame = build(indicator(space2), PointSet.phase(onb_points(space2).points + extra, P2))
+    duals = canonical_dual(frame)
+    f = rand_fn(space2, rng)
+    loop = sum(inner(f, ModelFunction(space2, v)) * d
+               for v, d in zip(frame.vector_matrix().T, duals.T))
+    assert np.max(np.abs(reconstruct(frame, duals, f).coeffs - loop)) <= 1e-12 * f.norm()
+    with pytest.raises(ValueError):
+        reconstruct(frame, duals, rand_fn(ModelSpace(P3, 1, 1), rng))
