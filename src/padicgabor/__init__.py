@@ -42,7 +42,7 @@ from .geometry import (
     section,
     split_section,
 )
-from .linalg import HermitianMatrix, hermitian_eigs, rank, solve_hermitian
+from .linalg import HermitianMatrix, hermitian_eigs, solve_hermitian
 from .localfield import (
     CARRY,
     MODULAR,

@@ -54,6 +54,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
 
 
 def _require(doc: dict, key: str, where: str):
@@ -173,10 +175,17 @@ def _emit(doc, args, table_text: str | None = None) -> None:
     else:
         payload = _dumps(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write_out(args.out, payload)
     else:
         sys.stdout.write(payload)
+
+
+def _write_out(path: str, payload: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path}: {exc}")
 
 
 def _is_int(value) -> bool:
@@ -276,8 +285,6 @@ def cmd_frame(args) -> int:
     params = _parse_group(config)
     space = _parse_model(config, params)
     window = _parse_function(_require(config, "window", "config"), space, "window")
-    if window.is_zero():
-        raise ConfigError("window must be nonzero")
     lam = _parse_points(_require(config, "lambda", "config"), params)
     try:
         report = frame_bounds(build(window, lam))
@@ -289,8 +296,6 @@ def cmd_frame(args) -> int:
 
 def _function_pair(config: dict, space: ModelSpace) -> tuple[ModelFunction, ModelFunction]:
     window = _parse_function(_require(config, "window", "config"), space, "window")
-    if window.is_zero():
-        raise ConfigError("window must be nonzero")
     if "function" in config:
         f = _parse_function(config["function"], space, "function")
     else:
@@ -383,8 +388,7 @@ def cmd_verify(args) -> int:
             }
             for r in results
         ]
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dumps(doc))
+        _write_out(args.out, _dumps(doc))
     return 0 if passed == len(results) else 1
 
 

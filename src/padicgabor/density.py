@@ -144,12 +144,6 @@ class DensityProfile:
     region: int
     rows: tuple[ProfileRow, ...]
 
-    def row(self, n: int) -> ProfileRow:
-        for r in self.rows:
-            if r.n == n:
-                return r
-        raise KeyError(n)
-
     def table(self) -> str:
         header = "n  max_count  min_count  upper_ratio  lower_ratio"
         lines = [header]

@@ -5,10 +5,13 @@ A system is the family M_xi T_x phi over a finite multiset of plane points
 operator S f = sum <f, v> v is assembled as a dim x dim Hermitian matrix
 acting on coefficient vectors with the coset measure folded in; its
 extreme eigenvalues are the frame bounds of the system for the model
-space, the natural desk-scale reading of "frame for L^2".  Classification:
+space, the natural desk-scale reading of "frame for L^2".  Each system
+diagonalizes S once (GaborSystem.spectrum); bounds, rank, the ONB test, the
+canonical dual and the Riesz test all read that one decomposition, and no
+count x count Gram is formed for them.  Classification:
 
-* ONB         -- Gram is the identity and the vectors span (count == dim);
-  the count x count Gram is formed only for such square systems;
+* ONB         -- count == dim and S = I: for square W, mu W W* = I iff
+  mu W* W = I, and ||G - I||_2 = ||S - I||_2 = max |lambda - 1|;
 * TightFrame  -- spanning with equal bounds (reported with the constant);
 * Frame       -- spanning with a positive lower bound;
 * Incomplete  -- rank below dim.  Every finite system has a finite upper
@@ -20,14 +23,13 @@ Multiplicity matters: a repeated point contributes its rank-one term twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .density import PHASE, PointSet, finite_density_check
-from .geometry import coset_rep
 from .linalg import HermitianMatrix, RankDeficiencyError, hermitian_eigs, solve_hermitian
-from .localfield import GroupElement
 from .model import ModelFunction, ResolutionError, stft, wiener_norm
 # build no longer calls these; they stay gabor names because perfbench/selftest.py
 # checks that tracing patches padicgabor.gabor.modulate
@@ -43,12 +45,11 @@ ONB_TOL = 1e-12
 TIGHT_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)  # frozen: spectrum is cached from these fields
 class GaborSystem:
     window: ModelFunction
     lam: PointSet
     matrix: np.ndarray  # dim x count, column c is the vector of point c
-    canonical_keys: list[tuple[GroupElement, GroupElement]]
 
     @property
     def dim(self) -> int:
@@ -62,6 +63,11 @@ class GaborSystem:
         """dim x count matrix whose columns are the system vectors."""
         return self.matrix
 
+    @cached_property
+    def spectrum(self):
+        """hermitian_eigs of the frame operator: (values, residual, sweeps, vectors)."""
+        return hermitian_eigs(HermitianMatrix(frame_operator(self)))
+
 
 def build(window: ModelFunction, lam: PointSet) -> GaborSystem:
     """Materialize M_xi T_x window over lam, preserving order and multiplicity.
@@ -74,7 +80,7 @@ def build(window: ModelFunction, lam: PointSet) -> GaborSystem:
     if lam.ambient != PHASE:
         raise ValueError("a Gabor system needs phase-space points (x, xi)")
     space = window.space
-    shifts, xis, keys = [], [], []
+    shifts, xis = [], []
     for x, xi in lam.points:
         if x.valuation() < -space.m:
             raise ResolutionError(
@@ -88,10 +94,9 @@ def build(window: ModelFunction, lam: PointSet) -> GaborSystem:
             )
         shifts.append(space.index_of(x))
         xis.append(xi)
-        keys.append((coset_rep(x, -space.k), coset_rep(xi, -space.m)))
     shifted = window.coeffs[space.shift_table(np.array(shifts, dtype=np.int64))]
     rows = space.char_rows(xis) * shifted
-    return GaborSystem(window, lam, np.ascontiguousarray(rows.T), keys)
+    return GaborSystem(window, lam, np.ascontiguousarray(rows.T))
 
 
 def gram(sys: GaborSystem) -> np.ndarray:
@@ -125,10 +130,9 @@ class GaborReport:
     rank: int
     classification: str
     tight_constant: float | None = None
-    gram_identity_defect: float | None = None
+    gram_identity_defect: float | None = None  # max |lambda - 1| = ||G - I||_2 if square
     eig_residual: float = 0.0
     sweeps: int = 0
-    tolerances: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -139,7 +143,7 @@ class GaborReport:
             "rank": self.rank,
             "classification": self.classification,
             "sweeps": self.sweeps,
-            "tol": dict(self.tolerances),
+            "tol": {"rank": RANK_TOL, "onb": ONB_TOL, "tight": TIGHT_TOL},
         }
         if self.tight_constant is not None:
             doc["c"] = self.tight_constant
@@ -148,15 +152,12 @@ class GaborReport:
 
 def frame_bounds(sys: GaborSystem) -> GaborReport:
     """Extreme eigenvalues of the frame operator plus the classification."""
-    op = HermitianMatrix(frame_operator(sys))
-    vals, residual, sweeps = hermitian_eigs(op)
+    vals, residual, sweeps, _ = sys.spectrum
     upper = float(vals[-1])
     lower = max(float(vals[0]), 0.0)
     cutoff = RANK_TOL * max(1.0, upper)
     rank = int(np.sum(vals > cutoff))
-    gram_defect = None
-    if sys.count == sys.dim:  # an ONB has exactly dim vectors; skip the Gram otherwise
-        gram_defect = float(np.max(np.abs(gram(sys) - np.eye(sys.count))))
+    gram_defect = float(np.max(np.abs(vals - 1.0))) if sys.count == sys.dim else None
 
     tight_constant = None
     if rank < sys.dim:
@@ -179,14 +180,12 @@ def frame_bounds(sys: GaborSystem) -> GaborReport:
         gram_identity_defect=gram_defect,
         eig_residual=residual,
         sweeps=sweeps,
-        tolerances={"rank": RANK_TOL, "onb": ONB_TOL, "tight": TIGHT_TOL},
     )
 
 
 def canonical_dual(sys: GaborSystem) -> np.ndarray:
     """dim x count matrix of the dual vectors S^-1 v; requires the system to span."""
-    op = HermitianMatrix(frame_operator(sys))
-    return solve_hermitian(op, sys.vector_matrix(), tol=RANK_TOL)
+    return solve_hermitian(sys.spectrum, sys.vector_matrix(), tol=RANK_TOL)
 
 
 def reconstruct(sys: GaborSystem, duals: np.ndarray, f: ModelFunction) -> ModelFunction:
@@ -195,13 +194,14 @@ def reconstruct(sys: GaborSystem, duals: np.ndarray, f: ModelFunction) -> ModelF
 
 
 def riesz_check(sys: GaborSystem, tol: float = 1e-8) -> bool:
-    """True iff the system is a Riesz basis: invertible Gram and biorthogonal dual."""
+    """True iff the system is a Riesz basis: invertible Gram and biorthogonal dual.
+
+    The Gram of a spanning system is invertible iff the system is square.
+    """
     report = frame_bounds(sys)
     if report.rank < sys.dim:
         raise RankDeficiencyError(report.lower, RANK_TOL * max(1.0, report.upper))
-    g = HermitianMatrix(gram(sys))
-    gvals, _, _ = hermitian_eigs(g)
-    if float(gvals[0]) <= RANK_TOL * max(1.0, float(gvals[-1])):
+    if sys.count != sys.dim:
         return False
     d = canonical_dual(sys)
     measure = sys.window.space.coset_measure

@@ -1,4 +1,4 @@
-"""Dense complex Hermitian eigenvalues, solves and rank, self-contained.
+"""Dense complex Hermitian eigendecomposition and solves, self-contained.
 
 Jacobi iteration with unitary 2x2 rotations in the Brent-Luk parallel order
 (Brent & Luk 1985): each sweep is n - 1 rounds of disjoint pairs (n rounds
@@ -7,7 +7,9 @@ operations.  Dimensions in this package stay in the low hundreds, so the
 O(n^3) sweeps are plenty; no external eigensolver is called, and the
 rotations use elementwise numpy arithmetic and einsum, not BLAS, so they do
 not depend on thread count.  A matrix that does not converge within the
-sweep cap raises ConvergenceError.
+sweep cap raises ConvergenceError.  hermitian_eigs is the one decomposition
+entry point; solve_hermitian solves from a decomposition it returned, so a
+caller that needs both the spectrum and solves diagonalizes once.
 """
 
 from __future__ import annotations
@@ -157,43 +159,33 @@ def _jacobi(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-30):
     return np.diagonal(a).real.copy(), both[:, n:].conj().T, done
 
 
-def _sorted_eigs(matrix: HermitianMatrix):
-    """Eigenvalues (ascending), matching orthonormal eigenvector columns, sweeps run."""
-    vals, vecs, sweeps = _jacobi(matrix.entries)
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order], sweeps
-
-
 def hermitian_eigs(matrix: HermitianMatrix):
-    """All eigenvalues ascending, the worst relative eigenpair residual, Jacobi sweeps."""
+    """(eigenvalues ascending, worst relative eigenpair residual, Jacobi sweeps, vectors).
+
+    The vectors are the matching orthonormal eigenvector columns.
+    """
     if matrix.dim < 1:
         raise ValueError("dimension must be >= 1")
-    vals, vecs, sweeps = _sorted_eigs(matrix)
+    vals, vecs, sweeps = _jacobi(matrix.entries)
+    order = np.argsort(vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
     norm = np.linalg.norm(matrix.entries)
     if norm == 0.0:
-        return vals, 0.0, sweeps
+        return vals, 0.0, sweeps, vecs
     resid = matrix.entries @ vecs - vecs * vals[np.newaxis, :]
     residual = float(np.max(np.linalg.norm(resid, axis=0))) / norm
-    return vals, residual, sweeps
+    return vals, residual, sweeps, vecs
 
 
-def rank(matrix: HermitianMatrix, tol: float = 1e-9) -> int:
-    """Number of eigenvalues above tol * max(1, largest magnitude eigenvalue)."""
-    vals, _, _ = hermitian_eigs(matrix)
-    top = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    cutoff = tol * max(1.0, top)
-    return int(np.sum(np.abs(vals) > cutoff))
-
-
-def solve_hermitian(matrix: HermitianMatrix, rhs, tol: float = 1e-9):
-    """Solve M x = rhs through the eigendecomposition; requires min eig > tol.
+def solve_hermitian(eigs, rhs, tol: float = 1e-9):
+    """Solve M x = rhs given eigs = hermitian_eigs(M); requires min |eig| > tol * max(1, top).
 
     rhs may be a vector or a matrix of stacked right-hand sides (columns).
     """
-    vals, vecs, _ = _sorted_eigs(matrix)
-    top = float(np.max(np.abs(vals))) if len(vals) else 0.0
+    vals, _, _, vecs = eigs
+    top = float(np.max(np.abs(vals)))
     cutoff = tol * max(1.0, top)
-    small = float(np.min(np.abs(vals))) if len(vals) else 0.0
+    small = float(np.min(np.abs(vals)))
     if small <= cutoff:
         raise RankDeficiencyError(small, cutoff)
     b = np.asarray(rhs, dtype=complex)

@@ -64,11 +64,6 @@ class GroupParams:
         if self.mode not in (CARRY, MODULAR):
             raise ValueError(f"mode must be {CARRY!r} or {MODULAR!r}, got {self.mode!r}")
 
-    @property
-    def modulus(self) -> int:
-        """Haar-measure scaling factor of one application of the automorphism."""
-        return self.p
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -112,18 +107,6 @@ class GroupElement:
             num //= params.p
             vexp -= 1
         return GroupElement(params, num=num, vexp=vexp)
-
-    @staticmethod
-    def from_fraction(params: GroupParams, q: Fraction) -> "GroupElement":
-        """Carry-mode element from a rational with p-power denominator."""
-        den = q.denominator
-        vexp = 0
-        while den % params.p == 0:
-            den //= params.p
-            vexp += 1
-        if den != 1:
-            raise ValueError(f"{q} is not in Z[1/{params.p}]")
-        return GroupElement.from_rational(params, q.numerator, vexp)
 
     @staticmethod
     def from_coeffs(params: GroupParams, coeffs) -> "GroupElement":

@@ -38,13 +38,11 @@ from .gabor import (
     build,
     canonical_dual,
     frame_bounds,
-    frame_operator,
     gram,
     reconstruct,
     riesz_check,
 )
 from .geometry import section
-from .linalg import HermitianMatrix, hermitian_eigs
 from .localfield import CARRY, MODULAR, GroupElement, GroupParams, pairing_phase
 from .model import (
     ModelFunction,
@@ -83,14 +81,8 @@ def _space(p: int, mode: str, m: int, k: int) -> ModelSpace:
     return ModelSpace(GroupParams(p, mode), m, k)
 
 
-def _onb_points(space: ModelSpace) -> PointSet:
-    xs = section(space.params, space.m, 0).elements
-    xis = section(space.params, space.k, 0).elements
-    return PointSet.phase(tuple((x, xi) for x in xs for xi in xis), space.params)
-
-
 def _modulation_ladder_points(space: ModelSpace, step: int) -> PointSet:
-    """Translations along H-cosets, modulations refined (step > 0) or coarsened."""
+    """Translations along H-cosets, modulations refined (step > 0), kept (the ONB) or coarsened."""
     xs = section(space.params, space.m, 0).elements
     xis = section(space.params, space.k, -step).elements
     return PointSet.phase(tuple((x, xi) for x in xs for xi in xis), space.params)
@@ -157,7 +149,7 @@ def check_onb_gram_identity(p_list, size, rng) -> CheckResult:
         if p not in p_list:
             continue
         space = _space(p, mode, m, k)
-        sys = build(indicator(space), _onb_points(space))
+        sys = build(indicator(space), _modulation_ladder_points(space, 0))
         g = gram(sys)
         dev = float(np.max(np.abs(g - np.eye(sys.count))))
         worst = max(worst, dev)
@@ -179,8 +171,7 @@ def check_tight_frame_constant(p_list, size, rng) -> CheckResult:
             continue
         sys = _tight_lattice_system(p, mode)
         expected = float(p * p)
-        op = frame_operator(sys)
-        vals, _, _ = hermitian_eigs(HermitianMatrix(op))
+        vals = sys.spectrum[0]
         dev = float(np.max(np.abs(vals - expected)))
         worst = max(worst, dev)
         if dev > 1e-9:
@@ -378,7 +369,7 @@ def check_dual_reconstruction(p_list, size, rng) -> CheckResult:
             )
             for _ in range(4)
         )
-        lam = PointSet.phase(_onb_points(space).points + extra, space.params)
+        lam = PointSet.phase(_modulation_ladder_points(space, 0).points + extra, space.params)
         sys = build(chi, lam)
         report = frame_bounds(sys)
         duals = canonical_dual(sys)
@@ -386,7 +377,7 @@ def check_dual_reconstruction(p_list, size, rng) -> CheckResult:
             f = _random_function(space, rng)
             err = (reconstruct(sys, duals, f) - f).norm() / f.norm()
             worst_recon = max(worst_recon, err)
-        dual_report = frame_bounds(GaborSystem(chi, lam, duals, sys.canonical_keys))
+        dual_report = frame_bounds(GaborSystem(chi, lam, duals))
         worst_bounds = max(
             worst_bounds,
             abs(dual_report.lower - 1.0 / report.upper),
@@ -412,7 +403,7 @@ def check_repeated_point_bound_growth(p_list, size, rng) -> CheckResult:
             continue
         space = _space(p, mode, m, k)
         chi = indicator(space)
-        sys = build(chi, _onb_points(space))
+        sys = build(chi, _modulation_ladder_points(space, 0))
         origin = (GroupElement.zero(space.params), GroupElement.zero(space.params))
         results, grew = bessel_stress(sys, origin, reps)
         norm_sq = chi.norm() ** 2
@@ -495,7 +486,7 @@ def check_frame_density_necessity(p_list, size, rng) -> CheckResult:
             continue
         space = _space(p, mode, m, k)
         chi = indicator(space)
-        systems.append((build(chi, _onb_points(space)), space.m, True))
+        systems.append((build(chi, _modulation_ladder_points(space, 0)), space.m, True))
         systems.append((build(chi, _modulation_ladder_points(space, 1)), space.m, False))
         used.append(f"p={p} {mode} ({m},{k})")
     for p, mode in TIGHT_CONFIGS:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from padicgabor import gabor
+from padicgabor import cli, gabor
 from padicgabor.cli import main
 from padicgabor.linalg import ConvergenceError
 from padicgabor.rng import SplitMix64
@@ -404,3 +404,38 @@ def test_norms_bad_task_exits_2(tmp_path, capsys, task):
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("case", ["config-directory", "config-unreadable", "config-not-utf8",
+                                  "out-frame", "out-density", "out-stft", "out-norms",
+                                  "out-verify"])
+def test_bad_paths_exit_2(tmp_path, capsys, monkeypatch, case):
+    cfg = tmp_path / "c.json"
+    if case == "config-directory":
+        argv = ["frame", "--config", str(tmp_path)]
+    elif case == "config-unreadable":
+        cfg.write_text(json.dumps(FRAME_TIGHT))
+        cfg.chmod(0)
+        if os.access(cfg, os.R_OK):  # a privileged user reads it anyway: deny the open
+
+            def denied(path, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", path)
+
+            monkeypatch.setattr(cli, "open", denied, raising=False)
+        argv = ["frame", "--config", str(cfg)]
+    elif case == "config-not-utf8":
+        cfg.write_bytes(b'{"group": "\xff"}')
+        argv = ["frame", "--config", str(cfg)]
+    else:
+        command = case[len("out-"):]
+        argv = [command, "--out", str(tmp_path / "missing" / "o.json")]
+        if command == "verify":
+            argv += ["--suite", "paper", "--sizes", "small"]
+        else:
+            docs = {"frame": FRAME_TIGHT, "density": DENSITY_SECTION, "stft": NORMS_CHI,
+                    "norms": NORMS_CHI}
+            argv += ["--config", write_config(tmp_path, "c.json", docs[command])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err

@@ -17,6 +17,7 @@ from padicgabor.gabor import (
     riesz_check,
 )
 from padicgabor.geometry import section
+from padicgabor import linalg
 from padicgabor.linalg import RankDeficiencyError
 from padicgabor.localfield import CARRY, MODULAR, GroupElement, GroupParams
 from padicgabor import gabor
@@ -81,8 +82,6 @@ def test_build_coset_invariance_exact():
     v1 = build(chi, PointSet.phase([(x, xi)], P2)).vector_matrix()[:, 0]
     v2 = build(chi, PointSet.phase([(x + h, xi + eta)], P2)).vector_matrix()[:, 0]
     assert np.array_equal(v1, v2)
-    sys = build(chi, PointSet.phase([(x, xi), (x + h, xi + eta)], P2))
-    assert sys.canonical_keys[0] == sys.canonical_keys[1]
 
 
 def test_build_rejects_zero_window_and_out_of_resolution():
@@ -200,7 +199,7 @@ def test_canonical_dual_reconstruction_and_reciprocity():
         f = rand_fn(space, rng)
         worst = max(worst, (reconstruct(sys, duals, f) - f).norm() / f.norm())
     assert worst <= 1e-8
-    dual_rep = frame_bounds(GaborSystem(chi, sys.lam, duals, sys.canonical_keys))
+    dual_rep = frame_bounds(GaborSystem(chi, sys.lam, duals))
     assert abs(dual_rep.lower - 1 / rep.upper) <= 1e-8
     assert abs(dual_rep.upper - 1 / rep.lower) <= 1e-8
 
@@ -253,7 +252,7 @@ def test_bessel_chain_check():
         assert lhs <= mid + 1e-10
         assert rhs > 0
     # empty system: both sides vanish
-    empty = GaborSystem(sys.window, PointSet.phase((), P2), np.zeros((space.dim, 0), complex), [])
+    empty = GaborSystem(sys.window, PointSet.phase((), P2), np.zeros((space.dim, 0), complex))
     lhs, mid, rhs = bessel_chain_check(rand_fn(space, rng), empty, space.m)
     assert lhs == 0.0 and mid == 0.0
     # one point per unit cell (N_0 = 1), unit-ball window: the bound is met exactly
@@ -335,7 +334,7 @@ def test_frame_bounds_forms_gram_only_for_square_systems(monkeypatch):
 
     monkeypatch.setattr(gabor, "gram", counting_gram)
     assert frame_bounds(square).classification == "ONB"
-    assert calls == [square.count]
+    assert calls == []
 
     def no_gram(sys):
         raise AssertionError("the Gram of a non-square system was formed")
@@ -368,3 +367,48 @@ def test_analysis_products_match_inner_loops():
     assert np.max(np.abs(reconstruct(frame, duals, f).coeffs - loop)) <= 1e-12 * f.norm()
     with pytest.raises(ValueError):
         reconstruct(frame, duals, rand_fn(ModelSpace(P3, 1, 1), rng))
+
+
+def test_one_decomposition_per_system(monkeypatch):
+    calls = {"eigs": 0, "jacobi": 0, "gram": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gabor, "hermitian_eigs", counted("eigs", gabor.hermitian_eigs))
+    monkeypatch.setattr(linalg, "_jacobi", counted("jacobi", linalg._jacobi))
+    monkeypatch.setattr(gabor, "gram", counted("gram", gabor.gram))
+    space = ModelSpace(P2, 2, 2)
+    chi = indicator(space)
+    extra = ((space.index_section[3], space.dual.index_section[5]),)
+    for points, riesz in ((onb_points(space), True),
+                          (PointSet.phase(onb_points(space).points + extra, P2), False)):
+        sys = build(chi, points)
+        calls.update(eigs=0, jacobi=0, gram=0)
+        frame_bounds(sys)
+        canonical_dual(sys)
+        assert riesz_check(sys) is riesz
+        assert calls == {"eigs": 1, "jacobi": 1, "gram": 0}
+
+
+def test_square_non_onb_classification_and_defect():
+    space = ModelSpace(P2, 2, 2)
+    doubled = build(indicator(space).scaled(2.0), onb_points(space))
+    rep = frame_bounds(doubled)
+    assert rep.classification == "TightFrame"
+    assert abs(rep.tight_constant - 4.0) <= 1e-12
+    assert abs(rep.gram_identity_defect - 3.0) <= 1e-12
+    # a sheared ONB W (I + E_01): the defect is the spectral norm ||G - I||_2, the
+    # golden ratio here, not the largest entry of G - I (which is 1)
+    onb = build(indicator(space), onb_points(space))
+    shear = np.eye(space.dim)
+    shear[0, 1] = 1.0
+    sheared = GaborSystem(onb.window, onb.lam, onb.vector_matrix() @ shear)
+    rep = frame_bounds(sheared)
+    assert rep.classification == "Frame"
+    assert abs(rep.gram_identity_defect - (1 + 5 ** 0.5) / 2) <= 1e-12
+    g_minus_i = gram(sheared) - np.eye(space.dim)
+    assert abs(rep.gram_identity_defect - np.linalg.norm(g_minus_i, 2)) <= 1e-12
