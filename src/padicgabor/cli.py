@@ -1,17 +1,23 @@
 """Command-line front end: density, frame, stft, norms, and verify.
 
 Configs are JSON documents; group elements appear in their text form
-(`3/2^2` carry, `[-2]102` modular).  All structured output is JSON with
-sorted keys, exact rationals as "a/b" strings and complex numbers as
-[re, im] pairs, so a fixed config and seed reproduce byte-identical bytes.
+(`3/2^2` carry, `[-2]102` modular).  Every config value is read through
+`_get`, and every size a config sets is bounded from its exponents before
+anything is built (MAX_ENTRIES, MAX_POINTS, MAX_P, MAX_SCALE below).  All
+structured output is JSON with sorted keys, exact rationals as "a/b" strings
+and complex numbers as [re, im] pairs, so a fixed config and seed reproduce
+byte-identical bytes; `--out` is opened before the command runs.
 Exit codes: 0 success, 1 failed verification or violated internal identity,
-2 configuration or usage errors.
+2 configuration or usage errors (every ValueError, TypeError or
+OverflowError, the library's input checks included).
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
+import io
 import json
 import math
 import sys
@@ -28,11 +34,10 @@ from .density import (
 from .gabor import build, frame_bounds
 from .geometry import section
 from .linalg import ConvergenceError
-from .localfield import CARRY, GroupParams, parse_element
+from .localfield import CARRY, GroupElement, GroupParams, parse_element
 from .model import (
     ModelFunction,
     ModelSpace,
-    ResolutionError,
     indicator,
     modulation_norm,
     stft,
@@ -40,6 +45,15 @@ from .model import (
     wiener_norm_amalgam,
 )
 from .verify import DEFAULT_SEED, run_suite
+
+MAX_ENTRIES = 2**22  # complex entries of any array a command builds: 64 MiB, dim <= 2048
+MAX_POINTS = 2**20  # points a lambda lists or generates
+MAX_P = 2**16  # the prime
+MAX_SCALE = 64  # density scales and powers, |valuation| of a config element
+
+_MISSING = object()
+_JSON_NAMES = {int: "an integer", (int, float): "a number", str: "a string", list: "a list",
+               dict: "an object"}
 
 
 class ConfigError(ValueError):
@@ -56,109 +70,130 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    except RecursionError:
+        raise ConfigError(f"config {path} is nested too deeply")
 
 
-def _require(doc: dict, key: str, where: str):
+def _get(doc, key: str, where: str, kind=None, default=_MISSING, lo=None, hi=None):
+    """doc[key], checked: doc is an object, the key is present or defaulted, the
+    value has JSON type kind (a bool is not a number) and lies in [lo, hi]."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object, got {doc!r}")
-    if key not in doc:
+        raise ConfigError(f"{where} must be an object, got {doc!r:.80}")
+    value = doc.get(key, default)
+    if value is _MISSING:
         raise ConfigError(f"missing required key {key!r} in {where}")
-    return doc[key]
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+        raise ConfigError(f"{where} {key} must be {_JSON_NAMES[kind]}, got {value!r:.80}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{where} {key} must be {bound}, got {value!r:.80}")
+    return value
+
+
+def _power_at_most(p: int, exp: int, limit: int, what: str) -> int:
+    """p**exp (p >= 2), refused before it is formed when it exceeds limit."""
+    if exp > limit.bit_length() or p**exp > limit:
+        raise ConfigError(f"{what} {p}^{exp} exceeds the limit {limit}")
+    return p**exp
+
+
+def _element(params: GroupParams, text, where: str) -> GroupElement:
+    """A config element; a nonzero one must have |valuation| <= MAX_SCALE.
+
+    Below that range it lies outside every region and model the bounds
+    allow; above it, it shares the ball of 0 at every scale they allow.
+    """
+    x = parse_element(params, text)
+    if not x.is_zero() and abs(x.valuation()) > MAX_SCALE:
+        raise ConfigError(f"{where} {text!r:.80} has valuation {x.valuation()} outside "
+                          f"[-{MAX_SCALE}, {MAX_SCALE}]")
+    return x
 
 
 def _parse_group(doc: dict) -> GroupParams:
-    group = _require(doc, "group", "config")
-    p = _require(group, "p", "group")
-    mode = group.get("mode", CARRY)
-    try:
-        return GroupParams(p, mode)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    group = _get(doc, "group", "config")
+    return GroupParams(_get(group, "p", "group", int, hi=MAX_P),
+                       _get(group, "mode", "group", default=CARRY))
 
 
 def _parse_model(doc: dict, params: GroupParams) -> ModelSpace:
-    model = _require(doc, "model", "config")
-    m = _require(model, "m", "model")
-    k = _require(model, "k", "model")
-    if not (_is_int(m) and m >= 0):
-        raise ConfigError(f"model extent m must be an integer >= 0, got {m!r}")
-    if not (_is_int(k) and k >= 0):
-        raise ConfigError(f"model resolution k must be an integer >= 0, got {k!r}")
+    model = _get(doc, "model", "config")
+    m = _get(model, "m", "model", int, lo=0)
+    k = _get(model, "k", "model", int, lo=0)
+    # the stft grid, the norms and the frame operator hold dim**2 entries
+    _power_at_most(params.p, 2 * (m + k), MAX_ENTRIES, "model entries dim^2 =")
     return ModelSpace(params, m, k)
 
 
 def _parse_function(doc: dict, space: ModelSpace, role: str) -> ModelFunction:
-    kind = _require(doc, "type", role)
-    try:
-        if kind in ("indicator", "scaled-indicator"):
-            set_scale = doc.get("set_scale", 0)
-            if not _is_int(set_scale):
-                raise ConfigError(f"{role} set_scale must be an integer, got {set_scale!r}")
-            shift_text = doc.get("shift")
-            shift = parse_element(space.params, shift_text) if shift_text is not None else None
-            fn = indicator(space, set_scale=set_scale, shift=shift)
-            if kind == "scaled-indicator":
-                fn = fn.scaled(float(space.params.p) ** (-set_scale / 2.0))
-            return fn
-        if kind == "coeffs":
-            values = [complex(re, im) for re, im in _require(doc, "values", role)]
-            if not all(map(cmath.isfinite, values)):
-                raise ConfigError(f"{role} values must be finite (no NaN or Infinity)")
-            fn = ModelFunction(space, values)
-            if fn.is_zero():
-                raise ConfigError(f"{role} must be nonzero")
-            return fn
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad {role}: {exc}")
-    raise ConfigError(f"unknown {role} type {kind!r}")
+    kind = _get(doc, "type", role)
+    if kind in ("indicator", "scaled-indicator"):
+        set_scale = _get(doc, "set_scale", role, int, default=0)
+        shift = _get(doc, "shift", role, default=None)
+        if shift is not None:
+            shift = _element(space.params, shift, f"{role} shift")
+        fn = indicator(space, set_scale=set_scale, shift=shift)
+        if kind == "scaled-indicator":
+            fn = fn.scaled(float(space.params.p) ** (-set_scale / 2.0))
+        return fn
+    if kind == "coeffs":
+        values = [complex(re, im) for re, im in _get(doc, "values", role, list)]
+        if not all(map(cmath.isfinite, values)):
+            raise ConfigError(f"{role} values must be finite (no NaN or Infinity)")
+        fn = ModelFunction(space, values)
+        if fn.is_zero():
+            raise ConfigError(f"{role} must be nonzero")
+        return fn
+    raise ConfigError(f"unknown {role} type {kind!r:.80}")
 
 
-def _parse_points(doc: dict, params: GroupParams) -> PointSet:
-    kind = _require(doc, "type", "lambda")
+def _parse_points(doc: dict, params: GroupParams, budget: int = MAX_POINTS) -> PointSet:
+    """The lambda of a config, with at most budget points, counted before any is built."""
+    kind = _get(doc, "type", "lambda")
     if kind == "union":
-        part_docs = _require(doc, "parts", "lambda")
-        if not isinstance(part_docs, list):
-            raise ConfigError(f"union lambda parts must be a list, got {part_docs!r}")
-        parts = [_parse_points(part, params) for part in part_docs]
+        parts = []
+        for part in _get(doc, "parts", "lambda", list):
+            parts.append(_parse_points(part, params, budget))
+            budget -= len(parts[-1])
         if not parts:
             raise ConfigError("union lambda needs at least one part")
         ambient = parts[0].ambient
         if any(p.ambient != ambient for p in parts):
             raise ConfigError("union lambda mixes group and phase parts")
         return PointSet(ambient, tuple(pt for p in parts for pt in p.points), params)
-    ambient = doc.get("ambient", "phase")
+    ambient = _get(doc, "ambient", "lambda", default="phase")
     if ambient not in ("group", "phase"):
-        raise ConfigError(f"lambda ambient must be 'group' or 'phase', got {ambient!r}")
-    try:
-        if kind == "explicit":
-            points = _require(doc, "points", "lambda")
-            if ambient == "group":
-                pts = tuple(parse_element(params, t) for t in points)
-                return PointSet.group(pts, params)
-            pts = tuple(
-                (parse_element(params, tx), parse_element(params, txi)) for tx, txi in points
-            )
-            return PointSet.phase(pts, params)
-        if kind == "product-sections":
-            xs = _section_elements(_require(doc, "x", "lambda"), params, "lambda.x")
-            if ambient == "group":
-                return PointSet.group(xs, params)
-            xis = _section_elements(_require(doc, "xi", "lambda"), params, "lambda.xi")
-            return PointSet.phase(tuple((x, xi) for x in xs for xi in xis), params)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad lambda: {exc}")
-    raise ConfigError(f"unknown lambda type {kind!r}")
+        raise ConfigError(f"lambda ambient must be 'group' or 'phase', got {ambient!r:.80}")
+    if kind == "explicit":
+        points = _get(doc, "points", "lambda", list)
+        if len(points) > budget:
+            raise ConfigError(f"lambda lists {len(points)} points, more than the {budget} allowed")
+        if ambient == "group":
+            return PointSet.group((_element(params, t, "lambda point") for t in points), params)
+        pts = []
+        for pair in points:
+            if not (isinstance(pair, list) and len(pair) == 2):  # a 2-char text would unpack
+                raise ConfigError(f"a phase lambda point must be a pair [x, xi], got {pair!r:.80}")
+            pts.append(tuple(_element(params, text, "lambda point") for text in pair))
+        return PointSet.phase(pts, params)
+    if kind == "product-sections":
+        x = _section_scales(_get(doc, "x", "lambda"), "lambda.x")
+        xi = (0, 0)  # a group lambda has no xi axis
+        if ambient == "phase":
+            xi = _section_scales(_get(doc, "xi", "lambda"), "lambda.xi")
+        _power_at_most(params.p, x[0] - x[1] + xi[0] - xi[1], budget, "lambda points")
+        xs = section(params, *x).elements
+        if ambient == "group":
+            return PointSet.group(xs, params)
+        xis = section(params, *xi).elements
+        return PointSet.phase(tuple((a, b) for a in xs for b in xis), params)
+    raise ConfigError(f"unknown lambda type {kind!r:.80}")
 
 
-def _section_elements(doc: dict, params: GroupParams, where: str):
-    outer, inner = _require(doc, "outer", where), _require(doc, "inner", where)
-    if not (_is_int(outer) and _is_int(inner)):
-        raise ConfigError(f"{where} outer and inner must be integers, got {outer!r}, {inner!r}")
-    return section(params, outer, inner).elements
+def _section_scales(doc: dict, where: str) -> tuple[int, int]:
+    """(outer, inner) of a canonical section of A^outer H / A^inner H."""
+    outer = _get(doc, "outer", where, int, lo=-MAX_SCALE, hi=MAX_SCALE)
+    return outer, _get(doc, "inner", where, int, lo=-MAX_SCALE, hi=outer)
 
 
 def _dumps(doc) -> str:
@@ -169,67 +204,29 @@ def _dumps(doc) -> str:
         raise ConfigError(f"result is not finite ({exc}); the inputs are too large")
 
 
-def _emit(doc, args, table_text: str | None = None) -> None:
-    if getattr(args, "table", False) and table_text is not None:
-        payload = table_text + "\n"
-    else:
-        payload = _dumps(doc)
-    if args.out:
-        _write_out(args.out, payload)
-    else:
-        sys.stdout.write(payload)
-
-
-def _write_out(path: str, payload: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise ConfigError(f"cannot write --out {path}: {exc}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _task_int(task: dict, key: str, default: int | None = None, lo: int | None = None,
-              hi: int | None = None) -> int:
-    value = task.get(key, default)
-    if value is None:
-        raise ConfigError(f"missing required key {key!r} in task")
-    if not _is_int(value):
-        raise ConfigError(f"task {key} must be an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"task {key} must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"task {key} {value} exceeds region {hi}")
-    return value
-
-
-def cmd_density(args) -> int:
+def cmd_density(args, out) -> int:
     config = _load_config(args.config)
     params = _parse_group(config)
-    lam = _parse_points(_require(config, "lambda", "config"), params)
-    task = config.get("task", {})
-    if not isinstance(task, dict):
-        raise ConfigError("task must be an object")
-    region = _task_int(task, "region")
-    n_range = task.get("n_range", [0, region])
-    if not (isinstance(n_range, list) and len(n_range) == 2 and all(map(_is_int, n_range))
-            and n_range[0] <= n_range[1] <= region):
-        raise ConfigError(f"task n_range must be integers [lo, hi], lo <= hi <= region "
-                          f"{region}, got {n_range!r}")
-    checks = task.get("checks", [])
-    if not isinstance(checks, list):
-        raise ConfigError(f"task checks must be a list, got {checks!r}")
+    task = _get(config, "task", "config", dict, default={})
+    region = _get(task, "region", "task", int, lo=-MAX_SCALE, hi=MAX_SCALE)
+    lo_hi = _get(task, "n_range", "task", list, default=[0, region])
+    n_range = dict(zip(("lo", "hi"), lo_hi)) if len(lo_hi) == 2 else {}
+    n_hi = _get(n_range, "hi", "task n_range [lo, hi]", int, lo=-MAX_SCALE, hi=region)
+    n_lo = _get(n_range, "lo", "task n_range [lo, hi]", int, lo=-MAX_SCALE, hi=n_hi)
+    checks = _get(task, "checks", "task", list, default=[])
     # each check's key is read, and validated, only when that check runs
-    sep_scale = _task_int(task, "separation_scale", 0, hi=region) if "separation" in checks else 0
-    fin_scale = _task_int(task, "finite_scale", 0, hi=region) if "finite" in checks else 0
-    power = _task_int(task, "automorphism_power", 2, lo=1) if "automorphism" in checks else 1
-    try:
-        prof = density_profile(lam, (n_range[0], n_range[1]), region)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    sep_scale, fin_scale, power = 0, 0, 1
+    if "separation" in checks:
+        sep_scale = _get(task, "separation_scale", "task", int, default=0, lo=-MAX_SCALE,
+                         hi=region)
+    if "finite" in checks:
+        fin_scale = _get(task, "finite_scale", "task", int, default=0, lo=-MAX_SCALE, hi=region)
+    if "automorphism" in checks:
+        # its rows count at the scales power * n for n >= n_lo, which stay >= -MAX_SCALE
+        power = _get(task, "automorphism_power", "task", int, default=2, lo=1,
+                     hi=MAX_SCALE // max(1, -n_lo))
+    lam = _parse_points(_get(config, "lambda", "config"), params)
+    prof = density_profile(lam, (n_lo, n_hi), region)
     doc = {"profile": prof.to_json_dict()}
     if "separation" in checks:
         parts = separated_decomposition(lam, sep_scale, region) if lam.ambient == "group" else None
@@ -260,9 +257,7 @@ def cmd_density(args) -> int:
             ],
         }
     if "automorphism" in checks:
-        rep = automorphism_invariance_check(
-            lam, power, (n_range[0], min(n_range[1], region // power)), region
-        )
+        rep = automorphism_invariance_check(lam, power, (n_lo, min(n_hi, region // power)), region)
         doc["automorphism_invariance"] = {
             "power": rep.r,
             "all_equal": rep.all_equal,
@@ -276,26 +271,24 @@ def cmd_density(args) -> int:
                 for row in rep.rows
             ],
         }
-    _emit(doc, args, table_text=prof.table())
+    out.write(prof.table() + "\n" if args.table else _dumps(doc))
     return 0
 
 
-def cmd_frame(args) -> int:
+def cmd_frame(args, out) -> int:
     config = _load_config(args.config)
     params = _parse_group(config)
     space = _parse_model(config, params)
-    window = _parse_function(_require(config, "window", "config"), space, "window")
-    lam = _parse_points(_require(config, "lambda", "config"), params)
-    try:
-        report = frame_bounds(build(window, lam))
-    except (ResolutionError, ValueError) as exc:
-        raise ConfigError(str(exc))
-    _emit(report.to_json_dict(), args)
+    window = _parse_function(_get(config, "window", "config"), space, "window")
+    # the system's dim x count vector matrix holds at most MAX_ENTRIES entries
+    budget = min(MAX_POINTS, MAX_ENTRIES // space.dim)
+    lam = _parse_points(_get(config, "lambda", "config"), params, budget)
+    out.write(_dumps(frame_bounds(build(window, lam)).to_json_dict()))
     return 0
 
 
 def _function_pair(config: dict, space: ModelSpace) -> tuple[ModelFunction, ModelFunction]:
-    window = _parse_function(_require(config, "window", "config"), space, "window")
+    window = _parse_function(_get(config, "window", "config"), space, "window")
     if "function" in config:
         f = _parse_function(config["function"], space, "function")
     else:
@@ -303,41 +296,32 @@ def _function_pair(config: dict, space: ModelSpace) -> tuple[ModelFunction, Mode
     return f, window
 
 
-def cmd_stft(args) -> int:
+def cmd_stft(args, out) -> int:
     config = _load_config(args.config)
     params = _parse_group(config)
     space = _parse_model(config, params)
     f, window = _function_pair(config, space)
-    grid = stft(f, window)
-    _emit(grid.to_json_dict(), args)
+    out.write(_dumps(stft(f, window).to_json_dict()))
     return 0
 
 
-def cmd_norms(args) -> int:
+def cmd_norms(args, out) -> int:
     config = _load_config(args.config)
     params = _parse_group(config)
     space = _parse_model(config, params)
     f, window = _function_pair(config, space)
-    task = config.get("task", {})
-    if not isinstance(task, dict):
-        raise ConfigError("task must be an object")
-    p_exp = task.get("p_exp", 2)
-    if p_exp == "inf":
-        p_exp = math.inf
-    elif isinstance(p_exp, bool) or not isinstance(p_exp, (int, float)):
-        raise ConfigError(f'task p_exp must be a number >= 1 or "inf", got {p_exp!r}')
-    try:
-        grid = stft(f, window)
-        mod = modulation_norm(grid, p_exp)
-        wie = wiener_norm(grid, p_exp)
-        wie_l = wiener_norm_amalgam(grid, p_exp)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    task = _get(config, "task", "config", dict, default={})
+    p_exp = _get(task, "p_exp", "task", default=2)
+    p_exp = math.inf if p_exp == "inf" else _get(task, "p_exp", "task", (int, float), default=2)
+    grid = stft(f, window)
+    mod = modulation_norm(grid, p_exp)
+    wie = wiener_norm(grid, p_exp)
+    wie_l = wiener_norm_amalgam(grid, p_exp)
     lhs = grid.l2_norm()
     rhs = f.norm() * window.norm()
     mod2 = modulation_norm(grid, 2)
     wie2 = wiener_norm(grid, 2)
-    cells = space.params.p ** (space.m + space.k)
+    cells = space.dim
     doc = {
         "l2": f.norm(),
         "p_exp": "inf" if math.isinf(p_exp) else p_exp,
@@ -358,11 +342,11 @@ def cmd_norms(args) -> int:
             "ratio": (wie2 / mod2) if mod2 else None,
         },
     }
-    _emit(doc, args)
+    out.write(_dumps(doc))
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     if args.suite != "paper":
         raise ConfigError(f"unknown suite {args.suite!r}; available: paper")
     try:
@@ -377,18 +361,17 @@ def cmd_verify(args) -> int:
         sys.stdout.write(result.line() + "\n")
     passed = sum(r.passed for r in results)
     sys.stdout.write(f"{passed}/{len(results)} checks passed\n")
-    if args.out:
-        doc = [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "measured": r.measured,
-                "tolerance": r.tolerance,
-                "configs": r.configs,
-            }
-            for r in results
-        ]
-        _write_out(args.out, _dumps(doc))
+    doc = [
+        {
+            "name": r.name,
+            "passed": r.passed,
+            "measured": r.measured,
+            "tolerance": r.tolerance,
+            "configs": r.configs,
+        }
+        for r in results
+    ]
+    out.write(_dumps(doc))
     return 0 if passed == len(results) else 1
 
 
@@ -436,12 +419,26 @@ COMMANDS = {
 }
 
 
+def _open_out(args):
+    """The stream a command writes its result to, opened before anything is computed."""
+    if args.out:
+        try:
+            return open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out}: {exc}")
+    # verify prints its report lines either way; its JSON goes to --out only
+    return contextlib.nullcontext(io.StringIO() if args.command == "verify" else sys.stdout)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
-    except ConfigError as exc:
+        with _open_out(args) as out:
+            return COMMANDS[args.command](args, out)
+    # ConfigError, ResolutionError and the library's input checks; OverflowError is
+    # a config number too large for a float
+    except (ValueError, TypeError, OverflowError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except InvariantViolation as exc:

@@ -131,7 +131,6 @@ class GaborReport:
     classification: str
     tight_constant: float | None = None
     gram_identity_defect: float | None = None  # max |lambda - 1| = ||G - I||_2 if square
-    eig_residual: float = 0.0
     sweeps: int = 0
 
     def to_json_dict(self) -> dict:
@@ -152,7 +151,7 @@ class GaborReport:
 
 def frame_bounds(sys: GaborSystem) -> GaborReport:
     """Extreme eigenvalues of the frame operator plus the classification."""
-    vals, residual, sweeps, _ = sys.spectrum
+    vals, _, sweeps, _ = sys.spectrum
     upper = float(vals[-1])
     lower = max(float(vals[0]), 0.0)
     cutoff = RANK_TOL * max(1.0, upper)
@@ -178,7 +177,6 @@ def frame_bounds(sys: GaborSystem) -> GaborReport:
         classification=classification,
         tight_constant=tight_constant,
         gram_identity_defect=gram_defect,
-        eig_residual=residual,
         sweeps=sweeps,
     )
 

@@ -250,6 +250,8 @@ def parse_element(params: GroupParams, text: str) -> GroupElement:
             if base != params.p:
                 raise ValueError(f"denominator base {base} != p = {params.p}")
             vexp = int(exp_s) if exp_s else 1
+            if vexp < 0:
+                raise ValueError(f"carry exponent in {text!r} must be >= 0 (num/p^vexp)")
             return GroupElement.from_rational(params, int(num_s), vexp)
         return GroupElement.from_rational(params, int(text), 0)
     if not text.startswith("["):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,13 +59,6 @@ class ModelSpace:
         self.m = m
         self.k = k
         self.dim = params.p ** (m + k)
-        self._section: Section | None = None
-        self._dual: "ModelSpace | None" = None
-        self._neg_roots: np.ndarray | None = None
-        self._unit_roots: np.ndarray | None = None
-        self._kernel: np.ndarray | None = None
-        self._rev_perm: np.ndarray | None = None
-        self._digit_matrix: np.ndarray | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -80,20 +74,17 @@ class ModelSpace:
     def __repr__(self) -> str:
         return f"ModelSpace(p={self.params.p}, mode={self.params.mode}, m={self.m}, k={self.k})"
 
-    @property
+    @cached_property
     def dual(self) -> "ModelSpace":
         """Fourier-image space: support A^k H(dual), constant on A^-m cosets."""
-        if self._dual is None:
-            self._dual = ModelSpace(self.params, self.k, self.m)
-            self._dual._dual = self
-        return self._dual
+        dual = ModelSpace(self.params, self.k, self.m)
+        dual.dual = self
+        return dual
 
-    @property
+    @cached_property
     def index_section(self) -> Section:
         """The canonical section of A^m H / A^-k H; element i is index i."""
-        if self._section is None:
-            self._section = section(self.params, self.m, -self.k)
-        return self._section
+        return section(self.params, self.m, -self.k)
 
     @property
     def coset_measure(self) -> float:
@@ -110,12 +101,11 @@ class ModelSpace:
 
     # -- index-group arithmetic ----------------------------------------------
 
+    @cached_property
     def _digits(self) -> np.ndarray:
-        if self._digit_matrix is None:
-            p, width = self.params.p, self.m + self.k
-            places = p ** np.arange(width)
-            self._digit_matrix = np.arange(self.dim)[:, np.newaxis] // places % p
-        return self._digit_matrix
+        p, width = self.params.p, self.m + self.k
+        places = p ** np.arange(width)
+        return np.arange(self.dim)[:, np.newaxis] // places % p
 
     def shift_table(self, ax: np.ndarray) -> np.ndarray:
         """Row i: the index of x_b - x_{ax[i]} for every column b."""
@@ -151,51 +141,41 @@ class ModelSpace:
             steps = np.array([xi.num * p ** (self.k - xi.vexp) % self.dim for xi in xis],
                              dtype=np.int64)
             positions = steps[:, np.newaxis] * np.arange(self.dim) % self.dim
-            return np.conj(self._neg_root_table()[positions])
+            return np.conj(self._neg_root_table[positions])
         # residue pairing: digit j of x_a (exponent j - m) meets exponent m - 1 - j of xi
         width = self.m + self.k
         xi_digits = np.array(
             [[xi.digit(self.m - 1 - j) for j in range(width)] for xi in xis], dtype=int
         ).reshape(len(xis), width)
-        return self._unit_root_table()[xi_digits @ self._digits().T % p]
+        return self._unit_root_table[xi_digits @ self._digits.T % p]
 
     # -- fast transform --------------------------------------------------------
 
+    @cached_property
     def _neg_root_table(self) -> np.ndarray:
         # exp(-2 pi i j / dim) for j = 0..dim-1, from exact Phase values
-        if self._neg_roots is None:
-            width = self.m + self.k
-            self._neg_roots = np.array(
-                [
-                    Phase.make(self.params.p, j, width).complex_value().conjugate()
-                    for j in range(self.dim)
-                ],
-                dtype=complex,
-            )
-        return self._neg_roots
+        p, width = self.params.p, self.m + self.k
+        return np.array(
+            [Phase.make(p, j, width).complex_value().conjugate() for j in range(self.dim)],
+            dtype=complex,
+        )
 
+    @cached_property
     def _unit_root_table(self) -> np.ndarray:
         # exp(2 pi i c / p) for c = 0..p-1, from exact Phase values
-        if self._unit_roots is None:
-            p = self.params.p
-            self._unit_roots = np.array(
-                [Phase.make(p, c, 1).complex_value() for c in range(p)], dtype=complex
-            )
-        return self._unit_roots
+        p = self.params.p
+        return np.array([Phase.make(p, c, 1).complex_value() for c in range(p)], dtype=complex)
 
+    @cached_property
     def _digit_kernel(self) -> np.ndarray:
         # the p x p transform of one base-p digit: exp(-2 pi i c d / p)
-        if self._kernel is None:
-            p = self.params.p
-            self._kernel = np.conj(self._unit_root_table()[np.outer(range(p), range(p)) % p])
-        return self._kernel
+        p = self.params.p
+        return np.conj(self._unit_root_table[np.outer(range(p), range(p)) % p])
 
+    @cached_property
     def _reversal(self) -> np.ndarray:
-        if self._rev_perm is None:
-            p, width = self.params.p, self.m + self.k
-            digits = self._digits()
-            self._rev_perm = digits @ (p ** np.arange(width - 1, -1, -1))
-        return self._rev_perm
+        p, width = self.params.p, self.m + self.k
+        return self._digits @ (p ** np.arange(width - 1, -1, -1))
 
     def raw_dual_sums(self, vec: np.ndarray) -> np.ndarray:
         """sum_a vec_a * conj(<x_a, xi_b>) over the dual index section.
@@ -207,13 +187,13 @@ class ModelSpace:
         arr = np.asarray(vec, dtype=complex)
         rows = arr.reshape(-1, self.dim)
         if self.params.mode == CARRY:
-            return _radix_dft(rows, p, self._neg_root_table()).reshape(arr.shape)
+            return _radix_dft(rows, p, self._neg_root_table).reshape(arr.shape)
         count = len(rows)
-        kernel = self._digit_kernel()
+        kernel = self._digit_kernel
         for j in range(width):
             rows = rows.reshape(count, p ** (width - 1 - j), p, p**j)
             rows = np.einsum("cd,rsdt->rsct", kernel, rows)
-        return rows.reshape(count, self.dim)[:, self._reversal()].reshape(arr.shape)
+        return rows.reshape(count, self.dim)[:, self._reversal].reshape(arr.shape)
 
 
 def _radix_dft(rows: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:

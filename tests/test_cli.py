@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -439,3 +440,107 @@ def test_bad_paths_exit_2(tmp_path, capsys, monkeypatch, case):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert "Traceback" not in err
+
+
+def _nested_unions(depth: int) -> str:
+    # built as text: json.dumps itself recurses once per level
+    leaf = json.dumps({"ambient": "group", "type": "explicit", "points": ["0"]})
+    lam = '{"type": "union", "parts": [' * depth + leaf + "]}" * depth
+    return json.dumps(DENSITY_SECTION)[:-1] + ', "lambda": ' + lam + "}"
+
+
+def _explicit_density(p, mode, text, region=3):
+    return {"group": {"p": p, "mode": mode},
+            "lambda": {"ambient": "group", "type": "explicit", "points": [text]},
+            "task": {"region": region}}
+
+
+def _task(**keys):
+    return {**DENSITY_SECTION, "task": {"region": 3, **keys}}
+
+
+BOUND_CASES = {
+    "region": ("density", _task(region=3000000)),
+    "n-range": ("density", _task(n_range=[-14400, -14399])),
+    "model-extent": ("frame", {**FRAME_ONB, "model": {"m": 40, "k": 0}}),
+    "prime": ("density", {**DENSITY_SECTION, "group": {"p": 1000000000000000003}}),
+    "section-points": ("density", {**DENSITY_SECTION, "task": {"region": 22},
+                                   "lambda": {"ambient": "group", "type": "product-sections",
+                                              "x": {"outer": 22, "inner": 0}}}),
+    "carry-negative-exponent": ("density", _explicit_density(2, "carry", "1/2^-100000000000")),
+    "modular-valuation": ("density", _explicit_density(2, "modular", "[100000000000]1")),
+    "carry-valuation": ("density", _explicit_density(2, "carry", "1/2^65", region=64)),
+    "deep-array": ("density", "[" * 200000 + "]" * 200000),
+    "nested-unions": ("density", _nested_unions(900)),
+    "frame-entries": ("frame", {**FRAME_ONB, "model": {"m": 5, "k": 5},
+                                "lambda": {"ambient": "phase", "type": "product-sections",
+                                           "x": {"outer": 5, "inner": -5},
+                                           "xi": {"outer": 5, "inner": 2}}}),
+    "automorphism-power": ("density", _task(checks=["automorphism"], automorphism_power=10**12)),
+    "automorphism-scale": ("density", _task(n_range=[-33, 3], checks=["automorphism"])),
+    "phase-product-points": ("density", {**DENSITY_SECTION, "task": {"region": 11},
+                                         "lambda": {"ambient": "phase", "type": "product-sections",
+                                                    "x": {"outer": 11, "inner": 0},
+                                                    "xi": {"outer": 10, "inner": 0}}}),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUND_CASES))
+def test_sizes_beyond_the_bounds_exit_2(tmp_path, capsys, monkeypatch, case):
+    def enumerated(*args):
+        raise AssertionError("a section was enumerated before the bounds were checked")
+
+    monkeypatch.setattr(cli, "section", enumerated)
+    command, doc = BOUND_CASES[case]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    start = time.perf_counter()
+    assert main([command, "--config", str(cfg)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _task(region=cli.MAX_SCALE, n_range=[-cli.MAX_SCALE, cli.MAX_SCALE]),
+        {**_explicit_density(2, "carry", "0", region=-cli.MAX_SCALE),
+         "task": {"region": -cli.MAX_SCALE, "n_range": [-cli.MAX_SCALE, -cli.MAX_SCALE]}},
+        _task(region=cli.MAX_SCALE, n_range=[-32, 4], checks=["automorphism"]),
+        _task(region=cli.MAX_SCALE, checks=["automorphism"], automorphism_power=cli.MAX_SCALE),
+        _explicit_density(65521, "carry", "65520/65521^3"),
+        _explicit_density(2, "carry", "1/2^64", region=64),
+        _explicit_density(2, "modular", "[-64]1", region=64),
+    ],
+    ids=["scales-64", "scales-minus-64", "automorphism-scale-64", "power-64", "prime-65521",
+         "carry-valuation-64", "modular-valuation-64"],
+)
+def test_the_bounds_themselves_are_accepted(tmp_path, capsys, doc):
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["density", "--config", cfg]) == 0
+    json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("point", ["01", ["0"], ["0", "0", "0"]])
+def test_phase_point_must_be_a_pair(tmp_path, capsys, point):
+    lam = {"ambient": "phase", "type": "explicit", "points": [["0", "0"], point]}
+    cfg = write_config(tmp_path, "f.json", {**FRAME_TIGHT, "lambda": lam})
+    assert main(["frame", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: a phase lambda point must be a pair")
+
+
+def test_out_is_opened_before_computing(tmp_path, capsys):
+    argv = ["verify", "--suite", "paper", "--sizes", "small",
+            "--out", str(tmp_path / "missing" / "x.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: cannot write --out")
+    assert captured.out == ""
+    # a run that fails after --out was opened leaves the file empty
+    out = tmp_path / "o.json"
+    bad = write_config(tmp_path, "bad.json", _task(region=cli.MAX_SCALE + 1))
+    assert main(["density", "--config", bad, "--out", str(out)]) == 2
+    assert out.read_text() == ""

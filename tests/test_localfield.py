@@ -274,3 +274,10 @@ def test_text_round_trip():
         parse_element(M2, "[-2]102")  # digit 2 is out of range for p = 2
     with pytest.raises(ValueError):
         parse_element(P3, "1/2^2")  # denominator base must be p
+
+
+@pytest.mark.parametrize("text", ["1/2^-1", "0/2^-3", "3/2^-100000000000"])
+def test_parse_element_rejects_negative_carry_exponent(text):
+    # text() never writes p^-e; refusing it also avoids forming p^e for a huge e
+    with pytest.raises(ValueError, match="exponent"):
+        parse_element(P2, text)
