@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -361,17 +362,7 @@ def cmd_verify(args, out) -> int:
         sys.stdout.write(result.line() + "\n")
     passed = sum(r.passed for r in results)
     sys.stdout.write(f"{passed}/{len(results)} checks passed\n")
-    doc = [
-        {
-            "name": r.name,
-            "passed": r.passed,
-            "measured": r.measured,
-            "tolerance": r.tolerance,
-            "configs": r.configs,
-        }
-        for r in results
-    ]
-    out.write(_dumps(doc))
+    out.write(_dumps([dataclasses.asdict(r) for r in results]))
     return 0 if passed == len(results) else 1
 
 

@@ -12,35 +12,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .localfield import CARRY, GroupElement, GroupParams
+from .localfield import GroupElement, GroupParams
 
 
 def coset_rep(x: GroupElement, n: int) -> GroupElement:
     """Canonical representative of x mod A^n H: the digits at exponents < -n.
 
-    Carry mode this is p**-n * frac(p**n * x), the unique representative in
-    [0, p**-n).  Idempotent, and x - coset_rep(x, n) always has valuation >= -n.
+    For x = num * p**-vexp that is (num mod p**(vexp - n)) * p**-vexp; in carry
+    mode, the unique representative in [0, p**-n).  Idempotent, and
+    x - coset_rep(x, n) always has valuation >= -n.
     """
-    if x.params.mode == CARRY:
-        p = x.params.p
-        f = max(x.vexp - n, 0)
-        a = x.num * p ** max(n - x.vexp, 0)
-        return GroupElement.from_rational(x.params, a % p ** f, f + n)
-    return GroupElement(x.params, coeffs=tuple((e, d) for e, d in x.coeffs if e < -n))
+    if x.is_zero() or x.vexp <= n:  # zero's vexp 0 would cost p**-n for nothing
+        return GroupElement.zero(x.params)
+    return GroupElement.from_rational(x.params, x.num % x.params.p ** (x.vexp - n), x.vexp)
 
 
 def anchored_int(x: GroupElement, anchor: int) -> int:
-    """x * p**anchor as an exact integer (digits read base p in modular mode).
+    """x * p**anchor as an exact integer, num * p**(anchor - vexp).
 
-    Defined for x in A^anchor H.  Reduced mod p**(anchor - n) it is the position
-    of the scale-n ball of x in the canonical section of A^anchor H / A^n H.
+    In modular mode p stands for t, so its base-p digits are the coefficients
+    of t**anchor * x.  Defined for x in A^anchor H.  Reduced mod p**(anchor - n)
+    it is the position of the scale-n ball of x in the canonical section of
+    A^anchor H / A^n H.
     """
-    p = x.params.p
-    if x.params.mode == CARRY:
-        if anchor >= x.vexp:
-            return x.num * p ** (anchor - x.vexp)
-        return x.num // p ** (x.vexp - anchor)
-    return sum(d * p ** (e + anchor) for e, d in x.coeffs)
+    if x.is_zero():
+        return 0  # in every A^anchor H, where p**(anchor - vexp) may be a float
+    return x.num * x.params.p ** (anchor - x.vexp)
 
 
 def same_ball(x: GroupElement, y: GroupElement, n: int) -> bool:
@@ -103,10 +100,9 @@ def phase_ball_of(x: GroupElement, xi: GroupElement, n: int) -> PhaseBall:
 class Section:
     """Canonical representatives of A^outer H / A^inner H, p**(outer-inner) many.
 
-    Carry mode: a / p**outer for a = 0 .. p**(outer-inner) - 1, in that order.
-    Modular mode: all polynomials supported on exponents [-outer, -inner),
-    enumerated with the digit at exponent -outer varying fastest.  The two
-    orders agree under the digit correspondence.
+    Member a is a * p**-outer for a = 0 .. p**(outer-inner) - 1, in that order;
+    in modular mode these are all polynomials supported on exponents
+    [-outer, -inner), with the digit at exponent -outer varying fastest.
     """
 
     params: GroupParams
@@ -135,18 +131,8 @@ def section(params: GroupParams, outer: int, inner: int) -> Section:
     """The canonical section of A^outer H / A^inner H."""
     if outer < inner:
         raise ValueError(f"outer scale {outer} must be >= inner scale {inner}")
-    p = params.p
-    count = p ** (outer - inner)
-    if params.mode == CARRY:
-        elems = tuple(GroupElement.from_rational(params, a, outer) for a in range(count))
-    else:
-        width = outer - inner
-        elems = tuple(
-            GroupElement.from_coeffs(
-                params, {-outer + j: (idx // p**j) % p for j in range(width)}
-            )
-            for idx in range(count)
-        )
+    count = params.p ** (outer - inner)
+    elems = tuple(GroupElement.from_rational(params, a, outer) for a in range(count))
     return Section(params, outer, inner, elems)
 
 

@@ -14,6 +14,7 @@ caller that needs both the spectrum and solves diagonalizes once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,7 @@ class HermitianMatrix:
         return self.entries.shape[0]
 
 
-_ROUNDS: dict[int, list[tuple[np.ndarray, ...]]] = {}
-
-
+@functools.cache
 def _rounds(n: int) -> list[tuple[np.ndarray, ...]]:
     """Brent-Luk round-robin for n >= 2: every pair i < j exactly once per sweep.
 
@@ -80,22 +79,20 @@ def _rounds(n: int) -> list[tuple[np.ndarray, ...]]:
     then a_jj, float offsets of a_ij and a_ji, those plus the imaginary parts
     of a_ii and a_jj), offsets taken in the n x 2n array [A | V^H].
     """
-    if n not in _ROUNDS:
-        slots = n + n % 2
-        ring = list(range(slots))
-        rows = []
-        for _ in range(slots - 1):
-            pairs = [(ring[t], ring[slots - 1 - t]) for t in range(slots // 2)]
-            rows.append(sorted((min(a, b), max(a, b)) for a, b in pairs if max(a, b) < n))
-            ring = [ring[0], ring[-1]] + ring[1:-1]
-        pairs = np.array(rows, dtype=np.intp)
-        i, j = pairs[..., 0], pairs[..., 1]
-        ij, ji = i * 2 * n + j, j * 2 * n + i
-        diag = np.concatenate([i, j], axis=1) * (2 * n + 1)
-        off = np.concatenate([2 * ij, 2 * ij + 1, 2 * ji, 2 * ji + 1], axis=1)
-        clear = np.concatenate([off, 2 * diag + 1], axis=1)
-        _ROUNDS[n] = list(zip(pairs, ij, 2 * diag, off, clear))
-    return _ROUNDS[n]
+    slots = n + n % 2
+    ring = list(range(slots))
+    rows = []
+    for _ in range(slots - 1):
+        pairs = [(ring[t], ring[slots - 1 - t]) for t in range(slots // 2)]
+        rows.append(sorted((min(a, b), max(a, b)) for a, b in pairs if max(a, b) < n))
+        ring = [ring[0], ring[-1]] + ring[1:-1]
+    pairs = np.array(rows, dtype=np.intp)
+    i, j = pairs[..., 0], pairs[..., 1]
+    ij, ji = i * 2 * n + j, j * 2 * n + i
+    diag = np.concatenate([i, j], axis=1) * (2 * n + 1)
+    off = np.concatenate([2 * ij, 2 * ij + 1, 2 * ji, 2 * ji + 1], axis=1)
+    clear = np.concatenate([off, 2 * diag + 1], axis=1)
+    return list(zip(pairs, ij, 2 * diag, off, clear))
 
 
 def _jacobi(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-30):

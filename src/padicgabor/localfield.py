@@ -3,11 +3,15 @@
 Two modes share one element type:
 
 * ``carry`` -- the ring Z[1/p] inside the p-adic numbers.  Addition carries
-  between digits: (p-1)*p + 1*p = p**2.  An element is stored as
-  ``num / p**vexp`` with ``vexp == 0 or p does not divide num``.
+  between digits: (p-1)*p + 1*p = p**2.
 * ``modular`` -- the ring F_p[t, 1/t] inside the Laurent-series field over
-  F_p.  Addition is digitwise mod p: (p-1)*t + 1*t = 0.  An element is a
-  sparse map from exponents to nonzero digits.
+  F_p.  Addition is digitwise mod p: (p-1)*t + 1*t = 0.
+
+Both groups are expansible, and a nonzero element is a unit times a power of
+p (resp. t), the power being its valuation.  So both modes share one normal
+form, ``num * p**-vexp`` with p∤num; in modular mode num >= 0 and its base-p
+digits are the Laurent coefficients, p standing for t.  The mode picks only
+the ring operations, ``integer``, the text form and the pairing.
 
 Both rings are dense in their completions and closed under +, -, *, so every
 coset representative, ball center and time-frequency shift handled by this
@@ -25,11 +29,16 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 CARRY = "carry"
 MODULAR = "modular"
 
 INFINITE_VALUATION = math.inf
+
+# digits of a modular text body: CPython's default int-string limit, which
+# already caps carry texts through int()
+MAX_BODY_DIGITS = 4300
 
 
 class ParamMismatchError(ValueError):
@@ -51,6 +60,40 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _digits(n: int, p: int) -> list[int]:
+    """Base-p digits of n >= 0, least significant first."""
+    out = []
+    while n:
+        n, d = divmod(n, p)
+        out.append(d)
+    return out
+
+
+def _from_digits(digits, p: int) -> int:
+    """The integer with these base-p digits, least significant first."""
+    n = 0
+    for d in reversed(digits):
+        n = n * p + d
+    return n
+
+
+def _digit_sum(a: int, b: int, p: int) -> int:
+    """Digitwise sum mod p of a, b >= 0: addition in F_p[t] with p standing for t."""
+    pairs = zip_longest(_digits(a, p), _digits(b, p), fillvalue=0)
+    return _from_digits([(x + y) % p for x, y in pairs], p)
+
+
+def _digit_product(a: int, b: int, p: int) -> int:
+    """Carry-less product of a, b >= 0: multiplication in F_p[t]."""
+    da, db = _digits(a, p), _digits(b, p)
+    acc = [0] * (len(da) + len(db))
+    for i, x in enumerate(da):
+        if x:
+            for j, y in enumerate(db):
+                acc[i + j] += x * y
+    return _from_digits([c % p for c in acc], p)
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """Prime p plus the addition convention (carry vs. modular)."""
@@ -67,19 +110,18 @@ class GroupParams:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element of Z[1/p] (carry) or F_p[t,1/t] (modular), in canonical form.
+    """Element of Z[1/p] (carry) or F_p[t,1/t] (modular), in normal form.
 
-    Carry mode: value = num * p**(-vexp), vexp >= 0, and vexp == 0 or p∤num.
-    Modular mode: coeffs is a sorted tuple of (exponent, digit) pairs with
-    digits in 1..p-1; absent exponents are zero.  Zero is num=0, vexp=0 with
-    empty coeffs in both modes.  Equality and hashing are structural, which
-    matches value equality because the form is unique.
+    Value num * p**-vexp (modular: p stands for t), so the valuation is -vexp.
+    Zero is num=0, vexp=0; any other element has p∤num and any integer vexp.
+    Modular mode has num >= 0, and digit j of num in base p is the coefficient
+    at exponent j - vexp.  Equality and hashing are structural, which matches
+    value equality because the form is unique.
     """
 
     params: GroupParams
     num: int = 0
     vexp: int = 0
-    coeffs: tuple[tuple[int, int], ...] = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -89,83 +131,61 @@ class GroupElement:
 
     @staticmethod
     def one(params: GroupParams) -> "GroupElement":
-        if params.mode == CARRY:
-            return GroupElement(params, num=1, vexp=0)
-        return GroupElement(params, coeffs=((0, 1),))
+        return GroupElement(params, num=1)
 
     @staticmethod
     def from_rational(params: GroupParams, num: int, vexp: int = 0) -> "GroupElement":
-        """Carry-mode element num / p**vexp, canonicalized."""
-        if params.mode != CARRY:
-            raise ValueError("from_rational applies to carry mode only")
-        if vexp < 0:
-            num *= params.p ** (-vexp)
-            vexp = 0
+        """The element num * p**-vexp (num >= 0 in modular mode), normalized."""
         if num == 0:
             return GroupElement(params)
-        while vexp > 0 and num % params.p == 0:
-            num //= params.p
+        p = params.p
+        while num % p == 0:
+            num //= p
             vexp -= 1
         return GroupElement(params, num=num, vexp=vexp)
 
     @staticmethod
     def from_coeffs(params: GroupParams, coeffs) -> "GroupElement":
-        """Modular-mode element from an exponent -> digit mapping."""
+        """Modular-mode element from an exponent -> digit mapping (or pairs)."""
         if params.mode != MODULAR:
             raise ValueError("from_coeffs applies to modular mode only")
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         acc: dict[int, int] = {}
         for e, d in items:
-            acc[e] = (acc.get(e, 0) + d) % params.p
-        clean = tuple(sorted((e, d) for e, d in acc.items() if d != 0))
-        return GroupElement(params, coeffs=clean)
+            acc[e] = acc.get(e, 0) + d
+        if not acc:
+            return GroupElement(params)
+        lo, p = min(acc), params.p
+        digits = [acc.get(e, 0) % p for e in range(lo, max(acc) + 1)]
+        return GroupElement.from_rational(params, _from_digits(digits, p), -lo)
 
     @staticmethod
     def integer(params: GroupParams, n: int) -> "GroupElement":
         """Embed an ordinary integer: n itself (carry) or n mod p times t**0."""
-        if params.mode == CARRY:
-            return GroupElement.from_rational(params, n, 0)
-        return GroupElement.from_coeffs(params, {0: n % params.p})
+        if params.mode == MODULAR:
+            n %= params.p
+        return GroupElement.from_rational(params, n)
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.params.mode == CARRY:
-            return self.num == 0
-        return not self.coeffs
+        return self.num == 0
 
     def valuation(self):
         """Largest r with x in p**r Z_p (resp. lowest exponent); +inf at zero."""
-        if self.is_zero():
-            return INFINITE_VALUATION
-        if self.params.mode == CARRY:
-            if self.vexp > 0:
-                return -self.vexp
-            v, n, p = 0, abs(self.num), self.params.p
-            while n % p == 0:
-                n //= p
-                v += 1
-            return v
-        return self.coeffs[0][0]
+        return -self.vexp if self.num else INFINITE_VALUATION
 
     def as_fraction(self) -> Fraction:
         if self.params.mode != CARRY:
             raise ValueError("as_fraction applies to carry mode only")
-        return Fraction(self.num, self.params.p ** self.vexp)
+        return self.num * Fraction(self.params.p) ** -self.vexp
 
     def digit(self, e: int) -> int:
         """Digit at exponent e.  Carry mode requires num >= 0 (finite expansion)."""
-        if self.params.mode == MODULAR:
-            for exp, d in self.coeffs:
-                if exp == e:
-                    return d
-            return 0
         if self.num < 0:
             raise ValueError("digits of negative carry elements are not finitely supported")
-        shifted = e + self.vexp
-        if shifted < 0:
-            return 0
-        return (self.num // self.params.p ** shifted) % self.params.p
+        j = e + self.vexp
+        return self.num // self.params.p**j % self.params.p if j >= 0 else 0
 
     # -- ring operations ----------------------------------------------------
 
@@ -175,21 +195,24 @@ class GroupElement:
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         self._check(other)
+        if self.is_zero() or other.is_zero():  # zero's vexp 0 would need p**|vexp| for nothing
+            return other if self.is_zero() else self
         p = self.params.p
+        fine, coarse = (self, other) if self.vexp >= other.vexp else (other, self)
+        q = p ** (fine.vexp - coarse.vexp)
         if self.params.mode == CARRY:
-            e = max(self.vexp, other.vexp)
-            num = self.num * p ** (e - self.vexp) + other.num * p ** (e - other.vexp)
-            return GroupElement.from_rational(self.params, num, e)
-        acc = dict(self.coeffs)
-        for exp, d in other.coeffs:
-            acc[exp] = (acc.get(exp, 0) + d) % p
-        return GroupElement.from_coeffs(self.params, acc)
+            num = fine.num + q * coarse.num
+        else:
+            # coarse digits start at place q, where only the high part of fine meets them
+            num = fine.num % q + q * _digit_sum(fine.num // q, coarse.num, p)
+        return GroupElement.from_rational(self.params, num, fine.vexp)
 
     def __neg__(self) -> "GroupElement":
         if self.params.mode == CARRY:
             return GroupElement(self.params, num=-self.num, vexp=self.vexp)
         p = self.params.p
-        return GroupElement.from_coeffs(self.params, {e: p - d for e, d in self.coeffs})
+        num = _from_digits([-d % p for d in _digits(self.num, p)], p)
+        return GroupElement(self.params, num=num, vexp=self.vexp)
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)
@@ -197,48 +220,35 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         self._check(other)
         if self.params.mode == CARRY:
-            return GroupElement.from_rational(
-                self.params, self.num * other.num, self.vexp + other.vexp
-            )
-        acc: dict[int, int] = {}
-        for e1, d1 in self.coeffs:
-            for e2, d2 in other.coeffs:
-                acc[e1 + e2] = acc.get(e1 + e2, 0) + d1 * d2
-        return GroupElement.from_coeffs(self.params, acc)
+            num = self.num * other.num
+        else:
+            num = _digit_product(self.num, other.num, self.params.p)
+        return GroupElement.from_rational(self.params, num, self.vexp + other.vexp)
 
     def automorphism(self, n: int) -> "GroupElement":
         """A**n x = p**-n x (carry) or t**-n x (modular); shifts valuation by -n."""
         if self.is_zero():
             return self
-        if self.params.mode == CARRY:
-            return GroupElement.from_rational(self.params, self.num, self.vexp + n)
-        return GroupElement(self.params, coeffs=tuple((e - n, d) for e, d in self.coeffs))
+        return GroupElement(self.params, num=self.num, vexp=self.vexp + n)
 
     # -- text form -----------------------------------------------------------
 
     def text(self) -> str:
         """Round-tripping text form: `num/p^vexp` or `[lo]digits` (little-endian)."""
+        p = self.params.p
         if self.params.mode == CARRY:
-            if self.vexp == 0:
-                return str(self.num)
-            return f"{self.num}/{self.params.p}^{self.vexp}"
-        if not self.coeffs:
-            return "[0]0"
-        lo = self.coeffs[0][0]
-        hi = self.coeffs[-1][0]
-        digits = [self.digit(e) for e in range(lo, hi + 1)]
-        if self.params.p <= 10:
-            body = "".join(str(d) for d in digits)
-        else:
-            body = ",".join(str(d) for d in digits)
-        return f"[{lo}]{body}"
+            if self.vexp <= 0:
+                return str(self.num * p**-self.vexp)
+            return f"{self.num}/{p}^{self.vexp}"
+        digits = _digits(self.num, p) or [0]
+        return f"[{-self.vexp}]" + ("" if p <= 10 else ",").join(map(str, digits))
 
     def __str__(self) -> str:
         return self.text()
 
 
 def parse_element(params: GroupParams, text: str) -> GroupElement:
-    """Inverse of GroupElement.text()."""
+    """Inverse of GroupElement.text(); a modular body has at most MAX_BODY_DIGITS digits."""
     if not isinstance(text, str):
         raise ValueError(f"element text must be a string, got {text!r}")
     text = text.strip()
@@ -255,16 +265,18 @@ def parse_element(params: GroupParams, text: str) -> GroupElement:
             return GroupElement.from_rational(params, int(num_s), vexp)
         return GroupElement.from_rational(params, int(text), 0)
     if not text.startswith("["):
-        raise ValueError(f"modular element must look like '[lo]digits', got {text!r}")
+        raise ValueError(f"modular element must look like '[lo]digits', got {text!r:.80}")
     close = text.index("]")
     lo = int(text[1:close])
     body = text[close + 1:]
     digit_strs = body.split(",") if "," in body else list(body)
+    if len(digit_strs) > MAX_BODY_DIGITS:
+        raise ValueError(f"modular element {text!r:.40} has {len(digit_strs)} digits, "
+                         f"more than the {MAX_BODY_DIGITS} allowed")
     digits = [int(d) for d in digit_strs]
     if any(not 0 <= d < params.p for d in digits):
-        raise ValueError(f"digits of {text!r} must lie in 0..{params.p - 1}")
-    coeffs = {lo + i: d for i, d in enumerate(digits)}
-    return GroupElement.from_coeffs(params, coeffs)
+        raise ValueError(f"digits of {text!r:.80} must lie in 0..{params.p - 1}")
+    return GroupElement.from_coeffs(params, enumerate(digits, lo))
 
 
 @dataclass(frozen=True)
@@ -329,8 +341,8 @@ def pairing_phase(x: GroupElement, xi: GroupElement) -> Phase:
         raise ParamMismatchError(f"mismatched params: {x.params} vs {xi.params}")
     p = x.params.p
     z = x * xi
-    if x.params.mode == CARRY:
-        if z.vexp == 0:
-            return Phase(p)
-        return Phase.make(p, z.num, z.vexp)
-    return Phase.make(p, z.digit(-1), 1)
+    if x.params.mode == MODULAR:
+        return Phase.make(p, z.digit(-1), 1)
+    if z.vexp <= 0:  # an integer
+        return Phase(p)
+    return Phase.make(p, z.num, z.vexp)

@@ -11,11 +11,12 @@ elementary abelian (Z/p)**(m+k) in modular mode.  Inside a space an element
 is its integer index a (x_a = a / p**m, resp. the polynomial whose base-p
 digits are those of a), so every hot operation is integer-array arithmetic:
 translation is index subtraction (cyclic, resp. digit-wise mod p) and
-therefore an exact permutation of coefficients; modulation is an exact
-diagonal of unit phases read from a root-of-unity table at an integer
-position (a * num * p**(k - vexp) mod p**(m+k), resp. a digit dot product
-mod p).  The Fourier transform lands in the mirrored space (m' = k, k' = m)
-on the dual side.  Its kernel is built from exact Phase values and runs along
+therefore an exact permutation of coefficients; modulation by the
+character with dual index b is an exact diagonal of unit phases read from a
+root-of-unity table at an integer position (a * b mod p**(m+k), resp. the
+dot product of the digits of a with the reversed digits of b, mod p).  The
+Fourier transform lands in the mirrored space (m' = k, k' = m) on the dual
+side.  Its kernel is built from exact Phase values and runs along
 the last axis of a batch of rows: carry mode is an iterative radix-p
 decimation in time, modular mode one size-p contraction per digit with the
 output digit order reversed (the residue pairing couples exponent e with
@@ -128,26 +129,19 @@ class ModelSpace:
         return self.char_rows([xi])[0]
 
     def char_rows(self, xis) -> np.ndarray:
-        """Row r: char_values(xis[r]), as one integer-indexed table lookup."""
+        """Row r: char_values(xis[r]), a table lookup at the dual index of xis[r]."""
         for xi in xis:
             if xi.valuation() < -self.k:
                 raise ResolutionError(
                     f"{xi.text()} has valuation {xi.valuation()} < -{self.k}; "
                     f"embed into a space with larger k"
                 )
-        p = self.params.p
+        b = np.array([self.dual.index_of(xi) for xi in xis], dtype=np.int64)
         if self.params.mode == CARRY:
-            # <a / p^m, num / p^vexp> = a * num * p^(k - vexp) / p^(m+k) mod 1
-            steps = np.array([xi.num * p ** (self.k - xi.vexp) % self.dim for xi in xis],
-                             dtype=np.int64)
-            positions = steps[:, np.newaxis] * np.arange(self.dim) % self.dim
-            return np.conj(self._neg_root_table[positions])
-        # residue pairing: digit j of x_a (exponent j - m) meets exponent m - 1 - j of xi
-        width = self.m + self.k
-        xi_digits = np.array(
-            [[xi.digit(self.m - 1 - j) for j in range(width)] for xi in xis], dtype=int
-        ).reshape(len(xis), width)
-        return self._unit_root_table[xi_digits @ self._digits.T % p]
+            # <x_a, xi_b> = a * b / p^(m+k) mod 1
+            return np.conj(self._neg_root_table[b[:, np.newaxis] * np.arange(self.dim) % self.dim])
+        # residue pairing: digit j of a meets digit m + k - 1 - j of b
+        return self._unit_root_table[self._digits[b, ::-1] @ self._digits.T % self.params.p]
 
     # -- fast transform --------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 from padicgabor import cli, gabor
 from padicgabor.cli import main
 from padicgabor.linalg import ConvergenceError
+from padicgabor.localfield import MAX_BODY_DIGITS
 from padicgabor.rng import SplitMix64
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -482,6 +484,8 @@ BOUND_CASES = {
                                          "lambda": {"ambient": "phase", "type": "product-sections",
                                                     "x": {"outer": 11, "inner": 0},
                                                     "xi": {"outer": 10, "inner": 0}}}),
+    "modular-body-p2": ("density", _explicit_density(2, "modular", "[0]" + "1" * 200000)),
+    "modular-body-p3": ("density", _explicit_density(3, "modular", "[0]" + "1" * 200000)),
 }
 
 
@@ -514,9 +518,10 @@ def test_sizes_beyond_the_bounds_exit_2(tmp_path, capsys, monkeypatch, case):
         _explicit_density(65521, "carry", "65520/65521^3"),
         _explicit_density(2, "carry", "1/2^64", region=64),
         _explicit_density(2, "modular", "[-64]1", region=64),
+        _explicit_density(3, "modular", "[0]" + "1" * MAX_BODY_DIGITS),
     ],
     ids=["scales-64", "scales-minus-64", "automorphism-scale-64", "power-64", "prime-65521",
-         "carry-valuation-64", "modular-valuation-64"],
+         "carry-valuation-64", "modular-valuation-64", "modular-body-4300"],
 )
 def test_the_bounds_themselves_are_accepted(tmp_path, capsys, doc):
     cfg = write_config(tmp_path, "c.json", doc)
@@ -544,3 +549,41 @@ def test_out_is_opened_before_computing(tmp_path, capsys):
     bad = write_config(tmp_path, "bad.json", _task(region=cli.MAX_SCALE + 1))
     assert main(["density", "--config", bad, "--out", str(out)]) == 2
     assert out.read_text() == ""
+
+
+def _pinned_density(p, mode, points):
+    return {"group": {"p": p, "mode": mode},
+            "lambda": {"type": "union", "parts": [
+                {"ambient": "group", "type": "product-sections", "x": {"outer": 2, "inner": 0}},
+                {"ambient": "group", "type": "explicit", "points": points}]},
+            "task": {"region": 3, "n_range": [-2, 3],
+                     "checks": ["separation", "finite", "automorphism"]}}
+
+
+# density prints no floats, so these bytes are the same on every platform; the
+# decomposition lists the text of every point, so they pin the text form and the
+# ball keys.  p = 11 writes its digits with commas.
+PINNED_DENSITY = {
+    "carry-3": (_pinned_density(3, "carry", ["1/3^2", "1/3^2", "5", "-1/3", "2/3^3", "5"]),
+                "dbf80fc31d9e2c35ba63753d315d8eedc1d2f5830cea09ca26c1106ebabc6bac",
+                "e2cade633f90b79e2484c847e0b950353356dded79b008ea8b52d8d973a81a30"),
+    "modular-2": (_pinned_density(2, "modular", ["[-2]101", "[-2]101", "[0]1", "[-3]1", "[1]11"]),
+                  "5edca82e9227c02da4612736ab0dabfeed8ca98465ac268900ed8c3b4d9f972d",
+                  "9e078bcfa67a8d4cc7b30dc80a371cb759bfe452f92633206af25ecb612d8c80"),
+    "modular-3": (_pinned_density(3, "modular", ["[-2]12", "[-2]12", "[1]2", "[-3]201", "[1]2"]),
+                  "33696322a3aa5e43f96083e8b5fd2bf821d30f489962c74a0ce2e72d73a2f266",
+                  "78cceacd8f264f9771afc30649bde6440a3f882858fc459dc746fd01bd09e4d4"),
+    "modular-11": (_pinned_density(11, "modular",
+                                   ["[-1]10,3", "[-1]10,3", "[0]1,0,10", "[-3]5", "[0]0,7"]),
+                   "21b08ba7ba5572b025b581816899d9ef10c93b886609a86bcc1a872bac3d3d91",
+                   "2eede8f16320971ebfa6601c36c9b87ec0df7ac9f74ed7091ad0daa785a9c277"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_DENSITY))
+def test_density_output_bytes_are_pinned(tmp_path, capsys, case):
+    doc, *digests = PINNED_DENSITY[case]
+    cfg = write_config(tmp_path, "c.json", doc)
+    for flag, digest in zip(("--json", "--table"), digests):
+        assert main(["density", "--config", cfg, flag]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from padicgabor.cli import main
+from padicgabor.localfield import MAX_BODY_DIGITS
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=400,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -34,12 +35,27 @@ SCALE = value(st.integers(-1, 3))
 ELEMENT = value(st.sampled_from([
     "0", "1", "3/2^2", "1/2", "5/3^1", "2/3^2", "-1/2^1", "[0]1", "[-1]12", "[-2]102",
     "[1]11", "1/2^-3", "1/2^65", "[100000000000]1", "[-65]1", "x", "",
+    "[0]10,3", "[-1]1,0,10", "[0]" + "1" * MAX_BODY_DIGITS, "[0]" + "1" * (MAX_BODY_DIGITS + 1),
+    "[-64]" + "1" * 5000, "1" * 4000,
 ]))
 GROUP = st.fixed_dictionaries(
-    {"p": value(st.sampled_from([2, 3]))},
+    {"p": value(st.sampled_from([2, 3, 11]))},
     optional={"mode": value(st.sampled_from(["carry", "modular"]))},
 )
-MODEL = st.fixed_dictionaries({"m": value(st.integers(0, 2)), "k": value(st.integers(0, 2))})
+
+
+def _scales(group):
+    """(m, k) in [0, 2]^2 with p**(m+k) <= 81 at the drawn prime, so grids and frames stay small."""
+    width = 4 if group["p"] in (2, 3) else 1
+    return st.integers(0, min(2, width)).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(0, min(2, width - m))))
+
+
+def _model(group):
+    return _scales(group).flatmap(lambda mk: st.fixed_dictionaries(
+        {"m": value(st.just(mk[0])), "k": value(st.just(mk[1]))}))
+
+
 PAIR = st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 3),
                           HUGE), min_size=2, max_size=2)
 FUNCTION = st.one_of(
@@ -85,16 +101,22 @@ DENSITY_TASK = st.fixed_dictionaries(
 )
 
 
-def _fitted_frame(model):
+def _fitted_frame(group):
     """A frame config whose lattice lies inside its model, so that most draws run."""
     def section(top):
         return st.integers(-1, top).flatmap(lambda outer: st.fixed_dictionaries(
             {"outer": st.just(outer), "inner": st.integers(outer - 2, outer)}))
 
-    lam = st.fixed_dictionaries({"type": st.just("product-sections"), "ambient": st.just("phase"),
-                                 "x": section(model["m"]), "xi": section(model["k"])})
-    return st.fixed_dictionaries({"group": GROUP, "model": value(st.just(model)),
-                                  "window": FUNCTION, "lambda": st.one_of(lam, lam, LAMBDA)})
+    def config(mk):
+        m, k = mk
+        lam = st.fixed_dictionaries({"type": st.just("product-sections"),
+                                     "ambient": st.just("phase"), "x": section(m),
+                                     "xi": section(k)})
+        return st.fixed_dictionaries({"group": st.just(group),
+                                      "model": value(st.just({"m": m, "k": k})),
+                                      "window": FUNCTION, "lambda": st.one_of(lam, lam, LAMBDA)})
+
+    return _scales(group).flatmap(config)
 
 
 NORMS_TASK = st.fixed_dictionaries(
@@ -102,12 +124,13 @@ NORMS_TASK = st.fixed_dictionaries(
 
 CONFIGS = {
     "density": st.fixed_dictionaries({"group": GROUP, "lambda": LAMBDA, "task": DENSITY_TASK}),
-    "frame": st.fixed_dictionaries({"m": st.integers(0, 2), "k": st.integers(0, 2)}).flatmap(
-        _fitted_frame),
-    "stft": st.fixed_dictionaries({"group": GROUP, "model": MODEL, "window": FUNCTION},
-                                  optional={"function": FUNCTION}),
-    "norms": st.fixed_dictionaries({"group": GROUP, "model": MODEL, "window": FUNCTION},
-                                   optional={"function": FUNCTION, "task": NORMS_TASK}),
+    "frame": GROUP.flatmap(_fitted_frame),
+    "stft": GROUP.flatmap(lambda g: st.fixed_dictionaries(
+        {"group": st.just(g), "model": _model(g), "window": FUNCTION},
+        optional={"function": FUNCTION})),
+    "norms": GROUP.flatmap(lambda g: st.fixed_dictionaries(
+        {"group": st.just(g), "model": _model(g), "window": FUNCTION},
+        optional={"function": FUNCTION, "task": NORMS_TASK})),
 }
 
 

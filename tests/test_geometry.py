@@ -41,7 +41,9 @@ def test_coset_rep_is_retraction_and_difference_in_ball():
                 assert (x - r).valuation() >= -n
                 if not r.is_zero():
                     # representative holds only digits below exponent -n
-                    assert params.mode == MODULAR and r.coeffs[-1][0] < -n or (
+                    assert params.mode == MODULAR and r == GroupElement.from_coeffs(
+                        params, {e: r.digit(e) for e in range(r.valuation(), -n)}
+                    ) or (
                         params.mode == CARRY and 0 <= r.as_fraction() < params.p ** (-n)
                     )
 

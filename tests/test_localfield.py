@@ -4,7 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from padicgabor.geometry import anchored_int, coset_rep
 from padicgabor.localfield import (
     CARRY,
     MODULAR,
@@ -269,7 +272,7 @@ def test_text_round_trip():
             assert parse_element(params, x.text()) == x
     assert parse_element(P2, "3/2^2").as_fraction() == Fraction(3, 4)
     # '[-2]102' reads little-endian from the stated lowest exponent
-    assert parse_element(M3, "[-2]102").coeffs == ((-2, 1), (0, 2))
+    assert parse_element(M3, "[-2]102") == GroupElement.from_coeffs(M3, {-2: 1, 0: 2})
     with pytest.raises(ValueError):
         parse_element(M2, "[-2]102")  # digit 2 is out of range for p = 2
     with pytest.raises(ValueError):
@@ -281,3 +284,198 @@ def test_parse_element_rejects_negative_carry_exponent(text):
     # text() never writes p^-e; refusing it also avoids forming p^e for a huge e
     with pytest.raises(ValueError, match="exponent"):
         parse_element(P2, text)
+
+
+# -- property tests against oracles that do not share the element encoding --------
+#
+# The carry oracle is a Fraction; the modular oracle is an exponent -> nonzero
+# digit dict with polynomial arithmetic mod p.  Oracle values stay small
+# (valuations in [-70, 70]); an element is built from one and then moved by a
+# shared power p**s (resp. t**s), s sometimes +-10**6, so huge valuations run
+# through the element arithmetic while the oracle sums and products stay small.
+
+PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=200,
+                 suppress_health_check=[HealthCheck.too_slow])
+PARAMS = st.sampled_from([GroupParams(p, mode) for p in (2, 3, 11) for mode in (CARRY, MODULAR)])
+SHIFT = st.sampled_from((0, 0, 0, 0, 0, 0, 10**6, -(10**6)))
+
+
+@st.composite
+def oracle_values(draw, params):
+    """Zero now and then, else up to 8 digits from a lowest exponent in [-70, 70]."""
+    p = params.p
+    if draw(st.integers(0, 9)) == 0:
+        return Fraction(0) if params.mode == CARRY else {}
+    low = draw(st.integers(-70, 70))
+    digits = [draw(st.integers(1, p - 1))] + draw(st.lists(st.integers(0, p - 1), max_size=7))
+    if params.mode == MODULAR:
+        return {low + i: d for i, d in enumerate(digits) if d}
+    sign = draw(st.sampled_from((1, -1)))
+    return sign * sum(d * Fraction(p) ** (low + i) for i, d in enumerate(digits))
+
+
+def element(params, value, shift=0):
+    """The element for an oracle value, times p**shift (resp. t**shift)."""
+    if params.mode == MODULAR:
+        x = GroupElement.from_coeffs(params, value)
+    else:
+        den, vexp = value.denominator, 0
+        while den % params.p == 0:
+            den, vexp = den // params.p, vexp + 1
+        assert den == 1
+        x = GroupElement.from_rational(params, value.numerator, vexp)
+    return x.automorphism(-shift)
+
+
+def o_val(params, a):
+    if params.mode == MODULAR:
+        return min(a, default=math.inf)
+    if a == 0:
+        return math.inf
+    v, num, den = 0, a.numerator, a.denominator
+    while num % params.p == 0:
+        num, v = num // params.p, v + 1
+    while den % params.p == 0:
+        den, v = den // params.p, v - 1
+    return v
+
+
+def o_add(params, a, b):
+    if params.mode == CARRY:
+        return a + b
+    sums = {e: (a.get(e, 0) + b.get(e, 0)) % params.p for e in a.keys() | b.keys()}
+    return {e: d for e, d in sums.items() if d}
+
+
+def o_neg(params, a):
+    return -a if params.mode == CARRY else {e: params.p - d for e, d in a.items()}
+
+
+def o_mul(params, a, b):
+    if params.mode == CARRY:
+        return a * b
+    out = {}
+    for e1, d1 in a.items():
+        for e2, d2 in b.items():
+            out[e1 + e2] = (out.get(e1 + e2, 0) + d1 * d2) % params.p
+    return {e: d for e, d in out.items() if d}
+
+
+def o_scale(params, a, n):
+    """a * p**n (resp. t**n)."""
+    if params.mode == CARRY:
+        return a * Fraction(params.p) ** n
+    return {e + n: d for e, d in a.items()}
+
+
+def o_rep(params, a, n):
+    """The digits of a below exponent -n; in carry mode p**-n * frac(p**n * a)."""
+    if params.mode == CARRY:
+        return o_scale(params, o_scale(params, a, n) % 1, -n)
+    return {e: d for e, d in a.items() if e < -n}
+
+
+def o_text(params, a):
+    p = params.p
+    if params.mode == CARRY:
+        num, den, vexp = a.numerator, a.denominator, 0
+        while den > 1:
+            den, vexp = den // p, vexp + 1
+        return str(num) if vexp == 0 else f"{num}/{p}^{vexp}"
+    if not a:
+        return "[0]0"
+    digits = [str(a.get(e, 0)) for e in range(min(a), max(a) + 1)]
+    return f"[{min(a)}]" + ("" if p <= 10 else ",").join(digits)
+
+
+@PROPS
+@given(data=st.data())
+def test_ring_axioms_match_the_oracle(data):
+    params, s = data.draw(PARAMS), data.draw(SHIFT)
+    ox, oy, oz = (data.draw(oracle_values(params)) for _ in range(3))
+    x, y, z = (element(params, o, s) for o in (ox, oy, oz))
+    zero, one = GroupElement.zero(params), GroupElement.one(params)
+    assert x.valuation() == o_val(params, ox) + (0 if x.is_zero() else s)
+    assert x + y == element(params, o_add(params, ox, oy), s)
+    assert -x == element(params, o_neg(params, ox), s)
+    assert x * y == element(params, o_mul(params, ox, oy), 2 * s)
+    assert (x + y) + z == x + (y + z)
+    assert x + y == y + x
+    assert (x * y) * z == x * (y * z)
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x
+    assert (x - x).is_zero() and (x * zero).is_zero()
+
+
+@PROPS
+@given(data=st.data())
+def test_text_round_trip_and_form(data):
+    params = data.draw(PARAMS)
+    # a carry integer prints in decimal, and CPython's int-string limit is 4300 digits
+    s = data.draw(SHIFT.filter(lambda s: params.mode == MODULAR or s <= 0))
+    ox = data.draw(oracle_values(params))
+    x = element(params, ox, s)
+    assert parse_element(params, x.text()) == x
+    if s == 0:
+        assert x.text() == o_text(params, ox)
+
+
+@PROPS
+@given(data=st.data())
+def test_coset_rep_is_idempotent_and_leaves_a_ball_element(data):
+    params, s = data.draw(PARAMS), data.draw(SHIFT)
+    ox = data.draw(oracle_values(params))
+    x = element(params, ox, s)
+    m = data.draw(st.integers(-80, 80))
+    n = m - s  # coset_rep(p**s * a, n) = p**s * coset_rep(a, n + s)
+    r = coset_rep(x, n)
+    assert coset_rep(r, n) == r
+    assert (x - r).valuation() >= -n
+    assert r == element(params, o_rep(params, ox, m), s)
+
+
+@PROPS
+@given(data=st.data())
+def test_anchored_int_is_x_times_p_to_the_anchor(data):
+    params, s = data.draw(PARAMS), data.draw(SHIFT)
+    ox = data.draw(oracle_values(params))
+    x = element(params, ox, s)
+    least = -o_val(params, ox) if ox else -10  # zero lies in A^t H for every t
+    t = data.draw(st.integers(least, least + 10))
+    scaled = o_scale(params, ox, t)
+    if params.mode == CARRY:
+        assert scaled.denominator == 1
+        expected = scaled.numerator
+    else:
+        expected = sum(d * params.p**e for e, d in scaled.items())
+    got = anchored_int(x, t - s)
+    assert type(got) is int and got == expected
+
+
+@PROPS
+@given(data=st.data())
+def test_pairing_is_bilinear_and_matches_the_oracle(data):
+    params, s = data.draw(PARAMS), data.draw(SHIFT)
+    ox, oy, oxi, oeta = (data.draw(oracle_values(params)) for _ in range(4))
+    x, y = element(params, ox, s), element(params, oy, s)
+    xi, eta = element(params, oxi, -s), element(params, oeta, -s)
+    assert pairing_phase(x + y, xi) == pairing_phase(x, xi) + pairing_phase(y, xi)
+    assert pairing_phase(x, xi + eta) == pairing_phase(x, xi) + pairing_phase(x, eta)
+    prod = o_mul(params, ox, oxi)
+    expected = prod % 1 if params.mode == CARRY else Fraction(prod.get(-1, 0), params.p)
+    assert pairing_phase(x, xi).fraction() == expected
+
+
+@PROPS
+@given(data=st.data())
+def test_automorphism_shifts_the_valuation(data):
+    params, s = data.draw(PARAMS), data.draw(SHIFT)
+    ox = data.draw(oracle_values(params))
+    n = data.draw(st.integers(-70, 70))
+    x = element(params, ox, s)
+    for shift in (n, n + 10**6, n - 10**6):
+        y = x.automorphism(shift)
+        assert y.valuation() == x.valuation() - shift or x.is_zero() and y.is_zero()
+    # A**n x = p**-n x (resp. t**-n x)
+    assert element(params, ox).automorphism(n) == element(params, o_scale(params, ox, -n))
