@@ -11,12 +11,10 @@ modulation and amalgam norms, and frame diagnostics for Gabor systems.
 from .density import (
     PointSet,
     automorphism_invariance_check,
-    count_in_ball,
     density_profile,
     finite_density_check,
     is_uniformly_separated,
     separated_decomposition,
-    union_profile,
 )
 from .gabor import (
     GaborReport,
@@ -32,12 +30,8 @@ from .gabor import (
     riesz_check,
 )
 from .geometry import (
-    Ball,
-    PhaseBall,
     Section,
-    ball_of,
     coset_rep,
-    phase_ball_of,
     same_ball,
     section,
     split_section,

@@ -3,10 +3,10 @@
 Configs are JSON documents; group elements appear in their text form
 (`3/2^2` carry, `[-2]102` modular).  Every config value is read through
 `_get`, and every size a config sets is bounded from its exponents before
-anything is built (MAX_ENTRIES, MAX_POINTS, MAX_P, MAX_SCALE below).  All
-structured output is JSON with sorted keys, exact rationals as "a/b" strings
-and complex numbers as [re, im] pairs, so a fixed config and seed reproduce
-byte-identical bytes; `--out` is opened before the command runs.
+anything is built (MAX_ENTRIES, MAX_FRAME_DIM, MAX_POINTS, MAX_P, MAX_SCALE
+below).  All structured output is JSON with sorted keys, exact rationals as
+"a/b" strings and complex numbers as [re, im] pairs, so a fixed config and
+seed reproduce byte-identical bytes; `--out` is opened before the command runs.
 Exit codes: 0 success, 1 failed verification or violated internal identity,
 2 configuration or usage errors (every ValueError, TypeError or
 OverflowError, the library's input checks included).
@@ -48,6 +48,7 @@ from .model import (
 from .verify import DEFAULT_SEED, run_suite
 
 MAX_ENTRIES = 2**22  # complex entries of any array a command builds: 64 MiB, dim <= 2048
+MAX_FRAME_DIM = 2**8  # dim of a frame model: its O(dim^3) Jacobi takes seconds at 256
 MAX_POINTS = 2**20  # points a lambda lists or generates
 MAX_P = 2**16  # the prime
 MAX_SCALE = 64  # density scales and powers, |valuation| of a config element
@@ -117,12 +118,14 @@ def _parse_group(doc: dict) -> GroupParams:
                        _get(group, "mode", "group", default=CARRY))
 
 
-def _parse_model(doc: dict, params: GroupParams) -> ModelSpace:
+def _parse_model(doc: dict, params: GroupParams, max_dim: int | None = None) -> ModelSpace:
     model = _get(doc, "model", "config")
     m = _get(model, "m", "model", int, lo=0)
     k = _get(model, "k", "model", int, lo=0)
     # the stft grid, the norms and the frame operator hold dim**2 entries
     _power_at_most(params.p, 2 * (m + k), MAX_ENTRIES, "model entries dim^2 =")
+    if max_dim is not None:
+        _power_at_most(params.p, m + k, max_dim, "frame model dim =")
     return ModelSpace(params, m, k)
 
 
@@ -279,7 +282,7 @@ def cmd_density(args, out) -> int:
 def cmd_frame(args, out) -> int:
     config = _load_config(args.config)
     params = _parse_group(config)
-    space = _parse_model(config, params)
+    space = _parse_model(config, params, MAX_FRAME_DIM)
     window = _parse_function(_get(config, "window", "config"), space, "window")
     # the system's dim x count vector matrix holds at most MAX_ENTRIES entries
     budget = min(MAX_POINTS, MAX_ENTRIES // space.dim)

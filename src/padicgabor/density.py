@@ -10,7 +10,9 @@ Within a region A^R H the scale-n ball of x is keyed by the exact integer
 x*p^R mod p^(R-n), which is the index of its coset in the canonical section
 of A^R H / A^n H.  Each point set computes x*p^R once per coordinate, so a
 scale costs one ``mod`` per point and one ``Counter``; a phase point's key
-is k_x + p^(R-n) * k_xi.
+is k_x + p^(R-n) * k_xi.  Keys of point sets in one region share the
+anchor, so the per-ball counts of a multiset union are the sums of its parts'
+counts, and a union is profiled as the concatenation of its parts.
 
 The maximum is taken over all balls of the ambient space (balls missing the
 set contribute 0 only to the minimum side).  Because any finite set makes the
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .geometry import Ball, PhaseBall, anchored_int
+from .geometry import anchored_int
 from .localfield import GroupParams
 
 GROUP = "group"
@@ -40,11 +42,11 @@ class InvariantViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class PointSet:
-    """Finite multiset of group or phase-space points; order is significant."""
+    """Finite multiset of group or phase-space points of one group; order is significant."""
 
     ambient: str
     points: tuple
-    params: GroupParams = None
+    params: GroupParams
     _ints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -52,22 +54,19 @@ class PointSet:
             raise ValueError(f"ambient must be {GROUP!r} or {PHASE!r}")
         object.__setattr__(self, "points", tuple(self.points))
         params = self.params
-        for pt in self.points:
-            pp = pt.params if self.ambient == GROUP else pt[0].params
-            if params is None:
-                params = pp
-            elif params != pp:
-                raise ValueError("all points must share one GroupParams")
-            if self.ambient == PHASE and pt[1].params != pp:
-                raise ValueError("phase points must pair elements of one group")
-        object.__setattr__(self, "params", params)
+        if self.ambient == GROUP:
+            foreign = any(x.params != params for x in self.points)
+        else:
+            foreign = any(x.params != params or xi.params != params for x, xi in self.points)
+        if foreign:
+            raise ValueError("every coordinate of every point must lie in the group of params")
 
     @staticmethod
-    def group(points, params: GroupParams = None) -> "PointSet":
+    def group(points, params: GroupParams) -> "PointSet":
         return PointSet(GROUP, tuple(points), params)
 
     @staticmethod
-    def phase(points, params: GroupParams = None) -> "PointSet":
+    def phase(points, params: GroupParams) -> "PointSet":
         return PointSet(PHASE, tuple(points), params)
 
     def __len__(self) -> int:
@@ -87,8 +86,6 @@ class PointSet:
 
         Keys of point sets in one region share the anchor and compare directly.
         """
-        if not self.points:
-            return []
         ints = self._ints.get(region)
         if ints is None:
             self.require_in_region(region)
@@ -172,28 +169,11 @@ class DensityProfile:
         }
 
 
-def count_in_ball(lam: PointSet, ball) -> int:
-    """Multiset count of points of lam in the given ball."""
-    if isinstance(ball, Ball):
-        if lam.ambient != GROUP:
-            raise ValueError("group ball applied to phase-space point set")
-        return sum(1 for pt in lam.points if ball.contains(pt))
-    if isinstance(ball, PhaseBall):
-        if lam.ambient != PHASE:
-            raise ValueError("phase ball applied to group point set")
-        return sum(1 for pt in lam.points if ball.contains(pt[0], pt[1]))
-    raise TypeError(f"not a ball: {ball!r}")
-
-
 def _scale_counts(lam: PointSet, n: int, region: int) -> tuple[int, int]:
     counts = Counter(lam.ball_keys(n, region)).values()
     max_count = max(counts, default=0)
-    d = lam.dimension_factor
-    total_balls = lam.params.p ** ((region - n) * d) if lam.params else 0
-    if len(counts) < total_balls or not counts:
-        min_count = 0
-    else:
-        min_count = min(counts)
+    total_balls = lam.params.p ** ((region - n) * lam.dimension_factor)  # n <= region, so >= 1
+    min_count = min(counts) if len(counts) == total_balls else 0
     return max_count, min_count
 
 
@@ -202,8 +182,6 @@ def density_profile(lam: PointSet, n_range: tuple[int, int], region: int) -> Den
     n_lo, n_hi = n_range
     if n_hi > region:
         raise ValueError(f"scale range top {n_hi} exceeds region {region}")
-    if lam.params is None and len(lam) == 0:
-        raise ValueError("empty point set without params; pass params= to PointSet")
     lam.require_in_region(region)
     p = lam.params.p
     d = lam.dimension_factor
@@ -282,7 +260,7 @@ def finite_density_check(lam: PointSet, n: int, region: int) -> FiniteDensityRep
     lam.require_in_region(region)
     max_n, _ = _scale_counts(lam, n, region)
     d = lam.dimension_factor
-    modulus = lam.params.p ** d if lam.params else 1
+    modulus = lam.params.p ** d
     rows = []
     for m in range(n + 1, region + 1):
         measured, _ = _scale_counts(lam, m, region)
@@ -292,28 +270,6 @@ def finite_density_check(lam: PointSet, n: int, region: int) -> FiniteDensityRep
     if not report.all_within:
         raise InvariantViolation("scale-propagation bound failed")  # unreachable
     return report
-
-
-def union_profile(lams: list[PointSet], n_range: tuple[int, int], region: int) -> DensityProfile:
-    """Profile of the disjoint multiset union, with exact additivity asserted."""
-    if not lams:
-        raise ValueError("need at least one point set")
-    ambient = lams[0].ambient
-    params = next((l.params for l in lams if l.params is not None), None)
-    for l in lams:
-        if l.ambient != ambient:
-            raise ValueError("mixed ambients in union")
-    merged = PointSet(ambient, tuple(pt for l in lams for pt in l.points), params)
-    profile = density_profile(merged, n_range, region)
-    n_lo, n_hi = n_range
-    for n in range(n_lo, n_hi + 1):
-        # keys of every part are anchored at the region, so they compare with merged keys
-        part_counts = Counter()
-        for l in lams:
-            part_counts.update(l.ball_keys(n, region))
-        if Counter(merged.ball_keys(n, region)) != part_counts:
-            raise InvariantViolation(f"per-ball additivity failed at scale {n}")
-    return profile
 
 
 @dataclass(frozen=True)

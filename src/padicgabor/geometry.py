@@ -1,11 +1,12 @@
-"""Balls, coset representatives, and canonical sections.
+"""Membership of balls, coset representatives, ball keys, and canonical sections.
 
 The scale-n ball around x is the coset x + A^n H, of Haar measure p**n under
-the normalization m(H) = 1.  `coset_rep` picks the canonical representative
-(the digits of x below exponent -n), and a scale-n ball is identified with
-that representative.  Sections of the quotients A^N H / A^n H are always the
-canonical digit-truncation sections, which makes every enumeration in the
-package deterministic and every membership test exact.
+the normalization m(H) = 1.  A ball is no object of its own: `same_ball`
+tests membership, `coset_rep` picks the canonical representative (the digits
+of x below exponent -n), and `anchored_int` is the exact integer whose residue
+mod p**(R - n) keys the ball inside A^R H.  Sections of the quotients
+A^N H / A^n H are always the canonical digit-truncation sections, which makes
+every enumeration in the package deterministic and every membership test exact.
 """
 
 from __future__ import annotations
@@ -43,57 +44,6 @@ def anchored_int(x: GroupElement, anchor: int) -> int:
 def same_ball(x: GroupElement, y: GroupElement, n: int) -> bool:
     """True iff x and y lie in one coset of A^n H, i.e. val(x - y) >= -n."""
     return (x - y).valuation() >= -n
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Coset x + A^n H, keyed by the canonical representative."""
-
-    n: int
-    key: GroupElement
-
-    def __post_init__(self):
-        canon = coset_rep(self.key, self.n)
-        if canon != self.key:
-            object.__setattr__(self, "key", canon)
-
-    def contains(self, x: GroupElement) -> bool:
-        return same_ball(x, self.key, self.n)
-
-    def measure(self):
-        from fractions import Fraction
-
-        return Fraction(self.key.params.p) ** self.n
-
-    def __str__(self) -> str:
-        return f"Q[{self.n}]@{self.key.text()}"
-
-
-@dataclass(frozen=True)
-class PhaseBall:
-    """Product ball Q_n(x) x Q_n(xi) in the time-frequency plane; measure p**2n."""
-
-    n: int
-    key_x: GroupElement
-    key_xi: GroupElement
-
-    def __post_init__(self):
-        object.__setattr__(self, "key_x", coset_rep(self.key_x, self.n))
-        object.__setattr__(self, "key_xi", coset_rep(self.key_xi, self.n))
-
-    def contains(self, x: GroupElement, xi: GroupElement) -> bool:
-        return same_ball(x, self.key_x, self.n) and same_ball(xi, self.key_xi, self.n)
-
-    def __str__(self) -> str:
-        return f"Q[{self.n}]@({self.key_x.text()},{self.key_xi.text()})"
-
-
-def ball_of(x: GroupElement, n: int) -> Ball:
-    return Ball(n, x)
-
-
-def phase_ball_of(x: GroupElement, xi: GroupElement, n: int) -> PhaseBall:
-    return PhaseBall(n, x, xi)
 
 
 @dataclass(frozen=True)

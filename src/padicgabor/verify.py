@@ -405,11 +405,7 @@ def check_repeated_point_bound_growth(p_list, size, rng) -> CheckResult:
         chi = indicator(space)
         sys = build(chi, _modulation_ladder_points(space, 0))
         origin = (GroupElement.zero(space.params), GroupElement.zero(space.params))
-        results, grew = bessel_stress(sys, origin, reps)
-        norm_sq = chi.norm() ** 2
-        for n_reps, bound in results:
-            if bound < n_reps * norm_sq - 1e-9:
-                ok = False
+        results, grew = bessel_stress(sys, origin, reps)  # grew: B(N) >= N||chi||^2, nondecreasing
         ok = ok and grew
         detail.append(",".join(f"B({n})={b:.3f}" for n, b in results))
         used.append(f"p={p} {mode}")

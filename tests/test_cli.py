@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from padicgabor import cli, gabor
@@ -309,6 +310,7 @@ def test_non_finite_coeffs_exit_2(tmp_path, capsys, command, role, bad):
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_overflowing_result_exits_2(tmp_path, capsys):
     # finite inputs whose squared norm overflows: refused rather than emitted as Infinity
     doc = {**COEFFS_PAIR, "function": {"type": "coeffs", "values": [[1e200, 0]] * 4}}
@@ -332,6 +334,8 @@ EXPLICIT_TIGHT = {**FRAME_TIGHT, "lambda": {"ambient": "phase", "type": "explici
         {**EXPLICIT_TIGHT, "window": {"type": "indicator", "set_scale": True}},
         {**EXPLICIT_TIGHT, "lambda": {"type": "union", "parts": 3}},
         {**EXPLICIT_TIGHT, "lambda": {"type": "union", "parts": [3]}},
+        {**EXPLICIT_TIGHT, "lambda": {"type": "union", "parts": [
+            EXPLICIT_TIGHT["lambda"], {"ambient": "group", "type": "explicit", "points": ["0"]}]}},
         {**EXPLICIT_TIGHT, "lambda": 3},
         {**EXPLICIT_TIGHT, "model": {"m": True, "k": 1}},
         {**EXPLICIT_TIGHT, "model": {"m": 1, "k": True}},
@@ -339,7 +343,7 @@ EXPLICIT_TIGHT = {**FRAME_TIGHT, "lambda": {"ambient": "phase", "type": "explici
     ],
     ids=[
         "point-texts-int", "point-xi-int", "shift-int", "set-scale-bool", "parts-int",
-        "part-int", "lambda-int", "model-m-bool", "model-k-bool", "section-outer-bool",
+        "part-int", "parts-mixed-ambient", "lambda-int", "model-m-bool", "model-k-bool", "section-outer-bool",
     ],
 )
 def test_frame_bad_config_exits_2(tmp_path, capsys, doc):
@@ -362,6 +366,25 @@ def test_eigensolver_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("eigensolver failed: ")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_frame_dim_at_the_cap_is_accepted(tmp_path, capsys, monkeypatch):
+    # dim 256 = MAX_FRAME_DIM reaches the eigensolver; the stub stands in for its sweeps
+    dims = []
+
+    def diagonal(matrix):
+        dims.append(matrix.dim)
+        return np.sort(np.diag(matrix.entries).real), 0.0, 0, np.eye(matrix.dim)
+
+    monkeypatch.setattr(gabor, "hermitian_eigs", diagonal)
+    side = {"outer": 4, "inner": 0}
+    doc = {**FRAME_ONB, "model": {"m": 4, "k": 4},
+           "lambda": {"ambient": "phase", "type": "product-sections", "x": side, "xi": side}}
+    cfg = write_config(tmp_path, "f.json", doc)
+    assert main(["frame", "--config", cfg]) == 0
+    assert dims == [cli.MAX_FRAME_DIM]
+    report = json.loads(capsys.readouterr().out)
+    assert report["dim"] == report["count"] == cli.MAX_FRAME_DIM
 
 
 def _run_cli(args, threads):
@@ -465,6 +488,9 @@ BOUND_CASES = {
     "region": ("density", _task(region=3000000)),
     "n-range": ("density", _task(n_range=[-14400, -14399])),
     "model-extent": ("frame", {**FRAME_ONB, "model": {"m": 40, "k": 0}}),
+    # dim^2 fits MAX_ENTRIES, but the frame's Jacobi would run for minutes
+    "frame-dim-1331": ("frame", {**FRAME_ONB, "group": {"p": 11}, "model": {"m": 2, "k": 1}}),
+    "frame-dim-512": ("frame", {**FRAME_ONB, "model": {"m": 5, "k": 4}}),
     "prime": ("density", {**DENSITY_SECTION, "group": {"p": 1000000000000000003}}),
     "section-points": ("density", {**DENSITY_SECTION, "task": {"region": 22},
                                    "lambda": {"ambient": "group", "type": "product-sections",

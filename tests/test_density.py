@@ -1,5 +1,6 @@
 """Counting densities, separation, decompositions, and scale propagation."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,14 +8,12 @@ import pytest
 from padicgabor.density import (
     PointSet,
     automorphism_invariance_check,
-    count_in_ball,
     density_profile,
     finite_density_check,
     is_uniformly_separated,
     separated_decomposition,
-    union_profile,
 )
-from padicgabor.geometry import ball_of, coset_rep, phase_ball_of, section, split_section
+from padicgabor.geometry import coset_rep, section, split_section
 from padicgabor.localfield import CARRY, MODULAR, GroupElement, GroupParams
 from padicgabor.rng import SplitMix64
 
@@ -35,23 +34,21 @@ def random_point_set(params, rng, region=3, max_size=64):
     return PointSet.group(tuple(pts), params)
 
 
-def test_count_in_ball_examples():
-    lam = PointSet.group(section(P2, 3, 0).elements)
-    assert count_in_ball(lam, ball_of(GroupElement.zero(P2), 2)) == 4  # p**n points
-    assert count_in_ball(PointSet.group((), P2), ball_of(GroupElement.zero(P2), 0)) == 0
-    five = PointSet.group([GroupElement.zero(P2)] * 5)
-    assert count_in_ball(five, ball_of(GroupElement.zero(P2), 0)) == 5
-
-
-def test_count_ambient_mismatch():
-    lam = PointSet.group([GroupElement.zero(P2)])
-    with pytest.raises(ValueError):
-        count_in_ball(lam, phase_ball_of(GroupElement.zero(P2), GroupElement.zero(P2), 0))
+def test_ball_count_examples():
+    lam = PointSet.group(section(P2, 3, 0).elements, P2)
+    assert lam.buckets(2)[0] == [0, 2, 4, 6]  # p**n points in the scale-2 ball of 0
+    row = density_profile(lam, (2, 2), 3).rows[0]
+    assert row.max_count == row.min_count == 4
+    empty = density_profile(PointSet.group((), P2), (0, 0), 0).rows[0]
+    assert empty.max_count == empty.min_count == 0
+    five = PointSet.group([GroupElement.zero(P2)] * 5, P2)
+    assert five.buckets(0) == {0: [0, 1, 2, 3, 4]}
+    assert density_profile(five, (0, 0), 0).rows[0].max_count == 5
 
 
 def test_section_profile_all_ones():
     for params in (P2, P3, M2):
-        lam = PointSet.group(section(params, 4, 0).elements)
+        lam = PointSet.group(section(params, 4, 0).elements, params)
         prof = density_profile(lam, (0, 4), 4)
         for row in prof.rows:
             assert row.max_count == row.min_count == params.p**row.n
@@ -59,7 +56,7 @@ def test_section_profile_all_ones():
 
 
 def test_singleton_profile_decreasing():
-    lam = PointSet.group([GroupElement.zero(P2)])
+    lam = PointSet.group([GroupElement.zero(P2)], P2)
     prof = density_profile(lam, (0, 3), 3)
     assert [r.max_count for r in prof.rows] == [1, 1, 1, 1]
     assert [r.upper_ratio for r in prof.rows] == [
@@ -79,10 +76,10 @@ def test_phase_product_lattice_profile():
 
 
 def test_profile_region_validation():
-    bad = PointSet.group([GroupElement.from_rational(P2, 1, 3)])
+    bad = PointSet.group([GroupElement.from_rational(P2, 1, 3)], P2)
     with pytest.raises(ValueError, match="1/2\\^3"):
         density_profile(bad, (0, 1), 1)
-    lam = PointSet.group([GroupElement.zero(P2)])
+    lam = PointSet.group([GroupElement.zero(P2)], P2)
     with pytest.raises(ValueError):
         density_profile(lam, (0, 3), 2)  # n_hi beyond region
 
@@ -113,18 +110,18 @@ def test_partition_consistency():
 
 
 def test_uniform_separation():
-    assert is_uniformly_separated(PointSet.group(section(P2, 3, 0).elements), 0)
-    dup = PointSet.group([GroupElement.zero(P2), GroupElement.zero(P2)])
+    assert is_uniformly_separated(PointSet.group(section(P2, 3, 0).elements, P2), 0)
+    dup = PointSet.group([GroupElement.zero(P2), GroupElement.zero(P2)], P2)
     assert not is_uniformly_separated(dup, 0)
     assert not is_uniformly_separated(dup, -5)
-    pair = PointSet.group([GroupElement.zero(P2), GroupElement.from_rational(P2, 1, 1)])
+    pair = PointSet.group([GroupElement.zero(P2), GroupElement.from_rational(P2, 1, 1)], P2)
     assert not is_uniformly_separated(pair, 1)  # both lie in the scale-1 ball at 0
     assert is_uniformly_separated(pair, 0)
 
 
 def test_separated_decomposition_doubled_section():
     sec = section(P2, 2, 0).elements
-    lam = PointSet.group(sec + sec)
+    lam = PointSet.group(sec + sec, P2)
     parts = separated_decomposition(lam, 0, 2)
     assert 0 < len(parts) <= 2 * 2  # p * N_n with N_n = 2
     merged = sorted(pt.text() for part in parts for pt in part.points.points)
@@ -134,7 +131,7 @@ def test_separated_decomposition_doubled_section():
 
 
 def test_separated_decomposition_separated_input():
-    lam = PointSet.group(section(P3, 2, 0).elements)
+    lam = PointSet.group(section(P3, 2, 0).elements, P3)
     parts = separated_decomposition(lam, 0, 2)
     assert len(parts) <= 3
     assert all(part.label == 1 for part in parts)
@@ -157,13 +154,13 @@ def test_separated_decomposition_properties_random():
 
 
 def test_separated_decomposition_rejects_phase():
-    lam = PointSet.phase([(GroupElement.zero(P2), GroupElement.zero(P2))])
+    lam = PointSet.phase([(GroupElement.zero(P2), GroupElement.zero(P2))], P2)
     with pytest.raises(ValueError):
         separated_decomposition(lam, 0, 1)
 
 
 def test_finite_density_check_section():
-    lam = PointSet.group(section(P2, 4, 0).elements)
+    lam = PointSet.group(section(P2, 4, 0).elements, P2)
     rep = finite_density_check(lam, 0, 4)
     assert rep.max_per_ball == 1
     for m, measured, bound in rep.rows:
@@ -174,11 +171,11 @@ def test_finite_density_check_section():
 
 def test_finite_density_check_adversarial():
     # every point in a single fine ball still obeys the propagated cap
-    lam = PointSet.group([GroupElement.zero(P2)] * 16)
+    lam = PointSet.group([GroupElement.zero(P2)] * 16, P2)
     rep = finite_density_check(lam, 0, 3)
     assert rep.max_per_ball == 16
     assert rep.all_within
-    single = finite_density_check(PointSet.group([GroupElement.one(P3)]), 0, 2)
+    single = finite_density_check(PointSet.group([GroupElement.one(P3)], P3), 0, 2)
     assert single.max_per_ball == 1 and single.all_within
 
 
@@ -191,40 +188,24 @@ def test_finite_density_check_phase_modulus():
     assert rep.rows[0][2] == (2**2) ** 2 * 4
 
 
-def test_union_profile_additivity():
-    lam = PointSet.group(section(P2, 3, 0).elements)
-    prof = union_profile([lam, lam], (0, 3), 3)
-    assert all(r.upper_ratio == 2 for r in prof.rows)
-    empty = PointSet.group((), P2)
-    prof2 = union_profile([lam, empty], (0, 3), 3)
-    assert prof2.rows == density_profile(lam, (0, 3), 3).rows
-
-
 def test_union_of_decomposition_equals_original():
     rng = SplitMix64(34)
     lam = random_point_set(P2, rng)
     parts = [part.points for part in separated_decomposition(lam, 0, 3)]
-    prof_union = union_profile(parts, (0, 3), 3)
-    prof_lam = density_profile(lam, (0, 3), 3)
-    assert prof_union.rows == prof_lam.rows
-
-
-def test_union_rejects_mixed_ambient():
-    g = PointSet.group([GroupElement.zero(P2)])
-    ph = PointSet.phase([(GroupElement.zero(P2), GroupElement.zero(P2))])
-    with pytest.raises(ValueError):
-        union_profile([g, ph], (0, 1), 1)
+    union = PointSet.group(tuple(pt for part in parts for pt in part.points), P2)
+    assert sorted(pt.text() for pt in union.points) == sorted(pt.text() for pt in lam.points)
+    assert density_profile(union, (0, 3), 3).rows == density_profile(lam, (0, 3), 3).rows
 
 
 def test_automorphism_invariance():
-    lam = PointSet.group(section(P2, 4, 0).elements)
+    lam = PointSet.group(section(P2, 4, 0).elements, P2)
     report = automorphism_invariance_check(lam, 2, (0, 2), 4)
     assert report.all_equal
     for row in report.rows:
         assert row.fine_scale == 2 * row.coarse_scale
         assert row.ratio_under_a == 1 == row.ratio_under_b
 
-    singleton = PointSet.group([GroupElement.zero(P3)])
+    singleton = PointSet.group([GroupElement.zero(P3)], P3)
     rep = automorphism_invariance_check(singleton, 2, (0, 1), 2)
     assert rep.all_equal
     assert rep.rows[1].ratio_under_a == Fraction(1, 9)  # p**(-2n) at coarse scale 1
@@ -236,7 +217,7 @@ def test_automorphism_invariance():
 
 
 def test_automorphism_invariance_validation():
-    lam = PointSet.group([GroupElement.zero(P2)])
+    lam = PointSet.group([GroupElement.zero(P2)], P2)
     with pytest.raises(ValueError):
         automorphism_invariance_check(lam, 0, (0, 1), 2)
     with pytest.raises(ValueError):
@@ -244,7 +225,7 @@ def test_automorphism_invariance_validation():
 
 
 def test_profile_table_and_json():
-    lam = PointSet.group(section(P2, 2, 0).elements)
+    lam = PointSet.group(section(P2, 2, 0).elements, P2)
     prof = density_profile(lam, (0, 2), 2)
     table = prof.table()
     assert table.splitlines()[0].startswith("n  max_count")
@@ -256,9 +237,15 @@ def test_profile_table_and_json():
 
 def test_point_set_validation():
     with pytest.raises(ValueError):
-        PointSet.group([GroupElement.zero(P2), GroupElement.zero(P3)])
+        PointSet.group([GroupElement.zero(P2), GroupElement.zero(P3)], P2)
+    with pytest.raises(ValueError):
+        PointSet.group([GroupElement.zero(P3)], P2)
+    with pytest.raises(ValueError):
+        PointSet.phase([(GroupElement.zero(P2), GroupElement.zero(P3))], P2)
     with pytest.raises(ValueError):
         PointSet("weird", (), P2)
+    with pytest.raises(TypeError):
+        PointSet.group([GroupElement.zero(P2)])  # params is required, never inferred
 
 
 # -- differential tests against the GroupElement oracle ---------------------------------
@@ -267,7 +254,7 @@ M3 = GroupParams(3, MODULAR)
 
 
 def ref_buckets(lam, n):
-    """Ball of every point keyed by its canonical coset representative(s)."""
+    """The ball of every point, keyed by its canonical coset representative(s)."""
     out = {}
     for i, pt in enumerate(lam.points):
         key = coset_rep(pt, n) if lam.ambient == "group" else tuple(coset_rep(c, n) for c in pt)
@@ -367,13 +354,16 @@ def test_integer_keys_match_coset_oracle(seed, params, ambient, region):
 @pytest.mark.parametrize("params", (P2, P3, M2, M3))
 def test_union_parts_with_different_finest_digits(params):
     # one part uses digits down to exponent -3, the other only integers: per-set
-    # anchors would disagree, so the additivity check needs the shared region anchor
+    # anchors would disagree, so counts add up only under the shared region anchor
     rng = SplitMix64(36 + params.p)
     fine = random_lambda(params, "group", rng, 3, 5, 30)
     coarse = random_lambda(params, "group", rng, 0, 2, 30)
     merged = PointSet.group(fine.points + coarse.points, params)
-    prof = union_profile([fine, coarse], (-3, 3), 3)
-    assert prof.rows == density_profile(merged, (-3, 3), 3).rows
+    for n in range(-3, 4):
+        assert Counter(merged.ball_keys(n, 3)) == (
+            Counter(fine.ball_keys(n, 3)) + Counter(coarse.ball_keys(n, 3))
+        )
+    prof = density_profile(merged, (-3, 3), 3)
     assert [(r.max_count, r.min_count) for r in prof.rows] == [
         ref_counts(merged, n, 3) for n in range(-3, 4)
     ]

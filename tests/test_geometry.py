@@ -1,17 +1,8 @@
-"""Coset representatives, balls, and canonical sections."""
+"""Coset representatives, ball membership, and canonical sections."""
 
 import pytest
 
-from padicgabor.geometry import (
-    Ball,
-    PhaseBall,
-    ball_of,
-    coset_rep,
-    phase_ball_of,
-    same_ball,
-    section,
-    split_section,
-)
+from padicgabor.geometry import coset_rep, same_ball, section, split_section
 from padicgabor.localfield import CARRY, MODULAR, GroupElement, GroupParams
 from padicgabor.rng import SplitMix64
 from test_localfield import random_element
@@ -58,7 +49,7 @@ def test_same_ball_examples():
 
 
 def test_ball_identity_of_recentering():
-    # any member of a ball yields the same Ball object
+    # any member of a ball has the same canonical representative
     rng = SplitMix64(22)
     n = 1
     for params in (P2, M3):
@@ -66,23 +57,10 @@ def test_ball_identity_of_recentering():
             x = random_element(params, rng)
             h = random_element(params, rng)
             member = x + (h - coset_rep(h, n))  # h minus its rep has valuation >= -n
-            assert ball_of(member, n) == ball_of(x, n)
-            assert ball_of(x, n).contains(member)
-    assert str(ball_of(GroupElement.from_rational(P2, 3, 2), 0)) == "Q[0]@3/2^2"
-
-
-def test_phase_ball():
-    b = phase_ball_of(GroupElement.from_rational(P2, 1, 1), GroupElement.one(P2), 0)
-    assert b.contains(GroupElement.from_rational(P2, 3, 1), GroupElement.integer(P2, 5))
-    assert not b.contains(GroupElement.zero(P2), GroupElement.zero(P2))
-    assert isinstance(b, PhaseBall)
-
-
-def test_ball_measure():
-    from fractions import Fraction
-
-    assert ball_of(GroupElement.zero(P2), 3).measure() == 8
-    assert ball_of(GroupElement.zero(P3), -2).measure() == Fraction(1, 9)
+            assert coset_rep(member, n) == coset_rep(x, n)
+            assert same_ball(x, member, n)
+            assert same_ball(coset_rep(x, n), member, n)
+    assert coset_rep(GroupElement.from_rational(P2, 7, 2), 0).text() == "3/2^2"
 
 
 def test_section_enumeration_carry():
@@ -155,17 +133,14 @@ def test_partition_of_window():
     rng = SplitMix64(23)
     for params in (P2, P3, M3):
         region, n = 3, 1
-        balls = [
-            Ball(n, c.automorphism(n)) for c in section(params, region - n, 0)
-        ]
-        keys = {b.key for b in balls}
-        assert len(keys) == len(balls)  # disjoint
+        keys = [coset_rep(c.automorphism(n), n) for c in section(params, region - n, 0)]
+        assert len(set(keys)) == len(keys)  # disjoint
         for _ in range(40):
             x = random_element(params, rng, span=2)
             if x.valuation() < -region:
                 continue
-            hits = [b for b in balls if b.contains(x)]
-            assert len(hits) == 1  # exhaustive and disjoint
+            hits = [key for key in keys if same_ball(x, key, n)]
+            assert hits == [coset_rep(x, n)]  # exhaustive and disjoint
 
 
 def test_nesting():
