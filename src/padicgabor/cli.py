@@ -7,9 +7,13 @@ anything is built (MAX_ENTRIES, MAX_FRAME_DIM, MAX_POINTS, MAX_P, MAX_SCALE
 below).  All structured output is JSON with sorted keys, exact rationals as
 "a/b" strings and complex numbers as [re, im] pairs, so a fixed config and
 seed reproduce byte-identical bytes; `--out` is opened before the command runs.
+`_dumps` writes it: json.dumps(indent=2) for the document, and one
+numpy-aware writer for complex arrays (the stft grid) that gives the same
+bytes, with an np.isfinite test in place of allow_nan.
 Exit codes: 0 success, 1 failed verification or violated internal identity,
 2 configuration or usage errors (every ValueError, TypeError or
-OverflowError, the library's input checks included).
+OverflowError, the library's input checks included, and a result that
+overflows or turns NaN, which numpy raises under the command's errstate).
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import io
 import json
 import math
 import sys
+
+import numpy as np
 
 from .density import (
     InvariantViolation,
@@ -200,12 +206,43 @@ def _section_scales(doc: dict, where: str) -> tuple[int, int]:
     return outer, _get(doc, "inner", where, int, lo=-MAX_SCALE, hi=outer)
 
 
+def _not_finite(why) -> ConfigError:
+    return ConfigError(f"result is not finite ({why}); the inputs are too large")
+
+
 def _dumps(doc) -> str:
-    """Strict JSON: a NaN or infinity in a result (say, from overflow) is an input error."""
+    """Strict JSON: a NaN or infinity in a result (say, from overflow) is an input error.
+
+    A complex ndarray in doc is written as its [re, im] pairs, the bytes that
+    json.dumps gives for the pairs as lists, straight from its float64 view:
+    one np.isfinite test, then one %r template per pair at the array's indent.
+    The rest goes through json.dumps, whose indent=2 encoder is pure Python.
+    """
+    arrays = []
+
+    def hole(value):
+        if not (isinstance(value, np.ndarray) and value.dtype == complex):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        arrays.append(value)
+        return f"\0{len(arrays) - 1}"  # written "\u0000<i>", which no result string holds
+
     try:
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=hole)
     except ValueError as exc:
-        raise ConfigError(f"result is not finite ({exc}); the inputs are too large")
+        raise _not_finite(exc)
+    # the whole text is built before the caller writes any of it
+    for i, arr in enumerate(arrays):
+        fl = arr.reshape(-1).view(np.float64)
+        if not np.isfinite(fl).all():
+            raise _not_finite("the array holds NaN or infinity")
+        head, _, tail = text.partition(f'"\\u0000{i}"')
+        line = head[head.rfind("\n") + 1:]
+        i0 = line[:len(line) - len(line.lstrip(" "))]
+        i1, i2 = i0 + "  ", i0 + "    "
+        pair = f"[\n{i2}%r,\n{i2}%r\n{i1}]"
+        body = (",\n" + i1).join([pair] * (fl.size // 2)) % tuple(fl.tolist())
+        text = f"{head}[\n{i1}{body}\n{i0}]{tail}" if fl.size else f"{head}[]{tail}"
+    return text + "\n"
 
 
 def cmd_density(args, out) -> int:
@@ -428,8 +465,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        with _open_out(args) as out:
+        # a float overflow or NaN in a result raises instead of warning on stderr
+        with _open_out(args) as out, np.errstate(over="raise", invalid="raise"):
             return COMMANDS[args.command](args, out)
+    except FloatingPointError as exc:
+        sys.stderr.write(f"config error: {_not_finite(exc)}\n")
+        return 2
     # ConfigError, ResolutionError and the library's input checks; OverflowError is
     # a config number too large for a float
     except (ValueError, TypeError, OverflowError) as exc:

@@ -245,25 +245,6 @@ class ModelFunction:
     def scaled(self, c: complex) -> "ModelFunction":
         return ModelFunction(self.space, c * self.coeffs)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.space.params.p,
-            "mode": self.space.params.mode,
-            "m": self.space.m,
-            "k": self.space.k,
-            "coeffs": _pairs(self.coeffs),
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "ModelFunction":
-        space = ModelSpace(GroupParams(doc["p"], doc["mode"]), doc["m"], doc["k"])
-        return ModelFunction(space, [complex(re, im) for re, im in doc["coeffs"]])
-
-
-def _pairs(vec: np.ndarray) -> list:
-    """[[re, im], ...] as Python floats, for JSON."""
-    return np.column_stack((vec.real, vec.imag)).tolist()
-
 
 def _same_space(f: ModelFunction, g: ModelFunction) -> None:
     if f.space != g.space:
@@ -337,7 +318,7 @@ class StftGrid:
             "m": self.space.m,
             "k": self.space.k,
             "dim": self.space.dim,
-            "values": _pairs(self.values.reshape(-1)),
+            "values": self.values.reshape(-1),  # complex; the CLI writes [re, im] pairs
         }
 
 

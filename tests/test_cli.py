@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ import pytest
 from padicgabor import cli, gabor
 from padicgabor.cli import main
 from padicgabor.linalg import ConvergenceError
-from padicgabor.localfield import MAX_BODY_DIGITS
+from padicgabor.localfield import CARRY, MAX_BODY_DIGITS, MODULAR, GroupParams
+from padicgabor.model import ModelFunction, ModelSpace, StftGrid, stft
 from padicgabor.rng import SplitMix64
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -310,15 +312,83 @@ def test_non_finite_coeffs_exit_2(tmp_path, capsys, command, role, bad):
     assert captured.out == ""
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+HUGE_COEFFS = {"type": "coeffs", "values": [[1e200, 0]] * 4}
+OVERFLOWING = [
+    # the squared norm overflows
+    ("norms", {**COEFFS_PAIR, "function": HUGE_COEFFS}),
+    # f * conj(T_x g) overflows inside the transform
+    ("stft", {**COEFFS_PAIR, "window": HUGE_COEFFS, "function": HUGE_COEFFS}),
+    # the frame operator's einsum overflows silently, then inf * 0 is NaN
+    ("frame", {**FRAME_TIGHT, "model": {"m": 2, "k": 0}, "window": {
+        "type": "coeffs", "values": [[1.2149521770883526e228, 0], [1, 0], [0, 0], [0, 0]]},
+        "lambda": {**FRAME_TIGHT["lambda"], "x": {"outer": 2, "inner": 0},
+                   "xi": {"outer": 0, "inner": 0}}}),
+]
+
+
 def test_overflowing_result_exits_2(tmp_path, capsys):
-    # finite inputs whose squared norm overflows: refused rather than emitted as Infinity
-    doc = {**COEFFS_PAIR, "function": {"type": "coeffs", "values": [[1e200, 0]] * 4}}
-    cfg = write_config(tmp_path, "c.json", doc)
-    assert main(["norms", "--config", cfg]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("config error: result is not finite")
-    assert captured.out == ""
+    # finite inputs whose results overflow: refused, with no RuntimeWarning on stderr,
+    # rather than emitted as Infinity
+    for command, doc in OVERFLOWING:
+        cfg = write_config(tmp_path, "c.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: result is not finite"), captured.err
+        assert captured.out == ""
+
+
+def _stdlib_dumps(doc) -> str:
+    """The reference bytes: json.dumps of each complex array as a list of [re, im] lists."""
+    def lists(v):
+        if isinstance(v, np.ndarray):
+            return np.column_stack((v.real, v.imag)).tolist()
+        if isinstance(v, dict):
+            return {key: lists(x) for key, x in v.items()}
+        return [lists(x) for x in v] if isinstance(v, list) else v
+    return json.dumps(lists(doc), indent=2, sort_keys=True) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, -1.7976931348623157e308,
+               0.0, 1.0, -2.5, 1 / 3, 123456789.125, 2.0**-1074 * 3]
+
+
+def _grid_doc(params, m, k, values):
+    return StftGrid(ModelSpace(params, m, k), np.asarray(values, dtype=complex)).to_json_dict()
+
+
+@pytest.mark.parametrize("mode", [CARRY, MODULAR])
+@pytest.mark.parametrize("p", [2, 3])
+def test_emitted_grid_bytes_match_the_stdlib_encoder(mode, p):
+    params = GroupParams(p, mode)
+    rng = SplitMix64(p * 7 + len(mode))
+    for m, k in [(0, 0), (1, 0), (1, 1), (2, 1)]:  # (0, 0) is a dim-1 grid
+        space = ModelSpace(params, m, k)
+        f = ModelFunction(space, rng.complex_vector(space.dim))
+        g = ModelFunction(space, rng.complex_vector(space.dim))
+        doc = stft(f, g).to_json_dict()
+        assert cli._dumps(doc) == _stdlib_dumps(doc)
+    edges = [complex(re, im) for re in EDGE_FLOATS for im in EDGE_FLOATS]
+    doc = _grid_doc(params, 0, 4, np.resize(edges, (p**4, p**4)))  # every pair of edges
+    assert cli._dumps(doc) == _stdlib_dumps(doc)
+
+
+def test_emitted_arrays_inside_a_document_match_the_stdlib_encoder():
+    # arrays that are not the last key, nested at several indents, and empty
+    doc = {"a": np.array([1 + 2j, complex(-0.0, -0.0)]), "b": [1.5, {"c": np.array([5e-324j])}],
+           "d": np.zeros(0, dtype=complex), "z": {"y": [np.array([1e16 + 1e-5j]), "x"]}}
+    assert cli._dumps(doc) == _stdlib_dumps(doc)
+    assert cli._dumps(np.array([3j])) == _stdlib_dumps(np.array([3j]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_non_finite_grid_is_refused(bad, part):
+    values = np.ones((2, 2), dtype=complex)
+    values[1, 0] = complex(bad, 0) if part == "re" else complex(0, bad)
+    with pytest.raises(cli.ConfigError, match=r"^result is not finite \(.*the inputs are too large$"):
+        cli._dumps(_grid_doc(GroupParams(2, CARRY), 1, 0, values))
 
 
 EXPLICIT_TIGHT = {**FRAME_TIGHT, "lambda": {"ambient": "phase", "type": "explicit",

@@ -10,9 +10,9 @@ import contextlib
 import io
 import json
 import tempfile
+import zlib
 from pathlib import Path
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -186,10 +186,14 @@ CONFIGS = {
 
 
 def _drop_one(doc: dict, data) -> dict:
-    """Now and then delete one top-level key, so missing keys are drawn too."""
+    """Now and then delete one top-level key, so missing keys are drawn too.
+
+    The key is picked by a hash of the drawn doc rather than drawn: Hypothesis
+    favours index 0 of any choice, which made most drops the same key.
+    """
     if data.draw(st.integers(0, 4)):
         return doc
-    key = data.draw(st.sampled_from(sorted(doc)))
+    key = sorted(doc)[zlib.crc32(json.dumps(doc, sort_keys=True).encode()) % len(doc)]
     return {k: v for k, v in doc.items() if k != key}
 
 
@@ -213,8 +217,6 @@ def _check(command: str, text: str) -> None:
         assert out == ""
 
 
-# a window of huge finite coeffs overflows the frame operator, which then exits 2
-@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
 @FUZZ
 @given(command=st.sampled_from(sorted(CONFIGS)), data=st.data())
 def test_fuzzed_configs_keep_the_exit_contract(command, data):

@@ -312,17 +312,15 @@ def test_space_mismatch():
         stft(f, g)
 
 
-def test_serialization_round_trip():
+def test_stft_grid_document():
     rng = SplitMix64(16)
     space = ModelSpace(M2, 1, 2)
     f = rand_fn(space, rng)
-    doc = f.to_json_dict()
-    back = ModelFunction.from_json_dict(doc)
-    assert back.space == space
-    assert np.array_equal(back.coeffs, f.coeffs)
     grid_doc = stft(f, f).to_json_dict()
     assert grid_doc["dim"] == space.dim
-    assert len(grid_doc["values"]) == space.dim**2
+    values = grid_doc["values"]
+    assert isinstance(values, np.ndarray) and values.dtype == complex
+    assert values.shape == (space.dim**2,)
 
 
 # -- index kernels against the GroupElement path, bit for bit ---------------------
