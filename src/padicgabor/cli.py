@@ -192,10 +192,10 @@ def _parse_points(doc: dict, params: GroupParams, budget: int = MAX_POINTS) -> P
         if ambient == "phase":
             xi = _section_scales(_get(doc, "xi", "lambda"), "lambda.xi")
         _power_at_most(params.p, x[0] - x[1] + xi[0] - xi[1], budget, "lambda points")
-        xs = section(params, *x).elements
+        xs = section(params, *x)
         if ambient == "group":
             return PointSet.group(xs, params)
-        xis = section(params, *xi).elements
+        xis = section(params, *xi)
         return PointSet.phase(tuple((a, b) for a in xs for b in xis), params)
     raise ConfigError(f"unknown lambda type {kind!r:.80}")
 
@@ -255,6 +255,10 @@ def cmd_density(args, out) -> int:
     n_hi = _get(n_range, "hi", "task n_range [lo, hi]", int, lo=-MAX_SCALE, hi=region)
     n_lo = _get(n_range, "lo", "task n_range [lo, hi]", int, lo=-MAX_SCALE, hi=n_hi)
     checks = _get(task, "checks", "task", list, default=[])
+    for name in checks:
+        if name not in ("separation", "finite", "automorphism"):
+            raise ConfigError(f"unknown density check {name!r:.80}; the checks are "
+                              f"separation, finite and automorphism")
     # each check's key is read, and validated, only when that check runs
     sep_scale, fin_scale, power = 0, 0, 1
     if "separation" in checks:

@@ -31,9 +31,9 @@ import numpy as np
 from .density import PHASE, PointSet, finite_density_check
 from .linalg import HermitianMatrix, RankDeficiencyError, hermitian_eigs, solve_hermitian
 from .model import ModelFunction, ResolutionError, stft, wiener_norm
-# build no longer calls these; they stay gabor names because perfbench/selftest.py
+# build no longer calls it; it stays a gabor name because perfbench/selftest.py
 # checks that tracing patches padicgabor.gabor.modulate
-from .model import modulate, translate  # noqa: F401
+from .model import modulate  # noqa: F401
 
 ONB = "ONB"
 TIGHT_FRAME = "TightFrame"

@@ -11,8 +11,6 @@ every enumeration in the package deterministic and every membership test exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .localfield import GroupElement, GroupParams
 
 
@@ -46,66 +44,15 @@ def same_ball(x: GroupElement, y: GroupElement, n: int) -> bool:
     return (x - y).valuation() >= -n
 
 
-@dataclass(frozen=True)
-class Section:
-    """Canonical representatives of A^outer H / A^inner H, p**(outer-inner) many.
+def section(params: GroupParams, outer: int, inner: int) -> tuple[GroupElement, ...]:
+    """The canonical section of A^outer H / A^inner H, p**(outer-inner) members.
 
-    Member a is a * p**-outer for a = 0 .. p**(outer-inner) - 1, in that order;
-    in modular mode these are all polynomials supported on exponents
-    [-outer, -inner), with the digit at exponent -outer varying fastest.
+    Member a is a * p**-outer for a = 0 .. p**(outer-inner) - 1, in that order,
+    so anchored_int(member, outer) is its position; in modular mode these are
+    all polynomials supported on exponents [-outer, -inner), with the digit at
+    exponent -outer varying fastest.
     """
-
-    params: GroupParams
-    outer: int
-    inner: int
-    elements: tuple[GroupElement, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i: int) -> GroupElement:
-        return self.elements[i]
-
-    def index_of(self, c: GroupElement) -> int:
-        """Position of a member in the canonical enumeration."""
-        return anchored_int(c, self.outer)
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(e.text() for e in self.elements) + "}"
-
-
-def section(params: GroupParams, outer: int, inner: int) -> Section:
-    """The canonical section of A^outer H / A^inner H."""
     if outer < inner:
         raise ValueError(f"outer scale {outer} must be >= inner scale {inner}")
     count = params.p ** (outer - inner)
-    elems = tuple(GroupElement.from_rational(params, a, outer) for a in range(count))
-    return Section(params, outer, inner, elems)
-
-
-@dataclass(frozen=True)
-class SplitSection:
-    """Decomposition C = C0 + C1 of the canonical section of A^N H / H.
-
-    C0 is the canonical section of AH / H (the digit at exponent -1, exactly
-    p = |A| members) and C1 the canonical section of A^N H / AH (digits below
-    exponent -1).  Every member of the original section splits uniquely.
-    """
-
-    c0: Section
-    c1: Section
-
-    def decompose(self, c: GroupElement) -> tuple[GroupElement, GroupElement]:
-        part1 = coset_rep(c, 1)
-        return c - part1, part1
-
-
-def split_section(s: Section) -> SplitSection:
-    if s.inner != 0 or s.outer < 1:
-        raise ValueError("split_section expects the canonical section of A^N H / H with N >= 1")
-    if s != section(s.params, s.outer, 0):
-        raise ValueError("split_section expects the canonical (digit-truncation) section")
-    return SplitSection(section(s.params, 1, 0), section(s.params, s.outer, 1))
+    return tuple(GroupElement.from_rational(params, a, outer) for a in range(count))

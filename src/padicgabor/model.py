@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Section, anchored_int, section
+from .geometry import anchored_int, section
 from .localfield import CARRY, GroupElement, GroupParams, Phase
 
 
@@ -83,7 +83,7 @@ class ModelSpace:
         return dual
 
     @cached_property
-    def index_section(self) -> Section:
+    def index_section(self) -> tuple[GroupElement, ...]:
         """The canonical section of A^m H / A^-k H; element i is index i."""
         return section(self.params, self.m, -self.k)
 
@@ -119,10 +119,6 @@ class ModelSpace:
             place = p**j
             out += (idx // place - ax[:, np.newaxis] // place) % p * place
         return out
-
-    def shift_sources(self, x: GroupElement) -> np.ndarray:
-        """Permutation sending coefficient index a to the index of x_a - x."""
-        return self.shift_table(np.array([self.index_of(x)]))[0]
 
     def char_values(self, xi: GroupElement) -> np.ndarray:
         """Unit phases <x_a, xi> over the index section; xi must have val >= -k."""
@@ -274,7 +270,8 @@ def inner(f: ModelFunction, g: ModelFunction) -> complex:
 
 def translate(f: ModelFunction, x: GroupElement) -> ModelFunction:
     """(T_x f)(y) = f(y - x); exact coefficient permutation, x in A^m H."""
-    return ModelFunction(f.space, f.coeffs[f.space.shift_sources(x)])
+    sources = f.space.shift_table(np.array([f.space.index_of(x)]))[0]  # a -> index of x_a - x
+    return ModelFunction(f.space, f.coeffs[sources])
 
 
 def modulate(f: ModelFunction, xi: GroupElement) -> ModelFunction:

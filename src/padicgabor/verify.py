@@ -83,8 +83,8 @@ def _space(p: int, mode: str, m: int, k: int) -> ModelSpace:
 
 def _modulation_ladder_points(space: ModelSpace, step: int) -> PointSet:
     """Translations along H-cosets, modulations refined (step > 0), kept (the ONB) or coarsened."""
-    xs = section(space.params, space.m, 0).elements
-    xis = section(space.params, space.k, -step).elements
+    xs = section(space.params, space.m, 0)
+    xis = section(space.params, space.k, -step)
     return PointSet.phase(tuple((x, xi) for x in xs for xi in xis), space.params)
 
 
@@ -93,7 +93,7 @@ def _tight_lattice_system(p: int, mode: str, scaling_steps: int = 1) -> GaborSys
     k = scaling_steps
     space = _space(p, mode, k, k)
     window = indicator(space, set_scale=-k).scaled(float(p) ** (k / 2.0))
-    pts = section(space.params, k, -k).elements
+    pts = section(space.params, k, -k)
     lam = PointSet.phase(tuple((x, xi) for x in pts for xi in pts), space.params)
     return build(window, lam)
 
@@ -126,7 +126,7 @@ def _random_group_corpus(count: int, rng: SplitMix64):
     for i in range(count):
         p, mode = cycle[i % len(cycle)]
         params = GroupParams(p, mode)
-        pool = section(params, region, -2).elements
+        pool = section(params, region, -2)
         size = 1 + rng.next_below(64)
         pts = []
         for _ in range(size):
@@ -223,7 +223,7 @@ def check_section_density_one(p_list, size, rng) -> CheckResult:
         if p not in p_list:
             continue
         params = GroupParams(p, mode)
-        lam = PointSet.group(section(params, region, 0).elements, params)
+        lam = PointSet.group(section(params, region, 0), params)
         prof = density_profile(lam, (0, region), region)
         for row in prof.rows:
             if row.max_count != p**row.n or row.min_count != p**row.n:

@@ -270,6 +270,7 @@ CHECKED_TASK = {"region": 3, "n_range": [0, 3], "checks": ["separation", "finite
         {**CHECKED_TASK, "n_range": [2, 1]},
         {**CHECKED_TASK, "n_range": ["0", 3]},
         {**CHECKED_TASK, "checks": "finite"},
+        {**CHECKED_TASK, "checks": ["separation", "seperation", 3]},
         {"n_range": [0, 3]},
         [],
     ],
@@ -277,7 +278,7 @@ CHECKED_TASK = {"region": 3, "n_range": [0, 3], "checks": ["separation", "finite
         "power-zero", "power-negative", "power-string", "region-string", "region-bool",
         "separation-above-region", "finite-above-region", "finite-float",
         "n-range-above-region", "n-range-reversed", "n-range-string", "checks-string",
-        "region-missing", "task-not-object",
+        "checks-unknown", "region-missing", "task-not-object",
     ],
 )
 def test_density_bad_task_exits_2(tmp_path, capsys, task):
@@ -287,6 +288,13 @@ def test_density_bad_task_exits_2(tmp_path, capsys, task):
     assert captured.err.startswith("config error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_density_names_the_unknown_check(tmp_path, capsys):
+    task = {**CHECKED_TASK, "checks": ["finite", "seperation"]}
+    cfg = write_config(tmp_path, "d.json", {**DENSITY_SECTION, "task": task})
+    assert main(["density", "--config", cfg]) == 2
+    assert "'seperation'" in capsys.readouterr().err
 
 
 COEFFS_PAIR = {

@@ -1,10 +1,15 @@
 """Counting densities, separation, decompositions, and scale propagation."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import padicgabor
 from padicgabor.density import (
     PointSet,
     automorphism_invariance_check,
@@ -13,7 +18,7 @@ from padicgabor.density import (
     is_uniformly_separated,
     separated_decomposition,
 )
-from padicgabor.geometry import coset_rep, section, split_section
+from padicgabor.geometry import anchored_int, coset_rep, section
 from padicgabor.localfield import CARRY, MODULAR, GroupElement, GroupParams
 from padicgabor.rng import SplitMix64
 
@@ -23,7 +28,7 @@ M2 = GroupParams(2, MODULAR)
 
 
 def random_point_set(params, rng, region=3, max_size=64):
-    pool = section(params, region, -2).elements
+    pool = section(params, region, -2)
     size = 1 + rng.next_below(max_size)
     pts = []
     for _ in range(size):
@@ -35,7 +40,7 @@ def random_point_set(params, rng, region=3, max_size=64):
 
 
 def test_ball_count_examples():
-    lam = PointSet.group(section(P2, 3, 0).elements, P2)
+    lam = PointSet.group(section(P2, 3, 0), P2)
     assert lam.buckets(2)[0] == [0, 2, 4, 6]  # p**n points in the scale-2 ball of 0
     row = density_profile(lam, (2, 2), 3).rows[0]
     assert row.max_count == row.min_count == 4
@@ -48,7 +53,7 @@ def test_ball_count_examples():
 
 def test_section_profile_all_ones():
     for params in (P2, P3, M2):
-        lam = PointSet.group(section(params, 4, 0).elements, params)
+        lam = PointSet.group(section(params, 4, 0), params)
         prof = density_profile(lam, (0, 4), 4)
         for row in prof.rows:
             assert row.max_count == row.min_count == params.p**row.n
@@ -68,7 +73,7 @@ def test_singleton_profile_decreasing():
 def test_phase_product_lattice_profile():
     # product of two copies of the scale-refined section: density p**2k everywhere
     for params, k in ((P2, 1), (P3, 1), (M2, 1), (P2, 2)):
-        pts = section(params, k, -k).elements
+        pts = section(params, k, -k)
         lam = PointSet.phase(tuple((x, xi) for x in pts for xi in pts), params)
         prof = density_profile(lam, (-k, k), k)
         for row in prof.rows:
@@ -110,7 +115,7 @@ def test_partition_consistency():
 
 
 def test_uniform_separation():
-    assert is_uniformly_separated(PointSet.group(section(P2, 3, 0).elements, P2), 0)
+    assert is_uniformly_separated(PointSet.group(section(P2, 3, 0), P2), 0)
     dup = PointSet.group([GroupElement.zero(P2), GroupElement.zero(P2)], P2)
     assert not is_uniformly_separated(dup, 0)
     assert not is_uniformly_separated(dup, -5)
@@ -120,7 +125,7 @@ def test_uniform_separation():
 
 
 def test_separated_decomposition_doubled_section():
-    sec = section(P2, 2, 0).elements
+    sec = section(P2, 2, 0)
     lam = PointSet.group(sec + sec, P2)
     parts = separated_decomposition(lam, 0, 2)
     assert 0 < len(parts) <= 2 * 2  # p * N_n with N_n = 2
@@ -131,7 +136,7 @@ def test_separated_decomposition_doubled_section():
 
 
 def test_separated_decomposition_separated_input():
-    lam = PointSet.group(section(P3, 2, 0).elements, P3)
+    lam = PointSet.group(section(P3, 2, 0), P3)
     parts = separated_decomposition(lam, 0, 2)
     assert len(parts) <= 3
     assert all(part.label == 1 for part in parts)
@@ -160,7 +165,7 @@ def test_separated_decomposition_rejects_phase():
 
 
 def test_finite_density_check_section():
-    lam = PointSet.group(section(P2, 4, 0).elements, P2)
+    lam = PointSet.group(section(P2, 4, 0), P2)
     rep = finite_density_check(lam, 0, 4)
     assert rep.max_per_ball == 1
     for m, measured, bound in rep.rows:
@@ -180,7 +185,7 @@ def test_finite_density_check_adversarial():
 
 
 def test_finite_density_check_phase_modulus():
-    pts = section(P2, 1, -1).elements
+    pts = section(P2, 1, -1)
     lam = PointSet.phase(tuple((x, xi) for x in pts for xi in pts), P2)
     rep = finite_density_check(lam, 0, 1)
     assert rep.max_per_ball == 4
@@ -198,7 +203,7 @@ def test_union_of_decomposition_equals_original():
 
 
 def test_automorphism_invariance():
-    lam = PointSet.group(section(P2, 4, 0).elements, P2)
+    lam = PointSet.group(section(P2, 4, 0), P2)
     report = automorphism_invariance_check(lam, 2, (0, 2), 4)
     assert report.all_equal
     for row in report.rows:
@@ -225,7 +230,7 @@ def test_automorphism_invariance_validation():
 
 
 def test_profile_table_and_json():
-    lam = PointSet.group(section(P2, 2, 0).elements, P2)
+    lam = PointSet.group(section(P2, 2, 0), P2)
     prof = density_profile(lam, (0, 2), 2)
     table = prof.table()
     assert table.splitlines()[0].startswith("n  max_count")
@@ -270,16 +275,19 @@ def ref_counts(lam, n, region):
 
 
 def ref_decomposition(lam, n, region):
-    """(label, c0 index, point texts) per part, built from sections and split sections."""
+    """(label, c0 index, point texts) per part, from exact group arithmetic.
+
+    The balls are taken in the order of their section members c (the position
+    anchored_int(c, width)); the C0 index is that of c's top digit,
+    c - coset_rep(c, 1), in the canonical section of AH / H.
+    """
     width = region - n
-    outer = section(lam.params, width, 0)
-    sp = split_section(outer) if width >= 1 else None
     parts = {}
     for key, positions in sorted(
-        ref_buckets(lam, n).items(), key=lambda kv: outer.index_of(kv[0].automorphism(-n))
+        ref_buckets(lam, n).items(), key=lambda kv: anchored_int(kv[0].automorphism(-n), width)
     ):
         c = key.automorphism(-n)
-        ci = sp.c0.index_of(sp.decompose(c)[0]) if sp else 0
+        ci = anchored_int(c - coset_rep(c, 1), 1) if width >= 1 else 0
         for j, pos in enumerate(positions, start=1):
             parts.setdefault((j, ci), []).append(pos)
     return [(j, ci, [lam.points[i].text() for i in sorted(parts[(j, ci)])])
@@ -367,3 +375,11 @@ def test_union_parts_with_different_finest_digits(params):
     assert [(r.max_count, r.min_count) for r in prof.rows] == [
         ref_counts(merged, n, 3) for n in range(-3, 4)
     ]
+
+
+def test_exact_core_imports_no_numpy():
+    # localfield, geometry and density are pure Python, and importing them loads no numpy
+    code = ("import sys, padicgabor.density, padicgabor.geometry, padicgabor.localfield; "
+            "sys.exit('numpy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(padicgabor.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

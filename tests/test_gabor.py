@@ -38,21 +38,21 @@ M2 = GroupParams(2, MODULAR)
 
 
 def onb_points(space):
-    xs = section(space.params, space.m, 0).elements
-    xis = section(space.params, space.k, 0).elements
+    xs = section(space.params, space.m, 0)
+    xis = section(space.params, space.k, 0)
     return PointSet.phase(tuple((x, xi) for x in xs for xi in xis), space.params)
 
 
 def ladder_points(space, step):
-    xs = section(space.params, space.m, 0).elements
-    xis = section(space.params, space.k, -step).elements
+    xs = section(space.params, space.m, 0)
+    xis = section(space.params, space.k, -step)
     return PointSet.phase(tuple((x, xi) for x in xs for xi in xis), space.params)
 
 
 def tight_lattice(params, k=1):
     space = ModelSpace(params, k, k)
     window = indicator(space, set_scale=-k).scaled(float(params.p) ** (k / 2))
-    pts = section(params, k, -k).elements
+    pts = section(params, k, -k)
     lam = PointSet.phase(tuple((x, xi) for x in pts for xi in pts), params)
     return build(window, lam)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from padicgabor.geometry import coset_rep, same_ball, section, split_section
+from padicgabor.geometry import anchored_int, coset_rep, same_ball, section
 from padicgabor.localfield import CARRY, MODULAR, GroupElement, GroupParams
 from padicgabor.rng import SplitMix64
 from test_localfield import random_element
@@ -81,7 +81,7 @@ def test_section_invariants():
             for i, el in enumerate(s):
                 assert el.valuation() >= -outer or el.is_zero()
                 reps.add(coset_rep(el, inner))
-                assert s.index_of(el) == i
+                assert anchored_int(el, outer) == i
             assert len(reps) == len(s)  # pairwise distinct mod A^inner H
 
 
@@ -90,42 +90,17 @@ def test_section_rejects_bad_scales():
         section(P2, 0, 1)
 
 
-def test_split_section_examples():
-    sp = split_section(section(P2, 2, 0))
-    assert [e.text() for e in sp.c0] == ["0", "1/2^1"]
-    assert [e.text() for e in sp.c1] == ["0", "1/2^2"]
-    c0, c1 = sp.decompose(GroupElement.from_rational(P2, 3, 2))
-    assert c0.text() == "1/2^1" and c1.text() == "1/2^2"
-
-    sp3 = split_section(section(P3, 1, 0))
-    assert len(sp3.c0) == 3 and len(sp3.c1) == 1
-
-    spm = split_section(section(M2, 2, 0))
-    assert [e.text() for e in spm.c0] == ["[0]0", "[-1]1"]
-    assert [e.text() for e in spm.c1] == ["[0]0", "[-2]1"]
-
-
-def test_split_section_reassembles_bijectively():
+def test_coset_rep_splits_a_section_bijectively():
+    # the canonical section C of A^3 H / H is C0 + C1, C0 of AH / H and C1 of A^3 H / AH
     for params in (P2, P3, M2):
+        c0s, c1s = set(section(params, 1, 0)), set(section(params, 3, 1))
         s = section(params, 3, 0)
-        sp = split_section(s)
         seen = set()
         for c in s:
-            c0, c1 = sp.decompose(c)
-            assert c0 in set(sp.c0.elements)
-            assert c1 in set(sp.c1.elements)
-            assert c0 + c1 == c
-            seen.add((c0, c1))
+            c1 = coset_rep(c, 1)
+            assert c - c1 in c0s and c1 in c1s
+            seen.add((c - c1, c1))
         assert len(seen) == len(s)
-
-
-def test_split_section_rejects_non_canonical():
-    with pytest.raises(ValueError):
-        split_section(section(P2, 2, 1))
-    s = section(P2, 2, 0)
-    shuffled = type(s)(s.params, s.outer, s.inner, tuple(reversed(s.elements)))
-    with pytest.raises(ValueError):
-        split_section(shuffled)
 
 
 def test_partition_of_window():

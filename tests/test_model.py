@@ -208,8 +208,8 @@ def test_stft_covariance_modulus():
         perm_rows = [(a - au) % n for a in range(n)]
         perm_cols = [(b - bu) % n for b in range(n)]
     else:
-        perm_rows = list(space.shift_sources(u))
-        perm_cols = list(space.dual.shift_sources(eta))
+        perm_rows = list(space.shift_table(np.array([au]))[0])
+        perm_cols = list(space.dual.shift_table(np.array([bu]))[0])
     moved = base[np.ix_(perm_rows, perm_cols)]
     assert np.max(np.abs(shifted - moved)) <= 1e-12
 
@@ -356,7 +356,7 @@ def test_char_values_match_pairing():
     for params, m, k in KERNEL_SPACES:
         space = ModelSpace(params, m, k)
         # the dual side of A^m H is A^k H: these are exactly the admissible xi
-        members = space.dual.index_section.elements[:: max(1, space.dim // 9)]
+        members = space.dual.index_section[:: max(1, space.dim // 9)]
         for xi in kernel_elements(space.dual, rng) + list(members):
             ref = np.array(
                 [pairing_phase(x, xi).complex_value() for x in space.index_section],
@@ -369,7 +369,7 @@ def test_index_of_matches_coset_lookup():
     rng = SplitMix64(18)
     for params, m, k in KERNEL_SPACES:
         space = ModelSpace(params, m, k)
-        members = space.index_section.elements
+        members = space.index_section
         for x in kernel_elements(space, rng):
             assert space.index_of(x) == members.index(coset_rep(x, -k)), (space, x.text())
 
@@ -398,7 +398,7 @@ def test_embed_matches_index_loop():
             ref = np.zeros(target.dim, dtype=complex)
             for i, x in enumerate(target.index_section):
                 if x.valuation() >= -m:
-                    ref[i] = f.coeffs[space.index_section.elements.index(coset_rep(x, -k))]
+                    ref[i] = f.coeffs[space.index_section.index(coset_rep(x, -k))]
             assert same_bits(embed(f, m_new, k_new).coeffs, ref), (space, m_new, k_new)
 
 
