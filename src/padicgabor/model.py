@@ -20,7 +20,9 @@ side.  Its kernel is built from exact Phase values and runs along
 the last axis of a batch of rows: carry mode is an iterative radix-p
 decimation in time, modular mode one size-p contraction per digit with the
 output digit order reversed (the residue pairing couples exponent e with
-exponent -1-e).
+exponent -1-e).  For p = 2 the contraction is a butterfly of real ufuncs that
+rounds exactly as the per-digit einsum does, and modular translation by index
+a is XOR with a, since digit-wise subtraction mod 2 is XOR.
 
 Short-time Fourier transforms gather STFT_BLOCK translation rows at a time,
 f * conj(T_x g) for each row, and run one batched transform per block; the
@@ -113,6 +115,8 @@ class ModelSpace:
         if self.params.mode == CARRY:
             return (np.arange(self.dim) - ax[:, np.newaxis]) % self.dim
         p = self.params.p
+        if p == 2:
+            return np.arange(self.dim) ^ ax[:, np.newaxis]  # digit-wise mod 2 is XOR
         idx = np.arange(self.dim)
         out = np.zeros((len(ax), self.dim), dtype=np.int64)
         for j in range(self.m + self.k):
@@ -178,12 +182,55 @@ class ModelSpace:
         rows = arr.reshape(-1, self.dim)
         if self.params.mode == CARRY:
             return _radix_dft(rows, p, self._neg_root_table).reshape(arr.shape)
+        if p == 2:
+            return self._binary_dual_sums(rows).reshape(arr.shape)
         count = len(rows)
         kernel = self._digit_kernel
         for j in range(width):
             rows = rows.reshape(count, p ** (width - 1 - j), p, p**j)
             rows = np.einsum("cd,rsdt->rsct", kernel, rows)
         return rows.reshape(count, self.dim)[:, self._reversal].reshape(arr.shape)
+
+    @cached_property
+    def _twist(self) -> np.ndarray:
+        # (ki, -ki) against the (re, im) planes; ki = Im K[1, 1] is -1.2e-16, not 0
+        ki = self._digit_kernel[1, 1].imag
+        return np.array([ki, -ki]).reshape(2, 1, 1)
+
+    def _binary_dual_sums(self, rows: np.ndarray) -> np.ndarray:
+        """The p = 2 digit contractions as butterflies, with the einsum path's bits.
+
+        einsum adds K[c, 0] * x0 and K[c, 1] * x1 to a zero accumulator.  Three
+        kernel entries are 1-0j, whose products are x up to the sign of zero, and
+        the accumulator turns -0.0 into +0.0.  Adding 0.0 to the input once does
+        the same, and no later sum or difference of such values is -0.0.  What is
+        left is out0 = x0 + x1 and out1 = x0 - s with s = -K[1, 1] * x1, whose
+        parts x1.re + ki * x1.im and x1.im - ki * x1.re are each one real product
+        and one real sum, never a fused multiply-add.
+
+        Works on separate real and imaginary planes.  Level j reads the digit-j
+        pairs as the two halves of each row and writes out0, out1 interleaved
+        (Stockham order), so the input is read in digit-reversed order and the
+        last level writes the output, already in dual-index order.
+        """
+        count, dim = rows.shape
+        half = dim // 2
+        width = self.m + self.k
+        twist = self._twist
+        out = np.take(rows, self._reversal, axis=1)
+        out_planes = out.view(np.float64).reshape(count, dim, 2).transpose(2, 0, 1)
+        src, dst = np.empty((2, 2, count, dim))
+        s = np.empty((2, count, half))
+        np.add(out_planes, 0.0, out=src)
+        for j in range(width):
+            x0, x1 = src[:, :, :half], src[:, :, half:]
+            y = out_planes if j == width - 1 else dst
+            np.multiply(x1[::-1], twist, out=s)  # (ki * x1.im, -ki * x1.re)
+            np.add(x1, s, out=s)
+            np.subtract(x0, s, out=y[:, :, 1::2])
+            np.add(x0, x1, out=y[:, :, 0::2])
+            src, dst = dst, src
+        return out
 
 
 def _radix_dft(rows: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
@@ -305,8 +352,13 @@ class StftGrid:
     def cell_measure(self) -> float:
         return float(self.space.params.p) ** (-(self.space.m + self.space.k))
 
+    @cached_property
+    def magnitudes(self) -> np.ndarray:
+        """|V_g f| entrywise, taken once for every norm of the grid."""
+        return np.abs(self.values)
+
     def l2_norm(self) -> float:
-        return math.sqrt(self.cell_measure * float(np.sum(np.abs(self.values) ** 2)))
+        return math.sqrt(self.cell_measure * float(np.sum(self.magnitudes**2)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -345,7 +397,7 @@ def _check_exponent(p_exp) -> float:
 def modulation_norm(grid: StftGrid, p_exp) -> float:
     """L^p norm of the grid with the plane's cell measure; sup norm at p = inf."""
     p_exp = _check_exponent(p_exp)
-    mags = np.abs(grid.values)
+    mags = grid.magnitudes
     if math.isinf(p_exp):
         return float(np.max(mags))
     return float(np.sum(mags**p_exp * grid.cell_measure) ** (1.0 / p_exp))
@@ -360,7 +412,7 @@ def _cell_sups(grid: StftGrid) -> np.ndarray:
     """
     space = grid.space
     p = space.params.p
-    blocks = np.abs(grid.values).reshape(p**space.k, p**space.m, p**space.m, p**space.k)
+    blocks = grid.magnitudes.reshape(p**space.k, p**space.m, p**space.m, p**space.k)
     return blocks.max(axis=(0, 2))
 
 

@@ -691,3 +691,43 @@ def test_density_output_bytes_are_pinned(tmp_path, capsys, case):
     for flag, digest in zip(("--json", "--table"), digests):
         assert main(["density", "--config", cfg, flag]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _pinned_grid(p, mode, m, k, p_exp, seed):
+    rng = SplitMix64(seed)
+    dim = p ** (m + k)
+    window, function = ([[z.real, z.imag] for z in rng.complex_vector(dim)] for _ in range(2))
+    # signed zeros reach the transform as products with either sign of zero
+    function[1], function[2], window[3] = [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.5]
+    return {"group": {"p": p, "mode": mode}, "model": {"m": m, "k": k},
+            "window": {"type": "coeffs", "values": window},
+            "function": {"type": "coeffs", "values": function},
+            "task": {"p_exp": p_exp}}
+
+
+# stft and norms print floats, so these digests pin every bit of the transform
+# kernels (and of numpy's float arithmetic under them): a kernel rewrite that
+# rounds one grid entry differently changes a digest.  (stft, norms) per config.
+PINNED_GRIDS = {
+    "modular-2-dim16": (_pinned_grid(2, "modular", 2, 2, 1, 31),
+                        "662f7f1440e9326cfd2ad9925ab9c6b8f82ab76002fe4d9599fa162d641241ff",
+                        "2da0701dc6e3923156e7af8f1431b4916f07a943e8d9098d04d130b4b7edfc94"),
+    "modular-2-dim256": (_pinned_grid(2, "modular", 4, 4, 3, 32),
+                         "4ac2f9015c5789a1df25338421ca13eb298216ed53f336ca8bb2d828566d25cb",
+                         "56ea76870c55a51e6593822a41f74c11e5d0a28536427e02bbc293ae7f521ec6"),
+    "modular-3-dim27": (_pinned_grid(3, "modular", 2, 1, "inf", 33),
+                        "13650ec015faaaafa035e254fd4f8a21416f1a3cff9423332ead6de13d57d516",
+                        "94ee2087662125e9d3d96173cfce1cc92a59731b83ba7bb9219b8afc8a2cf970"),
+    "carry-2-dim64": (_pinned_grid(2, "carry", 3, 3, 2, 34),
+                      "862d3b1ec7ddffe27d57ed954ba4e550edaa2e183cd55b3a714eb166745cccb9",
+                      "8b90ddd52122811701c466136b5004a356c43ad2c0f25a37ebaff628881025a4"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_GRIDS))
+def test_stft_and_norms_output_bytes_are_pinned(tmp_path, capsys, case):
+    doc, *digests = PINNED_GRIDS[case]
+    cfg = write_config(tmp_path, "c.json", doc)
+    for command, digest in zip(("stft", "norms"), digests):
+        assert main([command, "--config", cfg]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

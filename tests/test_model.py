@@ -193,25 +193,22 @@ def test_stft_energy_identity():
 
 
 def test_stft_covariance_modulus():
-    # time-frequency shifting f permutes |V_g f| on the grid
+    # time-frequency shifting f permutes |V_g f| on the grid, in both modes
     rng = SplitMix64(10)
-    space = ModelSpace(P2, 2, 1)
-    f, g = rand_fn(space, rng), rand_fn(space, rng)
-    base = np.abs(stft(f, g).values)
-    u = space.index_section[5]
-    eta = space.dual.index_section[3]
-    shifted = np.abs(stft(modulate(translate(f, u), eta), g).values)
-    au = space.index_of(u)
-    bu = space.dual.index_of(eta)
-    n = space.dim
-    if space.params.mode == CARRY:
-        perm_rows = [(a - au) % n for a in range(n)]
-        perm_cols = [(b - bu) % n for b in range(n)]
-    else:
-        perm_rows = list(space.shift_table(np.array([au]))[0])
-        perm_cols = list(space.dual.shift_table(np.array([bu]))[0])
-    moved = base[np.ix_(perm_rows, perm_cols)]
-    assert np.max(np.abs(shifted - moved)) <= 1e-12
+    for params in (P2, P3, M2, M3):
+        space = ModelSpace(params, 2, 1)
+        f, g = rand_fn(space, rng), rand_fn(space, rng)
+        base = np.abs(stft(f, g).values)
+        u = space.index_section[5]
+        eta = space.dual.index_section[3]
+        shifted = np.abs(stft(modulate(translate(f, u), eta), g).values)
+        # row a moves to the index of x_a - u, column b to that of xi_b - eta
+        perm_rows = [space.index_of(x - u) for x in space.index_section]
+        perm_cols = [space.dual.index_of(xi - eta) for xi in space.dual.index_section]
+        assert perm_rows == list(space.shift_table(np.array([space.index_of(u)]))[0])
+        assert perm_cols == list(space.dual.shift_table(np.array([space.dual.index_of(eta)]))[0])
+        moved = base[np.ix_(perm_rows, perm_cols)]
+        assert np.max(np.abs(shifted - moved)) <= 1e-12, params
 
 
 def test_grid_values_are_locally_constant_via_embedding():
@@ -471,3 +468,57 @@ def test_dimension_one_spaces():
             f, g = rand_fn(space, rng), rand_fn(space, rng)
             assert same_bits(fourier(f).coeffs, f.coeffs)
             assert same_bits(stft(f, g).values[0], 1.0 * (f.coeffs * np.conj(g.coeffs)))
+
+
+def digit_loop_shift_table(space, ax):
+    """Row i: index of x_b - x_{ax[i]}, subtracting base-p digits mod p one place at a time."""
+    p = space.params.p
+    idx = np.arange(space.dim)
+    out = np.zeros((len(ax), space.dim), dtype=np.int64)
+    for j in range(space.m + space.k):
+        place = p**j
+        out += (idx // place - ax[:, np.newaxis] // place) % p * place
+    return out
+
+
+def test_modular_shift_table_matches_digit_loop():
+    # for p = 2 the table is an XOR; the digit loop is the oracle
+    for params in (M2, M3):
+        for width in range(11 if params.p == 2 else 6):
+            space = ModelSpace(params, width // 2, width - width // 2)
+            for ax in (np.arange(space.dim), np.arange(space.dim)[::-1][:64]):
+                assert same_bits(space.shift_table(ax), digit_loop_shift_table(space, ax)), (
+                    space, len(ax))
+
+
+def signed_zero_rows(dim, count, rng):
+    """Random rows with exact zeros and -0.0 in either part, including a pair of
+    complex(-0.0, -0.0) at indices 0 and 1 (the two members of a digit-0 pair),
+    and real-only rows."""
+    rows = np.stack([rng.complex_vector(dim) for _ in range(count)])
+    zeros = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    for r in range(count):
+        for _ in range(max(1, dim // 4)):
+            rows[r, rng.next_below(dim)] = zeros[rng.next_below(4)]
+        if r % 3 == 1:
+            rows[r] = rows[r].real  # real-only row: every imaginary part is +0.0
+        elif r % 3 == 2:
+            rows[r].imag = -0.0
+    rows[0, :2] = complex(-0.0, -0.0)
+    return rows
+
+
+def test_binary_transform_matches_einsum_bits():
+    # the p = 2 butterfly against the per-digit einsum, sign of zero included
+    rng = SplitMix64(24)
+    for width in range(1, 11):
+        space = ModelSpace(M2, width // 2, width - width // 2)
+        batch = signed_zero_rows(space.dim, 64, rng)
+        out = space.raw_dual_sums(batch)
+        for r in range(0, 64, 1 if space.dim <= 64 else 9):
+            assert same_bits(out[r], reference_dual_sums(space, batch[r])), (space, r)
+        assert same_bits(space.raw_dual_sums(batch[:1])[0], out[0]), space
+        for vec in batch[:3]:
+            assert same_bits(space.raw_dual_sums(vec), reference_dual_sums(space, vec)), space
+    zeros = np.array([complex(-0.0, -0.0)] * 4)
+    assert same_bits(ModelSpace(M2, 1, 1).raw_dual_sums(zeros), np.zeros(4, dtype=complex))
