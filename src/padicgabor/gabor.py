@@ -65,7 +65,7 @@ class GaborSystem:
 
     @cached_property
     def spectrum(self):
-        """hermitian_eigs of the frame operator: (values, residual, sweeps, vectors)."""
+        """hermitian_eigs of the frame operator: (values, error bound, sweeps, vectors)."""
         return hermitian_eigs(HermitianMatrix(frame_operator(self)))
 
 

@@ -247,12 +247,13 @@ def _radix_dft(rows: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
     size = 1
     while size < n:
         groups = n // (size * p)
-        sub = out.reshape(count, p, groups, size)
+        sub = out.reshape(count, p, groups, 1, size)
         twiddles = roots[::groups]
         idx = np.arange(size * p)
-        out = np.zeros((count, groups, size * p), dtype=complex)
+        # output position q * size + t of each group takes sub[:, r, :, 0, t] for every q
+        out = np.zeros((count, groups, p, size), dtype=complex)
         for r in range(p):
-            out += twiddles[(r * idx) % (size * p)] * np.tile(sub[:, r], (1, 1, p))
+            out += twiddles[(r * idx) % (size * p)].reshape(p, size) * sub[:, r]
         size *= p
     return out.reshape(count, n)
 
@@ -417,26 +418,12 @@ def _cell_sups(grid: StftGrid) -> np.ndarray:
 
 
 def wiener_norm(grid: StftGrid, p_exp) -> float:
-    """l^p sum over unit cells of local sups (the amalgam-space norm)."""
+    """l^p sum over unit cells of local sups; cells have measure 1, so also the amalgam integral."""
     p_exp = _check_exponent(p_exp)
     sups = _cell_sups(grid)
     if math.isinf(p_exp):
         return float(np.max(sups))
     return float(np.sum(sups**p_exp) ** (1.0 / p_exp))
-
-
-def wiener_norm_amalgam(grid: StftGrid, p_exp) -> float:
-    """Integral form of the amalgam norm: sum of sup^p times cell measure 1.
-
-    Equals wiener_norm exactly (not just approximately): the unit cells have
-    Haar measure one, so the integrand is the same term-by-term sum.
-    """
-    p_exp = _check_exponent(p_exp)
-    sups = _cell_sups(grid)
-    cell_measure = 1.0
-    if math.isinf(p_exp):
-        return float(np.max(sups))
-    return float(np.sum(sups**p_exp * cell_measure) ** (1.0 / p_exp))
 
 
 def embed(f: ModelFunction, m_new: int, k_new: int) -> ModelFunction:

@@ -6,6 +6,8 @@ one PASS/FAIL line per criterion (visible with `pytest -s` or on failure).
 
 import pytest
 
+from padicgabor import model, verify
+from padicgabor.rng import SplitMix64
 from padicgabor.verify import CHECKS, run_suite
 
 _RESULTS = None
@@ -46,3 +48,26 @@ def test_criterion(name):
     result = suite_results()[name]
     print(result.line())
     assert result.passed, result.line()
+
+
+def _cells_over_wrong_axes(grid):
+    space = grid.space
+    p = space.params.p
+    blocks = grid.magnitudes.reshape(p**space.k, p**space.m, p**space.m, p**space.k)
+    return blocks.max(axis=(1, 3))
+
+
+def _cells_keyed_by_high_digits(grid):
+    space = grid.space
+    p = space.params.p
+    blocks = grid.magnitudes.reshape(p**space.m, p**space.k, p**space.k, p**space.m)
+    return blocks.max(axis=(1, 3))
+
+
+@pytest.mark.parametrize("mutant", [_cells_over_wrong_axes, _cells_keyed_by_high_digits])
+@pytest.mark.parametrize("size", ["small", "full"])
+def test_wiener_two_route_equality_sees_wrong_cells(monkeypatch, mutant, size):
+    # the second route keys cells by group arithmetic, so a wrong cell layout shows
+    monkeypatch.setattr(model, "_cell_sups", mutant)
+    result = verify.check_wiener_two_route_equality((2, 3), size, SplitMix64(verify.DEFAULT_SEED))
+    assert not result.passed, result.line()

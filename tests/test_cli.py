@@ -731,3 +731,54 @@ def test_stft_and_norms_output_bytes_are_pinned(tmp_path, capsys, case):
     for command, digest in zip(("stft", "norms"), digests):
         assert main([command, "--config", cfg]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _pinned_frame(seed):
+    """p = 3 carry at dim 27: a random coeffs window and 40 explicit phase points."""
+    rng = SplitMix64(seed)
+    space = ModelSpace(GroupParams(3, CARRY), 2, 1)
+    window = [[z.real, z.imag] for z in rng.complex_vector(space.dim)]
+    xs, xis = space.index_section, space.dual.index_section
+    points = [[xs[rng.next_below(len(xs))].text(), xis[rng.next_below(len(xis))].text()]
+              for _ in range(40)]
+    return {"group": {"p": 3, "mode": "carry"}, "model": {"m": 2, "k": 1},
+            "window": {"type": "coeffs", "values": window},
+            "lambda": {"ambient": "phase", "type": "explicit", "points": points}}
+
+
+# frame prints its bounds, and verify its measured floats, so these digests pin
+# the Jacobi eigenvalues and every kernel under the paper checks bit for bit
+PINNED_FRAMES = {
+    "onb-carry-2": (FRAME_ONB,
+                    "9f0d80ff5f944dc9e76f3f6a42a9972c11d5455863dff9db7aa250ef5d3ebdea"),
+    "tight-modular-3": ({**FRAME_TIGHT, "group": {"p": 3, "mode": "modular"}},
+                        "a4316bbac16846a5f78fd818b4287e74f02d22bf0145f2af12f86128a0f4f908"),
+    "incomplete-carry-2": ({**FRAME_ONB, "lambda": {
+        "ambient": "phase", "type": "product-sections",
+        "x": {"outer": 2, "inner": 0}, "xi": {"outer": 2, "inner": 1}}},
+        "918c6005680ae738cdb07d7a4729da9904e7eda56897ce15a975a72135fda79d"),
+    "random-carry-3-dim27": (_pinned_frame(35),
+                             "910d2fc2d7f46b12f78621d3959a28d1f753e3bc75b37aafb70c6233b41a5765"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_FRAMES))
+def test_frame_output_bytes_are_pinned(tmp_path, capsys, case):
+    doc, digest = PINNED_FRAMES[case]
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["frame", "--config", cfg]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+PINNED_VERIFY_SMALL = (  # (stdout, --out)
+    "7a70c9774b22baa414e9f24d233d6c7ae20fdad57ef394cc312c8d9ac0261116",
+    "5a065c14eb226eb0d200dae76bd7628efd48167260899ccbecfdbd9dc7088527",
+)
+
+
+def test_verify_small_output_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert main(["verify", "--suite", "paper", "--sizes", "small", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (stdout, out.read_text()))
+    assert digests == PINNED_VERIFY_SMALL

@@ -119,9 +119,9 @@ def test_construction_validation():
 
 
 def test_zero_matrix():
-    vals, res, _, _ = hermitian_eigs(HermitianMatrix(np.zeros((3, 3))))
+    vals, bound, _, _ = hermitian_eigs(HermitianMatrix(np.zeros((3, 3))))
     assert np.array_equal(vals, np.zeros(3))
-    assert res == 0.0
+    assert bound == 0.0
 
 
 def cyclic_jacobi(matrix, sweeps=60, tol=1e-30):
@@ -176,7 +176,7 @@ def cyclic_jacobi(matrix, sweeps=60, tol=1e-30):
 
 def assert_matches_reference(m):
     """Eigenvalues against the cyclic reference; residual and unitarity of V."""
-    vals, vecs, _ = _jacobi(m)
+    vals, vecs, _, _ = _jacobi(m)
     ref, _ = cyclic_jacobi(m)
     scale = max(1.0, float(np.max(np.abs(ref))))
     assert np.max(np.abs(np.sort(vals) - np.sort(ref))) <= 1e-12 * scale
@@ -223,7 +223,7 @@ def test_dead_pairs_get_identity_rotations():
     small = 1e-4 * random_hermitian(6, rng).entries
     m = np.diag(np.arange(1.0, 7.0)) + small - np.diag(np.diagonal(small))
     m[0, 1] = m[1, 0] = 0.5
-    vals, vecs, _ = _jacobi(m, tol=1e-3)
+    vals, vecs, _, _ = _jacobi(m, tol=1e-3)
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(6))) <= 1e-12
     assert np.max(np.abs(vecs[2:, 2:] - np.eye(4))) == 0.0  # only the (0, 1) pair rotated
 
@@ -244,5 +244,20 @@ def test_sweep_cap_raises_convergence_error():
     with pytest.raises(ConvergenceError) as exc:
         _jacobi(m, sweeps=1)
     assert exc.value.sweeps == 1
-    _, _, sweeps = _jacobi(m)
+    _, _, sweeps, _ = _jacobi(m)
     assert 1 < sweeps < 60
+
+
+@pytest.mark.parametrize("tol", [1e-30, 1e-3])
+def test_error_bound_covers_the_eigenvalues(tol):
+    # Weyl: each eigenvalue lies within the exit off-diagonal norm of a true one;
+    # eps * ||M|| allows for rounding in the rotations, which the bound leaves out
+    rng = np.random.default_rng(9)
+    for n in (2, 5, 9, 16, 27):
+        m = random_hermitian(n, rng).entries
+        vals, _, _, off = _jacobi(m, tol=tol)
+        ref, _ = cyclic_jacobi(m)
+        allowance = 64 * n * np.finfo(float).eps * np.linalg.norm(m)
+        assert np.max(np.abs(np.sort(vals) - np.sort(ref))) <= off + allowance
+        assert off <= tol * np.linalg.norm(m) * n
+    assert hermitian_eigs(HermitianMatrix(m))[1] == _jacobi(m)[3]  # slot 1 is the bound

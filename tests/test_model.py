@@ -31,9 +31,9 @@ from padicgabor.model import (
     stft,
     translate,
     wiener_norm,
-    wiener_norm_amalgam,
 )
 from padicgabor.rng import SplitMix64
+from padicgabor.verify import _keyed_wiener_norm
 
 P2 = GroupParams(2, CARRY)
 P3 = GroupParams(3, CARRY)
@@ -257,12 +257,13 @@ def test_wiener_norm_examples():
 
 
 def test_wiener_two_routes_identical():
+    # the verify route keys unit cells by coset_rep and anchored_int, not by index layout
     rng = SplitMix64(13)
-    for params, m, k in SPACES:
+    for params, m, k in SPACES + ((P3, 2, 1), (M2, 1, 2), (M3, 2, 1)):
         space = ModelSpace(params, m, k)
         grid = stft(rand_fn(space, rng), rand_fn(space, rng))
         for p_exp in (1, 1.5, 2, 3, math.inf):
-            assert wiener_norm(grid, p_exp) == wiener_norm_amalgam(grid, p_exp)
+            assert wiener_norm(grid, p_exp) == _keyed_wiener_norm(grid, p_exp)
 
 
 def test_wiener_dominates_modulation_at_two():
