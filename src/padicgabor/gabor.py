@@ -6,9 +6,11 @@ operator S f = sum <f, v> v is assembled as a dim x dim Hermitian matrix
 acting on coefficient vectors with the coset measure folded in; its
 extreme eigenvalues are the frame bounds of the system for the model
 space, the natural desk-scale reading of "frame for L^2".  Each system
-diagonalizes S once (GaborSystem.spectrum); bounds, rank, the ONB test, the
-canonical dual and the Riesz test all read that one decomposition, and no
-count x count Gram is formed for them.  Classification:
+diagonalizes S at most once.  Bounds, rank and the ONB test need only
+eigenvalues (GaborSystem.values_spectrum); the canonical dual and the Riesz
+test of a square system need vectors (GaborSystem.spectrum), and they take
+the full decomposition before any bound is read, so the bounds read it too.
+No count x count Gram is formed for them.  Classification:
 
 * ONB         -- count == dim and S = I: for square W, mu W W* = I iff
   mu W* W = I, and ||G - I||_2 = ||S - I||_2 = max |lambda - 1|;
@@ -67,6 +69,12 @@ class GaborSystem:
     def spectrum(self):
         """hermitian_eigs of the frame operator: (values, error bound, sweeps, vectors)."""
         return hermitian_eigs(HermitianMatrix(frame_operator(self)))
+
+    @cached_property
+    def values_spectrum(self):
+        """spectrum if it is already cached, else a values-only one (vectors None)."""
+        full = self.__dict__.get("spectrum")
+        return full or hermitian_eigs(HermitianMatrix(frame_operator(self)), vectors=False)
 
 
 def build(window: ModelFunction, lam: PointSet) -> GaborSystem:
@@ -151,7 +159,7 @@ class GaborReport:
 
 def frame_bounds(sys: GaborSystem) -> GaborReport:
     """Extreme eigenvalues of the frame operator plus the classification."""
-    vals, _, sweeps, _ = sys.spectrum
+    vals, _, sweeps, _ = sys.values_spectrum
     upper = float(vals[-1])
     lower = max(float(vals[0]), 0.0)
     cutoff = RANK_TOL * max(1.0, upper)
@@ -194,8 +202,11 @@ def reconstruct(sys: GaborSystem, duals: np.ndarray, f: ModelFunction) -> ModelF
 def riesz_check(sys: GaborSystem, tol: float = 1e-8) -> bool:
     """True iff the system is a Riesz basis: invertible Gram and biorthogonal dual.
 
-    The Gram of a spanning system is invertible iff the system is square.
+    The Gram of a spanning system is invertible iff the system is square.  A square system
+    takes the full spectrum first, so the bounds and the dual share one decomposition.
     """
+    if sys.count == sys.dim:
+        sys.spectrum
     report = frame_bounds(sys)
     if report.rank < sys.dim:
         raise RankDeficiencyError(report.lower, RANK_TOL * max(1.0, report.upper))

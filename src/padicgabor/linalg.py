@@ -7,9 +7,12 @@ operations.  Dimensions in this package stay in the low hundreds, so the
 O(n^3) sweeps are plenty; no external eigensolver is called, and the
 rotations use elementwise numpy arithmetic and einsum, not BLAS, so they do
 not depend on thread count.  A matrix that does not converge within the
-sweep cap raises ConvergenceError.  hermitian_eigs is the one decomposition
-entry point; solve_hermitian solves from a decomposition it returned, so a
-caller that needs both the spectrum and solves diagonalizes once.
+sweep cap raises ConvergenceError.  A and V^H are separate arrays, and the
+rotations are fixed by A alone (Demmel & Veselic 1992), so a values-only
+decomposition never touches V and gives the same eigenvalue bits.
+hermitian_eigs is the one decomposition entry point; solve_hermitian solves
+from a decomposition it returned with vectors, so a caller that needs both
+the spectrum and solves diagonalizes once.
 """
 
 from __future__ import annotations
@@ -75,9 +78,10 @@ def _rounds(n: int) -> list[tuple[np.ndarray, ...]]:
 
     Players sit on a circle with slot 0 fixed and the rest turning by one
     each round; odd n adds a bye slot whose pair sits out.  Round r is the
-    tuple (pairs, offsets of a_ij, float offsets of the real parts of a_ii
-    then a_jj, float offsets of a_ij and a_ji, those plus the imaginary parts
-    of a_ii and a_jj), offsets taken in the n x 2n array [A | V^H].
+    tuple (pairs (i, j), the same pairs as two index rows (the i's, the
+    j's), offsets of a_ij, float offsets of the real parts of a_ii then a_jj,
+    float offsets of a_ij and a_ji, those plus the imaginary parts of a_ii and
+    a_jj), offsets taken in the n x n array A.
     """
     slots = n + n % 2
     ring = list(range(slots))
@@ -86,41 +90,47 @@ def _rounds(n: int) -> list[tuple[np.ndarray, ...]]:
         pairs = [(ring[t], ring[slots - 1 - t]) for t in range(slots // 2)]
         rows.append(sorted((min(a, b), max(a, b)) for a, b in pairs if max(a, b) < n))
         ring = [ring[0], ring[-1]] + ring[1:-1]
-    pairs = np.array(rows, dtype=np.intp)
-    i, j = pairs[..., 0], pairs[..., 1]
-    ij, ji = i * 2 * n + j, j * 2 * n + i
-    diag = np.concatenate([i, j], axis=1) * (2 * n + 1)
+    rows = np.ascontiguousarray(np.array(rows, dtype=np.intp).transpose(0, 2, 1))
+    i, j = rows[:, 0], rows[:, 1]
+    ij, ji = i * n + j, j * n + i
+    diag = np.concatenate([i, j], axis=1) * (n + 1)
     off = np.concatenate([2 * ij, 2 * ij + 1, 2 * ji, 2 * ji + 1], axis=1)
     clear = np.concatenate([off, 2 * diag + 1], axis=1)
-    return list(zip(pairs, ij, 2 * diag, off, clear))
+    return list(zip(rows.transpose(0, 2, 1), rows, ij, 2 * diag, off, clear))
 
 
-def _jacobi(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-30):
+def _jacobi(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-30, vectors: bool = True):
     """Parallel-order Jacobi diagonalization with unitary 2x2 rotations.
 
     Returns (diag, unitary V, sweeps run, off) with M = V (D + E) V^H, E the
-    off-diagonal part left at exit and off its Frobenius norm.  A sweep is the
-    rounds of _rounds(n); the rotations of a round act on disjoint pairs, so
-    they commute and are applied together.  With U the round's block
-    rotation, the rows of [A | V^H] go to U^H [A | V^H], then A to its
-    conjugate transpose, whose rows go to U^H once more: A <- U^H A U and
-    V <- V U, with row operations only.  Entries at most tol * ||A|| get the
-    identity rotation and are set to zero.  Raises ConvergenceError if the
-    off-diagonal norm still exceeds that threshold times n after the last
-    allowed sweep.
+    off-diagonal part left at exit and off its Frobenius norm; V is None when
+    vectors is False.  A sweep is the rounds of _rounds(n); the rotations of a
+    round act on disjoint pairs, so they commute and are applied together.
+    A and V^H are separate n x n arrays.  With U the round's block rotation,
+    the rows of A go to U^H A, A to its conjugate transpose, whose rows go to
+    U^H once more: A <- U^H A U, with row operations only.  The rotations are
+    fixed by A alone, so the rows of V^H go to U^H V^H (V <- V U) only when
+    vectors are asked for, and the eigenvalues are the same bits either way.
+    Entries at most tol * ||A|| get the identity rotation and are set to
+    zero.  Raises ConvergenceError if the off-diagonal norm still exceeds that
+    threshold times n after the last allowed sweep.
     """
     n = matrix.shape[0]
-    both = np.concatenate([matrix.astype(complex), np.eye(n, dtype=complex)], axis=1)
-    a = both[:, :n]
-    flat = both.reshape(-1)
-    floats = flat.view(float)
+    a = np.array(matrix, dtype=complex, order="C")
+    vh = np.eye(n, dtype=complex) if vectors else None
     if n == 1:
-        return a.real.diagonal().copy(), np.eye(1, dtype=complex), 0, 0.0
+        return a.real.diagonal().copy(), vh, 0, 0.0
     norm = np.linalg.norm(a)
     if norm == 0.0:
-        return np.zeros(n), np.eye(n, dtype=complex), 0, 0.0
+        return np.zeros(n), vh, 0, 0.0
+    flat = a.reshape(-1)
+    floats = flat.view(float)
     thresh = tol * norm
     half = n // 2
+    # one work array, made once: an n x n temporary made every round can cost
+    # fresh pages from the allocator at large n (dim 256 ran twice as long)
+    work = np.empty(n * n, dtype=complex)
+    rotated, spare = work[: 2 * half * n].reshape(2, half, n), work.reshape(n, n)
     done = 0
     while True:
         off = np.sqrt(np.sum(np.abs(a - np.diag(np.diagonal(a))) ** 2))
@@ -129,7 +139,7 @@ def _jacobi(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-30):
         if done == sweeps:
             raise ConvergenceError(done, float(off), thresh * n)
         done += 1
-        for pairs, ij, diag, offdiag, clear in _rounds(n):
+        for _, rows, ij, diag, offdiag, clear in _rounds(n):
             z = flat[ij]
             az = np.abs(z)
             dead = az <= thresh
@@ -150,25 +160,28 @@ def _jacobi(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-30):
             np.putmask(s, dead, 0.0)
             # U = [[c, s], [-conj(s), c]] on columns (i, j); uh[l, k] is U^H per pair
             uh = np.array([[c, -s], [np.conj(s), c]])
-            both[pairs] = np.einsum("lkh,hkc->hlc", uh, both[pairs])
-            a[...] = a.conj().T
-            a[pairs] = np.einsum("lkh,hkc->hlc", uh, a[pairs])
+            a[rows] = np.einsum("lkh,khc->lhc", uh, a[rows], out=rotated)
+            if vectors:
+                vh[rows] = np.einsum("lkh,khc->lhc", uh, vh[rows], out=rotated)
+            a[...] = np.conjugate(a, out=spare).T
+            a[rows] = np.einsum("lkh,khc->lhc", uh, a[rows], out=rotated)
             floats[clear] = 0.0
-    return np.diagonal(a).real.copy(), both[:, n:].conj().T, done, float(off)
+    return np.diagonal(a).real.copy(), vh.conj().T if vectors else None, done, float(off)
 
 
-def hermitian_eigs(matrix: HermitianMatrix):
-    """(eigenvalues ascending, error bound, Jacobi sweeps, vectors).
+def hermitian_eigs(matrix: HermitianMatrix, vectors: bool = True):
+    """(eigenvalues ascending, error bound, Jacobi sweeps, vectors or None).
 
-    The vectors are the matching orthonormal eigenvector columns.  The bound is _jacobi's off:
-    by Weyl's inequality each eigenvalue lies within it of an eigenvalue of the final rotated
-    matrix.  Rounding in the rotations is not covered by it.
+    The vectors are the matching orthonormal eigenvector columns; with vectors=False slot 3 is
+    None and V is never rotated.  The bound is _jacobi's off: by Weyl's inequality each eigenvalue
+    lies within it of an eigenvalue of the final rotated matrix.  Rounding in the rotations is not
+    covered by it.
     """
     if matrix.dim < 1:
         raise ValueError("dimension must be >= 1")
-    vals, vecs, sweeps, off = _jacobi(matrix.entries)
+    vals, vecs, sweeps, off = _jacobi(matrix.entries, vectors=vectors)
     order = np.argsort(vals, kind="stable")
-    return vals[order], off, sweeps, vecs[:, order]
+    return vals[order], off, sweeps, None if vecs is None else vecs[:, order]
 
 
 def solve_hermitian(eigs, rhs, tol: float = 1e-9):
@@ -177,6 +190,8 @@ def solve_hermitian(eigs, rhs, tol: float = 1e-9):
     rhs may be a vector or a matrix of stacked right-hand sides (columns).
     """
     vals, _, _, vecs = eigs
+    if vecs is None:
+        raise ValueError("solve_hermitian needs eigenvectors: pass hermitian_eigs(M, vectors=True)")
     top = float(np.max(np.abs(vals)))
     cutoff = tol * max(1.0, top)
     small = float(np.min(np.abs(vals)))

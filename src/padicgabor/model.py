@@ -381,10 +381,12 @@ def stft(f: ModelFunction, g: ModelFunction) -> StftGrid:
     measure = space.coset_measure
     for start in range(0, n, STFT_BLOCK):
         stop = min(start + STFT_BLOCK, n)
-        shifted = g.coeffs[space.shift_table(np.arange(start, stop))]
-        if n == 1:
-            shifted = shifted[0]  # numpy rounds length-1 rows of a 2-D product differently
-        values[start:stop] = measure * space.raw_dual_sums(f.coeffs * np.conj(shifted))
+        shifted = g.coeffs[space.shift_table(np.arange(start, stop))]  # a fresh gather
+        if n == 1:  # numpy rounds a length-1 product differently in 2-D rows or in place
+            shifted = f.coeffs * np.conj(shifted[0])
+        else:
+            np.multiply(f.coeffs, np.conjugate(shifted, out=shifted), out=shifted)
+        np.multiply(measure, space.raw_dual_sums(shifted), out=values[start:stop])
     return StftGrid(space, values)
 
 

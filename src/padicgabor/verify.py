@@ -184,7 +184,7 @@ def check_tight_frame_constant(p_list, size, rng) -> CheckResult:
             continue
         sys = _tight_lattice_system(p, mode)
         expected = float(p * p)
-        vals = sys.spectrum[0]
+        vals = sys.values_spectrum[0]
         dev = float(np.max(np.abs(vals - expected)))
         worst = max(worst, dev)
         if dev > 1e-9:
@@ -384,8 +384,8 @@ def check_dual_reconstruction(p_list, size, rng) -> CheckResult:
         )
         lam = PointSet.phase(_modulation_ladder_points(space, 0).points + extra, space.params)
         sys = build(chi, lam)
+        duals = canonical_dual(sys)  # before frame_bounds: both read the one full spectrum
         report = frame_bounds(sys)
-        duals = canonical_dual(sys)
         for _ in range(draws):
             f = _random_function(space, rng)
             err = (reconstruct(sys, duals, f) - f).norm() / f.norm()
@@ -507,6 +507,8 @@ def check_frame_density_necessity(p_list, size, rng) -> CheckResult:
         systems.append((sys, sys.window.space.m, False))
         used.append(f"p={p} {mode} lattice")
     for sys, region, expect_riesz in systems:
+        if expect_riesz:
+            sys.spectrum  # riesz_check's dual needs the vectors; frame_bounds reads them too
         report = frame_bounds(sys)
         if report.classification not in ("ONB", "TightFrame", "Frame"):
             ok = False

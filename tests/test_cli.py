@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from padicgabor import cli, gabor
+from padicgabor import cli, gabor, linalg
 from padicgabor.cli import main
 from padicgabor.linalg import ConvergenceError
 from padicgabor.localfield import CARRY, MAX_BODY_DIGITS, MODULAR, GroupParams
@@ -434,7 +434,7 @@ def test_frame_bad_config_exits_2(tmp_path, capsys, doc):
 
 
 def test_eigensolver_failure_exits_1(tmp_path, capsys, monkeypatch):
-    def no_convergence(matrix):
+    def no_convergence(matrix, vectors=True):
         raise ConvergenceError(60, 1.0, 1e-29)
 
     monkeypatch.setattr(gabor, "hermitian_eigs", no_convergence)
@@ -450,9 +450,9 @@ def test_frame_dim_at_the_cap_is_accepted(tmp_path, capsys, monkeypatch):
     # dim 256 = MAX_FRAME_DIM reaches the eigensolver; the stub stands in for its sweeps
     dims = []
 
-    def diagonal(matrix):
+    def diagonal(matrix, vectors=True):
         dims.append(matrix.dim)
-        return np.sort(np.diag(matrix.entries).real), 0.0, 0, np.eye(matrix.dim)
+        return np.sort(np.diag(matrix.entries).real), 0.0, 0, np.eye(matrix.dim) if vectors else None
 
     monkeypatch.setattr(gabor, "hermitian_eigs", diagonal)
     side = {"outer": 4, "inner": 0}
@@ -768,6 +768,44 @@ def test_frame_output_bytes_are_pinned(tmp_path, capsys, case):
     cfg = write_config(tmp_path, "c.json", doc)
     assert main(["frame", "--config", cfg]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _record_jacobi(monkeypatch):
+    """The vectors flag of every _jacobi call, in call order."""
+    asked = []
+    jacobi = linalg._jacobi
+
+    def recorded(matrix, *args, **kwargs):
+        asked.append(kwargs.get("vectors", True))
+        return jacobi(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_jacobi", recorded)
+    return asked
+
+
+@pytest.mark.parametrize("case", list(PINNED_FRAMES))
+def test_frame_never_asks_for_vectors(tmp_path, capsys, monkeypatch, case):
+    asked = _record_jacobi(monkeypatch)
+    cfg = write_config(tmp_path, "c.json", PINNED_FRAMES[case][0])
+    assert main(["frame", "--config", cfg]) == 0
+    assert asked == [False]
+
+
+def test_verify_runs_one_jacobi_per_system(capsys, monkeypatch):
+    # every decomposition starts from frame_operator; the list keeps each system alive, so
+    # distinct ids mean no system was decomposed twice
+    asked = _record_jacobi(monkeypatch)
+    systems = []
+    frame_operator = gabor.frame_operator
+
+    def recorded(sys):
+        systems.append(sys)
+        return frame_operator(sys)
+
+    monkeypatch.setattr(gabor, "frame_operator", recorded)
+    assert main(["verify", "--suite", "paper", "--sizes", "full"]) == 0
+    assert len(asked) == len(systems) <= 39
+    assert len({id(sys) for sys in systems}) == len(systems)
 
 
 PINNED_VERIFY_SMALL = (  # (stdout, --out)

@@ -370,28 +370,39 @@ def test_analysis_products_match_inner_loops():
 
 
 def test_one_decomposition_per_system(monkeypatch):
-    calls = {"eigs": 0, "jacobi": 0, "gram": 0}
+    # a dual or a square Riesz test takes the full spectrum first, and every later call
+    # reads it; the bounds alone take a values-only one; no call forms the Gram
+    asked, grams = [], []
+    jacobi = linalg._jacobi
 
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def recorded(matrix, *args, **kwargs):
+        asked.append(kwargs.get("vectors", True))
+        return jacobi(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(gabor, "hermitian_eigs", counted("eigs", gabor.hermitian_eigs))
-    monkeypatch.setattr(linalg, "_jacobi", counted("jacobi", linalg._jacobi))
-    monkeypatch.setattr(gabor, "gram", counted("gram", gabor.gram))
+    monkeypatch.setattr(linalg, "_jacobi", recorded)
+    monkeypatch.setattr(gabor, "gram", lambda sys: grams.append(sys))
     space = ModelSpace(P2, 2, 2)
     chi = indicator(space)
     extra = ((space.index_section[3], space.dual.index_section[5]),)
     for points, riesz in ((onb_points(space), True),
                           (PointSet.phase(onb_points(space).points + extra, P2), False)):
+        for first in (canonical_dual, riesz_check):
+            sys = build(chi, points)
+            asked.clear()
+            first(sys)
+            frame_bounds(sys)
+            full = riesz or first is canonical_dual  # a non-square Riesz test needs no dual
+            if full:
+                canonical_dual(sys)
+            assert riesz_check(sys) is riesz
+            frame_bounds(sys)
+            assert asked == [full]
         sys = build(chi, points)
-        calls.update(eigs=0, jacobi=0, gram=0)
+        asked.clear()
         frame_bounds(sys)
-        canonical_dual(sys)
-        assert riesz_check(sys) is riesz
-        assert calls == {"eigs": 1, "jacobi": 1, "gram": 0}
+        frame_bounds(sys)
+        assert asked == [False]
+    assert grams == []
 
 
 def test_square_non_onb_classification_and_defect():

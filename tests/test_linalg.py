@@ -106,6 +106,17 @@ def test_singular_solve_reports_eigenvalue():
     assert exc.value.eigenvalue <= exc.value.tol
 
 
+def test_values_only_decomposition():
+    rng = np.random.default_rng(10)
+    m = random_hermitian(7, rng)
+    vals, bound, sweeps, vecs = hermitian_eigs(m, vectors=False)
+    assert vecs is None
+    full = hermitian_eigs(m)
+    assert vals.tobytes() == full[0].tobytes() and (bound, sweeps) == full[1:3]
+    with pytest.raises(ValueError, match="eigenvectors"):
+        solve_hermitian((vals, bound, sweeps, vecs), np.ones(7))
+
+
 def test_construction_validation():
     with pytest.raises(ValueError):
         HermitianMatrix(np.ones((2, 3)))
@@ -174,8 +185,18 @@ def cyclic_jacobi(matrix, sweeps=60, tol=1e-30):
     return np.diagonal(a).real.copy(), v
 
 
+def assert_values_only_matches(m, **kwargs):
+    """_jacobi without vectors: the same eigenvalue bytes, sweeps and off, and V is None."""
+    vals, vecs, sweeps, off = _jacobi(m, **kwargs)
+    only, none, only_sweeps, only_off = _jacobi(m, vectors=False, **kwargs)
+    assert none is None and vecs is not None
+    assert only.tobytes() == vals.tobytes()
+    assert (only_sweeps, only_off) == (sweeps, off)
+
+
 def assert_matches_reference(m):
     """Eigenvalues against the cyclic reference; residual and unitarity of V."""
+    assert_values_only_matches(m)
     vals, vecs, _, _ = _jacobi(m)
     ref, _ = cyclic_jacobi(m)
     scale = max(1.0, float(np.max(np.abs(ref))))
@@ -223,6 +244,7 @@ def test_dead_pairs_get_identity_rotations():
     small = 1e-4 * random_hermitian(6, rng).entries
     m = np.diag(np.arange(1.0, 7.0)) + small - np.diag(np.diagonal(small))
     m[0, 1] = m[1, 0] = 0.5
+    assert_values_only_matches(m, tol=1e-3)
     vals, vecs, _, _ = _jacobi(m, tol=1e-3)
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(6))) <= 1e-12
     assert np.max(np.abs(vecs[2:, 2:] - np.eye(4))) == 0.0  # only the (0, 1) pair rotated
