@@ -315,6 +315,7 @@ def cmd_density(args, out) -> int:
                 for row in rep.rows
             ],
         }
+    del lam  # its keys and last count are not needed to write the result
     out.write(prof.table() + "\n" if args.table else _dumps(doc))
     return 0
 

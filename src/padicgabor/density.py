@@ -8,11 +8,19 @@ the exact rational ratios count / measure.
 
 Within a region A^R H the scale-n ball of x is keyed by the exact integer
 x*p^R mod p^(R-n), which is the index of its coset in the canonical section
-of A^R H / A^n H.  Each point set computes x*p^R once per coordinate, so a
-scale costs one ``mod`` per point and one ``Counter``; a phase point's key
-is k_x + p^(R-n) * k_xi.  Keys of point sets in one region share the
-anchor, so the per-ball counts of a multiset union are the sums of its parts'
-counts, and a union is profiled as the concatenation of its parts.
+of A^R H / A^n H; a phase point's key is k_x + p^(R-n) * k_xi.  Keys of
+point sets in one region share the anchor, so the per-ball counts of a
+multiset union are the sums of its parts' counts, and a union is profiled as
+the concatenation of its parts.
+
+The balls nest: a scale-n ball is the union of p^(d(n-k)) scale-k balls for
+k < n, and its key is the finer key reduced mod p^(R-n) (per axis for phase
+keys).  A point set computes x*p^R once per coordinate and counts the keys of
+one scale with one ``Counter``; every coarser scale of the same region is
+then a fold of the last count, which costs one step per distinct ball rather
+than one per point.  Each (scale, region) is counted at most once per point
+set: its (max, min, distinct) triple is kept, and of the counts themselves
+only the last.
 
 The maximum is taken over all balls of the ambient space (balls missing the
 set contribute 0 only to the minimum side).  Because any finite set makes the
@@ -29,7 +37,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .geometry import anchored_int
 from .localfield import GroupParams
 
 GROUP = "group"
@@ -48,17 +55,17 @@ class PointSet:
     points: tuple
     params: GroupParams
     _ints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (n, region) -> (max, min, distinct) per-ball counts, and the last count to fold
+    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ambient not in (GROUP, PHASE):
             raise ValueError(f"ambient must be {GROUP!r} or {PHASE!r}")
         object.__setattr__(self, "points", tuple(self.points))
         params = self.params
-        if self.ambient == GROUP:
-            foreign = any(x.params != params for x in self.points)
-        else:
-            foreign = any(x.params != params or xi.params != params for x, xi in self.points)
-        if foreign:
+        # points mostly share the params object itself, which spares the field compare
+        if any(c.params is not params and c.params != params for c in self._flat()):
             raise ValueError("every coordinate of every point must lie in the group of params")
 
     @staticmethod
@@ -75,11 +82,16 @@ class PointSet:
     def _coords(self, pt) -> tuple:
         return (pt,) if self.ambient == GROUP else pt
 
+    def _flat(self):
+        """Every coordinate, in order; a phase point must be a pair."""
+        if self.ambient == GROUP:
+            return self.points
+        return (c for x, xi in self.points for c in (x, xi))
+
     @cached_property
     def _finest(self) -> int | None:
         """Least R with every coordinate in A^R H; None when all coordinates are zero."""
-        vals = [c.valuation() for pt in self.points for c in self._coords(pt) if not c.is_zero()]
-        return -min(vals) if vals else None
+        return max((c.vexp for c in self._flat() if c.num), default=None)  # valuation -vexp
 
     def ball_keys(self, n: int, region: int) -> list[int]:
         """Scale-n ball key of every point, in order: x*p^region mod p^(region-n).
@@ -89,13 +101,15 @@ class PointSet:
         ints = self._ints.get(region)
         if ints is None:
             self.require_in_region(region)
-            ints = tuple(
-                tuple(anchored_int(c, region) for c in self._coords(pt)) for pt in self.points
-            )
+            # geometry.anchored_int inlined: num * p**(region - vexp), and a zero
+            # coordinate is the int 0 at every anchor (p**(region - 0) may be a float)
+            p = self.params.p
+            flat = [c.num * p ** (region - c.vexp) if c.num else 0 for c in self._flat()]
+            ints = tuple(flat) if self.ambient == GROUP else tuple(zip(flat[::2], flat[1::2]))
             self._ints[region] = ints
         q = self.params.p ** max(region - n, 0)
         if self.ambient == GROUP:
-            return [a % q for (a,) in ints]
+            return [a % q for a in ints]
         return [a % q + q * (b % q) for a, b in ints]
 
     def buckets(self, n: int) -> dict:
@@ -169,12 +183,43 @@ class DensityProfile:
         }
 
 
-def _scale_counts(lam: PointSet, n: int, region: int) -> tuple[int, int]:
-    counts = Counter(lam.ball_keys(n, region)).values()
-    max_count = max(counts, default=0)
-    total_balls = lam.params.p ** ((region - n) * lam.dimension_factor)  # n <= region, so >= 1
-    min_count = min(counts) if len(counts) == total_balls else 0
-    return max_count, min_count
+def _fold(counts: dict, q: int, qf: int, phase: bool) -> dict:
+    """Per-ball counts of keys mod q from those of keys mod qf, where q divides qf."""
+    out: dict = {}
+    get = out.get
+    if phase:  # key = k_x + qf * k_xi
+        for key, c in counts.items():
+            key = key % qf % q + q * (key // qf % q)
+            out[key] = get(key, 0) + c
+    else:
+        for key, c in counts.items():
+            key %= q
+            out[key] = get(key, 0) + c
+    return out
+
+
+def _scale_counts(lam: PointSet, n: int, region: int) -> tuple[int, int, int]:
+    """(max, min, distinct) of the per-ball counts at scale n within A^region H.
+
+    Counted once per (n, region): folded from the last count when that is of
+    a finer scale of the same region, else counted from the ball keys.
+    """
+    memo = lam._counts.get((n, region))
+    if memo is not None:
+        return memo
+    p = lam.params.p
+    last = lam._last
+    if last is not None and last[1] == region and last[0] < n:
+        q, qf = p ** max(region - n, 0), p ** max(region - last[0], 0)
+        counts = _fold(last[2], q, qf, lam.ambient == PHASE)
+    else:
+        counts = Counter(lam.ball_keys(n, region))
+    object.__setattr__(lam, "_last", (n, region, counts))
+    values = counts.values()
+    total_balls = p ** (max(region - n, 0) * lam.dimension_factor)
+    memo = (max(values, default=0), min(values) if len(counts) == total_balls else 0, len(counts))
+    lam._counts[n, region] = memo
+    return memo
 
 
 def density_profile(lam: PointSet, n_range: tuple[int, int], region: int) -> DensityProfile:
@@ -187,7 +232,7 @@ def density_profile(lam: PointSet, n_range: tuple[int, int], region: int) -> Den
     d = lam.dimension_factor
     rows = []
     for n in range(n_lo, n_hi + 1):
-        max_count, min_count = _scale_counts(lam, n, region)
+        max_count, min_count, _ = _scale_counts(lam, n, region)
         measure = Fraction(p) ** (d * n)
         rows.append(
             ProfileRow(n, max_count, min_count, Fraction(max_count) / measure,
@@ -197,8 +242,13 @@ def density_profile(lam: PointSet, n_range: tuple[int, int], region: int) -> Den
 
 
 def is_uniformly_separated(lam: PointSet, n: int) -> bool:
-    """True iff every scale-n ball holds at most one point (with multiplicity)."""
-    return len(lam.buckets(n)) == len(lam)
+    """True iff every scale-n ball holds at most one point (with multiplicity).
+
+    Every region that holds the points has the same occupied scale-n balls, so
+    the region of the last count is as good as any and may save a recount.
+    """
+    region = lam._last[1] if lam._last is not None else lam._finest or 0
+    return _scale_counts(lam, n, region)[2] == len(lam)
 
 
 @dataclass(frozen=True)
@@ -258,12 +308,12 @@ def finite_density_check(lam: PointSet, n: int, region: int) -> FiniteDensityRep
     if n > region:
         raise ValueError(f"scale {n} exceeds region {region}")
     lam.require_in_region(region)
-    max_n, _ = _scale_counts(lam, n, region)
+    max_n = _scale_counts(lam, n, region)[0]
     d = lam.dimension_factor
     modulus = lam.params.p ** d
     rows = []
     for m in range(n + 1, region + 1):
-        measured, _ = _scale_counts(lam, m, region)
+        measured = _scale_counts(lam, m, region)[0]
         bound = modulus ** (m - n + 1) * max_n
         rows.append((m, measured, bound))
     report = FiniteDensityReport(n, max_n, tuple(rows))
@@ -315,7 +365,7 @@ def automorphism_invariance_check(
     d = lam.dimension_factor
     rows = []
     for j in range(j_lo, j_hi + 1):
-        max_count, min_count = _scale_counts(lam, r * j, region)
+        max_count, min_count, _ = _scale_counts(lam, r * j, region)
         ratio_a = Fraction(max_count) / Fraction(p) ** (d * r * j)
         ratio_b = Fraction(max_count) / Fraction(p**r) ** (d * j)
         rows.append(InvarianceRow(j, r * j, max_count, min_count, ratio_a, ratio_b))

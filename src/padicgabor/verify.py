@@ -470,16 +470,23 @@ def check_scale_propagation_bound(p_list, size, rng) -> CheckResult:
 
 
 def check_automorphism_invariance(p_list, size, rng) -> CheckResult:
-    """Both ratios of a row divide one count, by p**(d*r*j) and (p**r)**(d*j), so no
-    defect in automorphism_invariance_check can flip this check: it has no second route."""
+    """Row j of the report counts the balls of B**j H = A**(r j) H in A^R H.  The second
+    route moves lam by B = A**r (automorphism(r) on every point) into a fresh PointSet,
+    whose A-scale r(j+1) balls in A^(R+r) H are the images of those balls, and requires
+    the same max and min counts row by row; a report that counts at the wrong scale fails."""
     corpus = _random_group_corpus(20 if size == "full" else 8, rng)
+    r = 2
     checked = 0
     ok = True
     for params, lam, region in corpus:
         if params.p not in p_list:
             continue
-        report = automorphism_invariance_check(lam, 2, (0, region // 2), region)
-        if not report.all_equal:
+        report = automorphism_invariance_check(lam, r, (0, region // r), region)
+        image = PointSet.group(tuple(x.automorphism(r) for x in lam.points), params)
+        moved = [density_profile(image, (r * (j + 1), r * (j + 1)), region + r).rows[0]
+                 for j in range(region // r + 1)]
+        counts = [(row.max_count, row.min_count) for row in report.rows]
+        if not report.all_equal or counts != [(row.max_count, row.min_count) for row in moved]:
             ok = False
         checked += 1
     return CheckResult(

@@ -6,7 +6,7 @@ one PASS/FAIL line per criterion (visible with `pytest -s` or on failure).
 
 import pytest
 
-from padicgabor import model, verify
+from padicgabor import density, model, verify
 from padicgabor.rng import SplitMix64
 from padicgabor.verify import CHECKS, run_suite
 
@@ -71,3 +71,31 @@ def test_wiener_two_route_equality_sees_wrong_cells(monkeypatch, mutant, size):
     monkeypatch.setattr(model, "_cell_sups", mutant)
     result = verify.check_wiener_two_route_equality((2, 3), size, SplitMix64(verify.DEFAULT_SEED))
     assert not result.passed, result.line()
+
+
+def _counts_at_scale_j(lam, r, n_range, region):
+    # row j counts the A-scale j balls instead of the A-scale r*j ones
+    return density.automorphism_invariance_check(lam, 1, n_range, region)
+
+
+@pytest.mark.parametrize("size", ["small", "full"])
+def test_automorphism_invariance_sees_a_wrong_scale(monkeypatch, size):
+    # the second route counts the image under A**r as a fresh point set
+    monkeypatch.setattr(verify, "automorphism_invariance_check", _counts_at_scale_j)
+    result = verify.check_automorphism_invariance((2, 3), size, SplitMix64(verify.DEFAULT_SEED))
+    assert not result.passed, result.line()
+
+
+_FOLD = density._fold
+
+
+def _fold_mod_finer(counts, q, qf, phase):
+    # reduces mod the finer modulus qf (q*p after one step), so no two balls merge
+    return _FOLD(counts, qf, qf, phase)
+
+
+def test_a_wrong_fold_fails_a_density_check(monkeypatch):
+    monkeypatch.setattr(density, "_fold", _fold_mod_finer)
+    failed = {r.name for r in run_suite(size="small") if not r.passed}
+    assert failed & {"section-density-one", "product-lattice-density",
+                     "scale-propagation-bound", "automorphism-invariance"}, failed

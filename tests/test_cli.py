@@ -681,6 +681,15 @@ PINNED_DENSITY = {
                                    ["[-1]10,3", "[-1]10,3", "[0]1,0,10", "[-3]5", "[0]0,7"]),
                    "21b08ba7ba5572b025b581816899d9ef10c93b886609a86bcc1a872bac3d3d91",
                    "2eede8f16320971ebfa6601c36c9b87ec0df7ac9f74ed7091ad0daa785a9c277"),
+    # a zero point keys as the int 0 in a region below 0, where p**region is a float
+    "carry-2-zeros": ({"group": {"p": 2, "mode": "carry"},
+                       "lambda": {"ambient": "group", "type": "explicit",
+                                  "points": ["0", "0", "4"]},
+                       "task": {"region": -1, "n_range": [-3, -1], "separation_scale": -2,
+                                "finite_scale": -3,
+                                "checks": ["separation", "finite", "automorphism"]}},
+                      "61980b10eb13677c61a6e527df5e470d607a9b886156840a4b8f281f2edbc7e3",
+                      "35c28ecc59fdee787b06c43fae09d6868cee117aa8f9a055fdcb20fad8bb29ff"),
 }
 
 

@@ -8,8 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import padicgabor
+from padicgabor import density
 from padicgabor.density import (
     PointSet,
     automorphism_invariance_check,
@@ -383,3 +386,62 @@ def test_exact_core_imports_no_numpy():
             "sys.exit('numpy' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(Path(padicgabor.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_params_equal_but_distinct_are_accepted_and_foreign_ones_refused():
+    twin = GroupParams(2, CARRY)
+    assert twin is not P2 and twin == P2
+    x = GroupElement.from_rational(twin, 3, 1)
+    assert len(PointSet.group([x, GroupElement.one(P2)], P2)) == 2
+    assert len(PointSet.phase([(x, GroupElement.one(P2))], P2)) == 1
+    for params in (P3, M2):
+        with pytest.raises(ValueError):
+            PointSet.group([GroupElement.one(P2), GroupElement.one(params)], P2)
+        with pytest.raises(ValueError):
+            PointSet.phase([(GroupElement.one(P2), GroupElement.one(params))], P2)
+
+
+# -- folded counts against a direct recount -------------------------------------------
+
+FOLDS = settings(derandomize=True, database=None, deadline=None, max_examples=150,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def fold_cases(draw):
+    """A point set with zeros and repeats, and its (scale, region) queries in one order."""
+    params = GroupParams(draw(st.sampled_from((2, 3, 5))), draw(st.sampled_from((CARRY, MODULAR))))
+    ambient = draw(st.sampled_from(("group", "phase")))
+    region = draw(st.integers(-2, 3))
+
+    def coord():
+        if draw(st.integers(0, 4)) == 0:
+            return GroupElement.zero(params)
+        low = 0 if params.mode == MODULAR else -(params.p ** 3)
+        return GroupElement.from_rational(params, draw(st.integers(low, params.p ** 3)),
+                                          draw(st.integers(region - 2, region)))
+
+    pool = [coord() if ambient == "group" else (coord(), coord())
+            for _ in range(draw(st.integers(1, 8)))]
+    pts = draw(st.lists(st.sampled_from(pool), max_size=24))
+    scales = list(range(region - 5, region + 2))
+    order = draw(st.sampled_from(("ascending", "descending", "drawn")))
+    if order == "drawn":  # skips and repeats
+        ns = draw(st.lists(st.sampled_from(scales), min_size=1, max_size=12))
+    else:
+        ns = scales if order == "ascending" else scales[::-1]
+    queries = [(n, region + draw(st.integers(0, 1))) for n in ns]  # a second region now and then
+    return PointSet(ambient, tuple(pts), params), queries
+
+
+@FOLDS
+@given(fold_cases())
+def test_folded_counts_equal_a_direct_recount(case):
+    lam, queries = case
+    for n, region in queries:
+        counts = Counter(lam.ball_keys(n, region))
+        balls = lam.params.p ** (max(region - n, 0) * lam.dimension_factor)
+        low = min(counts.values()) if len(counts) == balls else 0
+        want = (max(counts.values(), default=0), low, len(counts))
+        assert density._scale_counts(lam, n, region) == want
+        assert is_uniformly_separated(lam, n) == (len(lam.buckets(n)) == len(lam))
