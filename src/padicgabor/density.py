@@ -13,14 +13,16 @@ point sets in one region share the anchor, so the per-ball counts of a
 multiset union are the sums of its parts' counts, and a union is profiled as
 the concatenation of its parts.
 
-The balls nest: a scale-n ball is the union of p^(d(n-k)) scale-k balls for
-k < n, and its key is the finer key reduced mod p^(R-n) (per axis for phase
-keys).  A point set computes x*p^R once per coordinate and counts the keys of
-one scale with one ``Counter``; every coarser scale of the same region is
-then a fold of the last count, which costs one step per distinct ball rather
-than one per point.  Each (scale, region) is counted at most once per point
-set: its (max, min, distinct) triple is kept, and of the counts themselves
-only the last.
+Which balls a point set occupies, and how many points each holds, depend
+on the scale alone.  So each scale is counted once per point set, in the
+least region A^F H that holds the points, and a declared region only decides
+the minimum.  The balls nest: a scale-n ball is the union of p^(d(n-k))
+scale-k balls for k < n, and its key is the finer key reduced mod p^(F-n)
+(per axis for phase keys).  A point set computes x*p^F once per coordinate
+and counts the keys of one scale with one ``Counter``; every coarser scale
+is then a fold of the last count, which costs one step per distinct ball
+rather than one per point.  Of each scale the (max, min, distinct) triple
+over the occupied balls is kept, and of the counts themselves only the last.
 
 The maximum is taken over all balls of the ambient space (balls missing the
 set contribute 0 only to the minimum side).  Because any finite set makes the
@@ -55,7 +57,7 @@ class PointSet:
     points: tuple
     params: GroupParams
     _ints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (n, region) -> (max, min, distinct) per-ball counts, and the last count to fold
+    # n -> (max, min, distinct) over the occupied balls, and the last (n, counts) to fold
     _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -183,43 +185,41 @@ class DensityProfile:
         }
 
 
-def _fold(counts: dict, q: int, qf: int, phase: bool) -> dict:
-    """Per-ball counts of keys mod q from those of keys mod qf, where q divides qf."""
+def _fold(counts: dict, q: int, qf: int) -> dict:
+    """Per-ball counts of keys mod q from those of keys mod qf, where q divides qf.
+
+    A key k_x + qf * k_xi (k_x below qf) goes to k_x % q + q * (k_xi % q), and
+    k_x % q is key % q; a key below qf, as every group key is, has k_xi = 0.
+    """
     out: dict = {}
     get = out.get
-    if phase:  # key = k_x + qf * k_xi
-        for key, c in counts.items():
-            key = key % qf % q + q * (key // qf % q)
-            out[key] = get(key, 0) + c
-    else:
-        for key, c in counts.items():
-            key %= q
-            out[key] = get(key, 0) + c
+    for key, c in counts.items():
+        key = key % q if key < qf else key % q + q * (key // qf % q)
+        out[key] = get(key, 0) + c
     return out
 
 
 def _scale_counts(lam: PointSet, n: int, region: int) -> tuple[int, int, int]:
     """(max, min, distinct) of the per-ball counts at scale n within A^region H.
 
-    Counted once per (n, region): folded from the last count when that is of
-    a finer scale of the same region, else counted from the ball keys.
+    Counted once per scale, at the anchor F of the finest point: folded from
+    the last count when that is of a finer scale, else counted from the ball
+    keys.  The minimum is 0 unless the occupied balls tile A^region H.
     """
-    memo = lam._counts.get((n, region))
-    if memo is not None:
-        return memo
     p = lam.params.p
-    last = lam._last
-    if last is not None and last[1] == region and last[0] < n:
-        q, qf = p ** max(region - n, 0), p ** max(region - last[0], 0)
-        counts = _fold(last[2], q, qf, lam.ambient == PHASE)
-    else:
-        counts = Counter(lam.ball_keys(n, region))
-    object.__setattr__(lam, "_last", (n, region, counts))
-    values = counts.values()
-    total_balls = p ** (max(region - n, 0) * lam.dimension_factor)
-    memo = (max(values, default=0), min(values) if len(counts) == total_balls else 0, len(counts))
-    lam._counts[n, region] = memo
-    return memo
+    memo = lam._counts.get(n)
+    if memo is None:
+        anchor, last = lam._finest or 0, lam._last
+        if last is not None and last[0] < n:
+            counts = _fold(last[1], p ** max(anchor - n, 0), p ** max(anchor - last[0], 0))
+        else:
+            counts = Counter(lam.ball_keys(n, anchor))
+        object.__setattr__(lam, "_last", (n, counts))
+        values = counts.values()
+        memo = lam._counts[n] = (max(values, default=0), min(values, default=0), len(counts))
+    high, low, distinct = memo
+    balls = p ** (max(region - n, 0) * lam.dimension_factor)
+    return high, low if distinct == balls else 0, distinct
 
 
 def density_profile(lam: PointSet, n_range: tuple[int, int], region: int) -> DensityProfile:
@@ -242,13 +242,8 @@ def density_profile(lam: PointSet, n_range: tuple[int, int], region: int) -> Den
 
 
 def is_uniformly_separated(lam: PointSet, n: int) -> bool:
-    """True iff every scale-n ball holds at most one point (with multiplicity).
-
-    Every region that holds the points has the same occupied scale-n balls, so
-    the region of the last count is as good as any and may save a recount.
-    """
-    region = lam._last[1] if lam._last is not None else lam._finest or 0
-    return _scale_counts(lam, n, region)[2] == len(lam)
+    """True iff every scale-n ball holds at most one point (with multiplicity)."""
+    return _scale_counts(lam, n, n)[2] == len(lam)  # the region decides only the minimum
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,7 @@ def _jacobi(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-30, vectors: b
     vh = np.eye(n, dtype=complex) if vectors else None
     if n == 1:
         return a.real.diagonal().copy(), vh, 0, 0.0
-    norm = np.linalg.norm(a)
+    norm = np.sqrt(np.sum(np.abs(a) ** 2))
     if norm == 0.0:
         return np.zeros(n), vh, 0, 0.0
     flat = a.reshape(-1)

@@ -87,12 +87,11 @@ def _modulation_ladder_points(space: ModelSpace, step: int) -> PointSet:
     return PointSet.phase(tuple((x, xi) for x in xs for xi in xis), space.params)
 
 
-def _tight_lattice_system(p: int, mode: str, scaling_steps: int = 1) -> GaborSystem:
+def _tight_lattice_system(p: int, mode: str) -> GaborSystem:
     """Unit-norm indicator of the refined ball, shifted over the full grid."""
-    k = scaling_steps
-    space = _space(p, mode, k, k)
-    window = indicator(space, set_scale=-k).scaled(float(p) ** (k / 2.0))
-    pts = section(space.params, k, -k)
+    space = _space(p, mode, 1, 1)
+    window = indicator(space, set_scale=-1).scaled(float(p) ** 0.5)
+    pts = section(space.params, 1, -1)
     lam = PointSet.phase(tuple((x, xi) for x in pts for xi in pts), space.params)
     return build(window, lam)
 
@@ -111,10 +110,6 @@ def _naive_dual_sums(f: ModelFunction) -> np.ndarray:
             acc += f.coeffs[a] * pairing_phase(x, xi).complex_value().conjugate()
         out[b] = space.coset_measure * acc
     return out
-
-
-def _config_tag(configs) -> str:
-    return "; ".join(configs)
 
 
 def _keyed_wiener_norm(grid, p_exp) -> float:
@@ -171,7 +166,7 @@ def check_onb_gram_identity(p_list, size, rng) -> CheckResult:
         used.append(f"p={p} {mode} ({m},{k})")
     return CheckResult(
         "onb-gram-identity", ok and bool(used),
-        f"max Gram deviation {worst:.2e}, count == dim", "1e-12", _config_tag(used),
+        f"max Gram deviation {worst:.2e}, count == dim", "1e-12", "; ".join(used),
     )
 
 
@@ -192,7 +187,7 @@ def check_tight_frame_constant(p_list, size, rng) -> CheckResult:
         used.append(f"p={p} {mode} bound {expected:g}")
     return CheckResult(
         "tight-frame-constant", ok and bool(used),
-        f"max eigenvalue deviation {worst:.2e}", "1e-9", _config_tag(used),
+        f"max eigenvalue deviation {worst:.2e}", "1e-9", "; ".join(used),
     )
 
 
@@ -224,7 +219,7 @@ def check_section_trichotomy(p_list, size, rng) -> CheckResult:
         used.append(f"p={p} {mode} ({m},{k})")
     return CheckResult(
         "section-trichotomy", ok and bool(used),
-        "; ".join(notes) if notes else "no configs", "1e-9 / 1e-12", _config_tag(used),
+        "; ".join(notes) if notes else "no configs", "1e-9 / 1e-12", "; ".join(used),
     )
 
 
@@ -246,7 +241,7 @@ def check_section_density_one(p_list, size, rng) -> CheckResult:
         used.append(f"p={p} {mode} N={region}")
     return CheckResult(
         "section-density-one", ok and bool(used),
-        "per-ball counts p**n, ratios exactly 1/1", "exact", _config_tag(used),
+        "per-ball counts p**n, ratios exactly 1/1", "exact", "; ".join(used),
     )
 
 
@@ -266,7 +261,7 @@ def check_product_lattice_density(p_list, size, rng) -> CheckResult:
         used.append(f"p={p} {mode} density {expected}")
     return CheckResult(
         "product-lattice-density", ok and bool(used),
-        "upper = lower = p**2k at every admissible scale", "exact", _config_tag(used),
+        "upper = lower = p**2k at every admissible scale", "exact", "; ".join(used),
     )
 
 
@@ -288,7 +283,7 @@ def check_stft_energy_identity(p_list, size, rng) -> CheckResult:
     ok = bool(used) and worst <= 1e-10
     return CheckResult(
         "stft-energy-identity", ok,
-        f"max relative error {worst:.2e}", "1e-10", _config_tag(used),
+        f"max relative error {worst:.2e}", "1e-10", "; ".join(used),
     )
 
 
@@ -312,7 +307,7 @@ def check_sample_sum_amalgam_bound(p_list, size, rng) -> CheckResult:
         used.append(f"p={p} {mode} x{draws}")
     return CheckResult(
         "sample-sum-amalgam-bound", ok and bool(used),
-        f"max(lhs - majorant) = {worst_slack:.2e}", "1e-10", _config_tag(used),
+        f"max(lhs - majorant) = {worst_slack:.2e}", "1e-10", "; ".join(used),
     )
 
 
@@ -332,7 +327,7 @@ def check_wiener_two_route_equality(p_list, size, rng) -> CheckResult:
     return CheckResult(
         "wiener-two-route-equality", exact,
         f"{grids} grids x (1, 2, inf): sum route == integral route", "exact float equality",
-        _config_tag(f"p={p} {mode}" for p, mode, _, _ in configs),
+        "; ".join(f"p={p} {mode}" for p, mode, _, _ in configs),
     )
 
 
@@ -360,7 +355,7 @@ def check_transform_unitarity(p_list, size, rng) -> CheckResult:
     return CheckResult(
         "transform-unitarity", ok,
         f"max deviation {worst:.2e} (unit-ball image, norm, oracle)", "1e-12",
-        _config_tag(used),
+        "; ".join(used),
     )
 
 
@@ -402,7 +397,7 @@ def check_dual_reconstruction(p_list, size, rng) -> CheckResult:
     return CheckResult(
         "dual-reconstruction", ok and bool(used),
         f"max reconstruction error {worst_recon:.2e}, max bound reciprocity error {worst_bounds:.2e}",
-        "1e-8", _config_tag(used),
+        "1e-8", "; ".join(used),
     )
 
 
@@ -424,7 +419,7 @@ def check_repeated_point_bound_growth(p_list, size, rng) -> CheckResult:
         used.append(f"p={p} {mode}")
     return CheckResult(
         "repeated-point-bound-growth", ok and bool(used),
-        "; ".join(detail) if detail else "no configs", "1e-9", _config_tag(used),
+        "; ".join(detail) if detail else "no configs", "1e-9", "; ".join(used),
     )
 
 
@@ -531,7 +526,7 @@ def check_frame_density_necessity(p_list, size, rng) -> CheckResult:
     return CheckResult(
         "frame-density-necessity", ok and bool(used),
         "frames: lower ratio >= 1; Riesz bases: ratios exactly 1", "exact",
-        _config_tag(used),
+        "; ".join(used),
     )
 
 

@@ -89,13 +89,19 @@ def test_automorphism_invariance_sees_a_wrong_scale(monkeypatch, size):
 _FOLD = density._fold
 
 
-def _fold_mod_finer(counts, q, qf, phase):
+def _fold_mod_finer(counts, q, qf):
     # reduces mod the finer modulus qf (q*p after one step), so no two balls merge
-    return _FOLD(counts, qf, qf, phase)
+    return _FOLD(counts, qf, qf)
+
+
+def _fold_split_at_q(counts, q, qf):
+    # splits a key k_x + qf * k_xi at q, so the digits of k_x above q land in k_xi
+    return _FOLD(counts, q, q)
 
 
 def test_a_wrong_fold_fails_a_density_check(monkeypatch):
-    monkeypatch.setattr(density, "_fold", _fold_mod_finer)
-    failed = {r.name for r in run_suite(size="small") if not r.passed}
-    assert failed & {"section-density-one", "product-lattice-density",
-                     "scale-propagation-bound", "automorphism-invariance"}, failed
+    for mutant in (_fold_mod_finer, _fold_split_at_q):
+        monkeypatch.setattr(density, "_fold", mutant)
+        failed = {r.name for r in run_suite(size="small") if not r.passed}
+        assert failed & {"section-density-one", "product-lattice-density",
+                         "scale-propagation-bound", "automorphism-invariance"}, (mutant, failed)

@@ -823,9 +823,23 @@ PINNED_VERIFY_SMALL = (  # (stdout, --out)
 )
 
 
-def test_verify_small_output_bytes_are_pinned(tmp_path, capsys):
+PINNED_VERIFY_FULL = (  # (stdout, --out)
+    "02e80ccf22434d44819a000fe4a40d8d6b04a4a63c461f4ecd3fb0bd739bc882",
+    "a3c4a6c6965be6becfefbdd5c13d597fa4ecd6cb0047db07d5eb07f1c2b776f9",
+)
+
+
+def _verify_digests(size, tmp_path, capsys):
     out = tmp_path / "v.json"
-    assert main(["verify", "--suite", "paper", "--sizes", "small", "--out", str(out)]) == 0
+    assert main(["verify", "--suite", "paper", "--sizes", size, "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
-    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (stdout, out.read_text()))
-    assert digests == PINNED_VERIFY_SMALL
+    return tuple(hashlib.sha256(text.encode()).hexdigest() for text in (stdout, out.read_text()))
+
+
+def test_verify_small_output_bytes_are_pinned(tmp_path, capsys):
+    assert _verify_digests("small", tmp_path, capsys) == PINNED_VERIFY_SMALL
+
+
+def test_verify_full_output_bytes_are_pinned(tmp_path, capsys):
+    # the size the paper-verify benchmark workload runs
+    assert _verify_digests("full", tmp_path, capsys) == PINNED_VERIFY_FULL

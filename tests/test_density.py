@@ -430,7 +430,8 @@ def fold_cases(draw):
         ns = draw(st.lists(st.sampled_from(scales), min_size=1, max_size=12))
     else:
         ns = scales if order == "ascending" else scales[::-1]
-    queries = [(n, region + draw(st.integers(0, 1))) for n in ns]  # a second region now and then
+    # one count per scale serves every region above the finest point, in any query order
+    queries = [(n, region + draw(st.integers(0, 3))) for n in ns]
     return PointSet(ambient, tuple(pts), params), queries
 
 
