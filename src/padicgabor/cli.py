@@ -93,6 +93,9 @@ def _get(doc, key: str, where: str, kind=None, default=_MISSING, lo=None, hi=Non
         raise ConfigError(f"{where} {key} must be {_JSON_NAMES[kind]}, got {value!r:.80}")
     if (lo is not None and value < lo) or (hi is not None and value > hi):
         bound = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in [{lo}, {hi}]"
+        if key not in doc:
+            raise ConfigError(f"{where} {key} is unset, and its default {value!r} does not fit: "
+                              f"it must be {bound}")
         raise ConfigError(f"{where} {key} must be {bound}, got {value!r:.80}")
     return value
 
@@ -251,8 +254,10 @@ def cmd_density(args, out) -> int:
     region = _get(task, "region", "task", int, lo=-MAX_SCALE, hi=MAX_SCALE)
     lo_hi = _get(task, "n_range", "task", list, default=[0, region])
     n_range = dict(zip(("lo", "hi"), lo_hi)) if len(lo_hi) == 2 else {}
-    n_hi = _get(n_range, "hi", "task n_range [lo, hi]", int, lo=-MAX_SCALE, hi=region)
-    n_lo = _get(n_range, "lo", "task n_range [lo, hi]", int, lo=-MAX_SCALE, hi=n_hi)
+    where = ("task n_range [lo, hi]" if "n_range" in task else
+             f"task n_range is unset, and its default {lo_hi} does not fit: its")
+    n_hi = _get(n_range, "hi", where, int, lo=-MAX_SCALE, hi=region)
+    n_lo = _get(n_range, "lo", where, int, lo=-MAX_SCALE, hi=n_hi)
     checks = _get(task, "checks", "task", list, default=[])
     for name in checks:
         if name not in ("separation", "finite", "automorphism"):

@@ -4,7 +4,9 @@ A model space holds the functions supported on A^m H that are constant on
 cosets of A^-k H.  Such a function is a complex vector indexed by the
 canonical section of A^m H / A^-k H (dimension p**(m+k)); each coset carries
 Haar measure p**-k, so ||f||^2 = p**-k * sum |f_a|^2 and the indicator of H
-has norm one.
+has norm one.  A space is a frozen value of (params, m, k), and index_of is
+its one window test: an element outside A^m H raises ResolutionError there,
+and a character xi is tested by the dual space, whose window is A^k H.
 
 The index set is a finite abelian group: cyclic Z/p**(m+k) in carry mode,
 elementary abelian (Z/p)**(m+k) in modular mode.  Inside a space an element
@@ -49,39 +51,30 @@ STFT_BLOCK = 64
 
 
 class ResolutionError(ValueError):
-    """A shift fell outside the model window; embed into a larger space first."""
+    """An element fell outside a model window; embed into a larger space first."""
 
 
+@dataclass(frozen=True)
 class ModelSpace:
-    """Functions supported on A^m H, constant on A^-k H cosets."""
+    """Functions supported on A^m H, constant on A^-k H cosets; a value of (params, m, k)."""
 
-    def __init__(self, params: GroupParams, m: int, k: int):
-        if m < 0 or k < 0:
+    params: GroupParams
+    m: int
+    k: int
+
+    def __post_init__(self):
+        if self.m < 0 or self.k < 0:
             raise ValueError("extent m and resolution k must be nonnegative")
-        self.params = params
-        self.m = m
-        self.k = k
-        self.dim = params.p ** (m + k)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModelSpace)
-            and self.params == other.params
-            and self.m == other.m
-            and self.k == other.k
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.params, self.m, self.k))
-
-    def __repr__(self) -> str:
-        return f"ModelSpace(p={self.params.p}, mode={self.params.mode}, m={self.m}, k={self.k})"
+    @cached_property
+    def dim(self) -> int:
+        return self.params.p ** (self.m + self.k)
 
     @cached_property
     def dual(self) -> "ModelSpace":
         """Fourier-image space: support A^k H(dual), constant on A^-m cosets."""
         dual = ModelSpace(self.params, self.k, self.m)
-        dual.dual = self
+        dual.__dict__["dual"] = self
         return dual
 
     @cached_property
@@ -94,11 +87,11 @@ class ModelSpace:
         return float(self.params.p) ** (-self.k)
 
     def index_of(self, x: GroupElement) -> int:
-        """Index of the coset of x mod A^-k H; requires x in A^m H."""
+        """Index of the coset of x mod A^-k H: the one test that x lies in A^m H."""
         if x.valuation() < -self.m:
             raise ResolutionError(
-                f"{x.text()} has valuation {x.valuation()} < -{self.m}; "
-                f"embed into a space with larger m"
+                f"{x.text()} lies outside A^{self.m}H (valuation {x.valuation()} < -{self.m}); "
+                f"embed into a space of larger extent (translation) or resolution (modulation)"
             )
         return anchored_int(x, self.m) % self.dim
 
@@ -130,12 +123,6 @@ class ModelSpace:
 
     def char_rows(self, xis) -> np.ndarray:
         """Row r: char_values(xis[r]), a table lookup at the dual index of xis[r]."""
-        for xi in xis:
-            if xi.valuation() < -self.k:
-                raise ResolutionError(
-                    f"{xi.text()} has valuation {xi.valuation()} < -{self.k}; "
-                    f"embed into a space with larger k"
-                )
         b = np.array([self.dual.index_of(xi) for xi in xis], dtype=np.int64)
         if self.params.mode == CARRY:
             # <x_a, xi_b> = a * b / p^(m+k) mod 1
@@ -301,12 +288,10 @@ def indicator(space: ModelSpace, set_scale: int = 0, shift: GroupElement | None 
         raise ValueError(
             f"set scale {set_scale} outside the representable range [{-space.k}, {space.m}]"
         )
-    c = shift if shift is not None else GroupElement.zero(space.params)
-    if c.valuation() < -space.m:
-        raise ValueError(f"shift {c.text()} lies outside A^{space.m}H")
-    # x_a - c lies in A^set_scale H iff a = index(c) mod p^(m - set_scale)
+    c = space.index_of(shift) if shift is not None else 0
+    # x_a - shift lies in A^set_scale H iff a = c mod p^(m - set_scale)
     period = space.params.p ** (space.m - set_scale)
-    members = np.arange(space.dim) % period == space.index_of(c) % period
+    members = np.arange(space.dim) % period == c % period
     return ModelFunction(space, members.astype(float))
 
 

@@ -6,7 +6,9 @@ one PASS/FAIL line per criterion (visible with `pytest -s` or on failure).
 
 import pytest
 
-from padicgabor import density, model, verify
+from padicgabor import density, gabor, model, verify
+from padicgabor.density import PointSet
+from padicgabor.localfield import GroupElement
 from padicgabor.rng import SplitMix64
 from padicgabor.verify import CHECKS, run_suite
 
@@ -105,3 +107,42 @@ def test_a_wrong_fold_fails_a_density_check(monkeypatch):
         failed = {r.name for r in run_suite(size="small") if not r.passed}
         assert failed & {"section-density-one", "product-lattice-density",
                          "scale-propagation-bound", "automorphism-invariance"}, (mutant, failed)
+
+
+_BUILD = gabor.build
+
+
+def _with_points(move):
+    # a build whose vectors sit at move(point) while the system keeps the points asked for
+    def mutant(window, lam):
+        moved = PointSet.phase(tuple(move(x, xi) for x, xi in lam.points), lam.params)
+        return gabor.GaborSystem(window, lam, _BUILD(window, moved).matrix)
+    return mutant
+
+
+_dropped_characters = _with_points(lambda x, xi: (x, GroupElement.zero(xi.params)))
+_negated_translations = _with_points(lambda x, xi: (-x, xi))
+_conjugated_characters = _with_points(lambda x, xi: (x, -xi))  # <y, -xi> = conj <y, xi>
+
+
+def _patch_build(monkeypatch, mutant):
+    monkeypatch.setattr(gabor, "build", mutant)
+    monkeypatch.setattr(verify, "build", mutant)
+
+
+def test_a_build_without_characters_fails_the_frame_checks(monkeypatch):
+    _patch_build(monkeypatch, _dropped_characters)
+    results = run_suite(size="small")
+    assert len(results) == 15
+    failed = {r.name for r in results if not r.passed}
+    assert {"onb-gram-identity", "section-trichotomy", "dual-reconstruction",
+            "frame-density-necessity"} <= failed, failed
+
+
+@pytest.mark.parametrize("mutant", [_negated_translations, _conjugated_characters])
+@pytest.mark.parametrize("size", ["small", "full"])
+def test_sample_sum_amalgam_bound_sees_the_sign_of_build(monkeypatch, mutant, size):
+    # the analysis coefficients must be the STFT samples at the points themselves
+    _patch_build(monkeypatch, mutant)
+    result = verify.check_sample_sum_amalgam_bound((2, 3), size, SplitMix64(verify.DEFAULT_SEED))
+    assert not result.passed, result.line()

@@ -204,6 +204,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     }
     cfg4 = write_config(tmp_path, "bad4.json", bad4)
     assert main(["frame", "--config", cfg4]) == 2
+    assert "1/2^2 lies outside" in capsys.readouterr().err
 
     # missing file and malformed json
     assert main(["density", "--config", str(tmp_path / "missing.json")]) == 2
@@ -288,6 +289,22 @@ def test_density_bad_task_exits_2(tmp_path, capsys, task):
     assert captured.err.startswith("config error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "task, key",
+    [
+        ({"region": -1}, "n_range"),
+        ({"region": -1, "n_range": [-2, -1], "checks": ["separation"]}, "separation_scale"),
+        ({"region": -1, "n_range": [-2, -1], "checks": ["finite"]}, "finite_scale"),
+        ({"region": 3, "n_range": [-40, 3], "checks": ["automorphism"]}, "automorphism_power"),
+    ],
+    ids=["n-range", "separation-scale", "finite-scale", "automorphism-power"],
+)
+def test_density_names_an_unset_key_whose_default_does_not_fit(tmp_path, capsys, task, key):
+    cfg = write_config(tmp_path, "d.json", {**DENSITY_SECTION, "task": task})
+    assert main(["density", "--config", cfg]) == 2
+    assert f"task {key} is unset, and its default" in capsys.readouterr().err
 
 
 def test_density_names_the_unknown_check(tmp_path, capsys):

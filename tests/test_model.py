@@ -4,11 +4,14 @@ The quadratic-cost transform oracle below is built directly from the exact
 pairing, independent of the radix/tensor fast paths it checks.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from padicgabor.density import PointSet
+from padicgabor.gabor import build
 from padicgabor.geometry import coset_rep
 from padicgabor.localfield import (
     CARRY,
@@ -295,10 +298,39 @@ def test_embed_isometry_and_functoriality():
 def test_resolution_errors_mention_embedding():
     space = ModelSpace(P2, 1, 1)
     f = indicator(space)
-    with pytest.raises(ResolutionError, match="embed"):
-        translate(f, GroupElement.from_rational(P2, 1, 2))
-    with pytest.raises(ResolutionError, match="embed"):
-        modulate(f, GroupElement.from_rational(P2, 1, 2))
+    far = GroupElement.from_rational(P2, 1, 2)
+    zero = GroupElement.zero(P2)
+    outside = (
+        lambda: translate(f, far),
+        lambda: modulate(f, far),
+        lambda: build(f, PointSet.phase([(far, zero)], P2)),
+        lambda: build(f, PointSet.phase([(zero, far)], P2)),
+        lambda: indicator(space, shift=far),
+        lambda: space.char_values(far),
+    )
+    for call in outside:
+        with pytest.raises(ResolutionError, match="embed") as caught:
+            call()
+        assert far.text() in str(caught.value)
+        assert "resolution" in str(caught.value)
+
+
+def test_model_space_is_a_frozen_value():
+    space = ModelSpace(P2, 2, 1)
+    twin = ModelSpace(GroupParams(2, CARRY), 2, 1)
+    assert space == twin and hash(space) == hash(twin)
+    assert {space: "a"}[twin] == "a"
+    for other in (ModelSpace(P3, 2, 1), ModelSpace(M2, 2, 1), ModelSpace(P2, 1, 1),
+                  ModelSpace(P2, 2, 2)):
+        assert other != space
+    assert space.dual == ModelSpace(P2, 1, 2)
+    assert space.dual.dual is space
+    assert space.dim == 2 ** (2 + 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        space.m = 3
+    for m, k in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            ModelSpace(P2, m, k)
 
 
 def test_space_mismatch():
