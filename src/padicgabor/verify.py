@@ -5,14 +5,17 @@ package is supposed to reproduce at desk scale: orthonormality of the
 unit-window product systems, tight-frame constants of the scaled-indicator
 lattices, exact section densities, the STFT energy identity, the
 counting-times-amalgam majorant for sampled energy (samples that must be the
-STFT grid's at each point), two-route equality of the amalgam norm, transform unitarity against a quadratic-cost oracle, dual
-reconstruction, growth of the upper bound under repeated points, separated
-decompositions, the per-scale propagation bound, and invariance of density
-ratios under powers of the scaling map.
+STFT grid's at each point), two-route equality of the amalgam norm,
+transform unitarity against a quadratic-cost oracle, dual reconstruction,
+growth of the upper bound under repeated points, separated decompositions,
+the per-scale propagation bound, and invariance of density ratios under
+powers of the scaling map.
 
 `run_suite` executes all checks for the requested primes and returns one
 result per check; the CLI prints them as PASS/FAIL lines and pytest asserts
-them individually.
+them individually.  The checks share one table of Gabor systems per run, so
+each system is built and decomposed once per `run_suite` call.  A NaN
+measurement fails its tolerance.
 """
 
 from __future__ import annotations
@@ -82,20 +85,56 @@ def _space(p: int, mode: str, m: int, k: int) -> ModelSpace:
     return ModelSpace(GroupParams(p, mode), m, k)
 
 
-def _modulation_ladder_points(space: ModelSpace, step: int) -> PointSet:
-    """Translations along H-cosets, modulations refined (step > 0), kept (the ONB) or coarsened."""
-    xs = section(space.params, space.m, 0)
-    xis = section(space.params, space.k, -step)
+def _kept(configs, p_list) -> list:
+    """The configs (p, ...) whose prime p_list asks for, in order."""
+    return [c for c in configs if c[0] in p_list]
+
+
+def _onb_spaces(p_list) -> list[tuple[ModelSpace, str]]:
+    """(space, config tag) of each ONB config whose prime p_list asks for."""
+    return [(_space(p, mode, m, k), f"p={p} {mode} ({m},{k})")
+            for p, mode, m, k in _kept(ONB_CONFIGS, p_list)]
+
+
+def _lattice(space: ModelSpace, x_inner: int, xi_inner: int) -> PointSet:
+    """The product of the sections of A^m H by A^x_inner H and of A^k H by A^xi_inner H."""
+    xs = section(space.params, space.m, x_inner)
+    xis = section(space.params, space.k, xi_inner)
     return PointSet.phase(tuple((x, xi) for x in xs for xi in xis), space.params)
 
 
-def _tight_lattice_system(p: int, mode: str) -> GaborSystem:
-    """Unit-norm indicator of the refined ball, shifted over the full grid."""
-    space = _space(p, mode, 1, 1)
-    window = indicator(space, set_scale=-1).scaled(float(p) ** 0.5)
-    pts = section(space.params, 1, -1)
-    lam = PointSet.phase(tuple((x, xi) for x in pts for xi in pts), space.params)
-    return build(window, lam)
+class _Systems(dict):
+    """The Gabor systems of one run_suite call, each built and decomposed once.
+
+    run_suite makes a fresh table per call, so no run sees another run's systems.
+    """
+
+    def ladder(self, space: ModelSpace, step: int) -> GaborSystem:
+        """chi_H translated along H-cosets, modulations refined (step > 0), kept (the ONB) or
+        coarsened.  The ONB takes its full spectrum: the Riesz test needs its vectors, and
+        its bounds read the same eigenvalue bits as a values-only decomposition."""
+        if (space, step) not in self:
+            sys = self[space, step] = build(indicator(space), _lattice(space, 0, -step))
+            if step == 0:
+                sys.spectrum
+        return self[space, step]
+
+    def tight(self, p: int, mode: str) -> GaborSystem:
+        """Unit-norm indicator of the refined ball, shifted over the full grid."""
+        if (p, mode) not in self:
+            space = _space(p, mode, 1, 1)
+            window = indicator(space, set_scale=-1).scaled(float(p) ** 0.5)
+            self[p, mode] = build(window, _lattice(space, -1, -1))
+        return self[p, mode]
+
+
+def _worse(worst: float, *values: float) -> float:
+    """The largest of worst and values, where a NaN counts as largest and stays, so a NaN
+    measurement fails every `worst <= tol` test (max() would drop it)."""
+    for x in values:
+        if math.isnan(x) or x > worst:
+            worst = x
+    return worst
 
 
 def _random_function(space: ModelSpace, rng: SplitMix64) -> ModelFunction:
@@ -137,138 +176,111 @@ def _sample_gap(sys: GaborSystem, f: ModelFunction) -> float:
     return float(np.max(np.abs(_analysis(sys, f) - samples)))
 
 
-def _random_group_corpus(count: int, rng: SplitMix64):
-    """Seeded multisets in A^3 H with digits down to exponent -2 allowed."""
+def _group_corpus(p_list, size: str, rng: SplitMix64) -> list:
+    """Seeded multisets in A^3 H with digits down to exponent -2 allowed, as
+    (draw index, params, lam, region) for the primes p_list asks for.  Every
+    multiset is drawn, so a prime's multisets do not depend on p_list."""
     cycle = ((2, CARRY), (3, CARRY), (2, MODULAR), (3, MODULAR))
     region = 3
     width = region + 2  # member a < p**width of section(params, region, -2)
     out = []
-    for i in range(count):
+    for i in range(20 if size == "full" else 8):
         p, mode = cycle[i % len(cycle)]
         params = GroupParams(p, mode)
-        size = 1 + rng.next_below(64)
+        count = 1 + rng.next_below(64)
         pts = []
-        for _ in range(size):
+        for _ in range(count):
             if pts and rng.next_below(4) == 0:
                 pts.append(pts[-1])  # exercise multiset semantics
             else:
                 pts.append(GroupElement.from_rational(params, rng.next_below(p**width), region))
-        out.append((params, PointSet.group(tuple(pts), params), region))
+        if p in p_list:
+            out.append((i, params, PointSet.group(tuple(pts), params), region))
     return out
 
 
 # -- individual checks ---------------------------------------------------------
 
 
-def check_onb_gram_identity(p_list, size, rng) -> CheckResult:
+def check_onb_gram_identity(p_list, size, rng, systems) -> CheckResult:
+    spaces = _onb_spaces(p_list)
     worst = 0.0
-    used = []
-    ok = True
-    for p, mode, m, k in ONB_CONFIGS:
-        if p not in p_list:
-            continue
-        space = _space(p, mode, m, k)
-        sys = build(indicator(space), _modulation_ladder_points(space, 0))
-        g = gram(sys)
-        dev = float(np.max(np.abs(g - np.eye(sys.count))))
-        worst = max(worst, dev)
-        if sys.count != space.dim or dev > 1e-12:
-            ok = False
-        used.append(f"p={p} {mode} ({m},{k})")
+    square = True
+    for space, _ in spaces:
+        sys = systems.ladder(space, 0)
+        worst = _worse(worst, float(np.max(np.abs(gram(sys) - np.eye(sys.count)))))
+        square = square and sys.count == space.dim
     return CheckResult(
-        "onb-gram-identity", ok and bool(used),
-        f"max Gram deviation {worst:.2e}, count == dim", "1e-12", "; ".join(used),
+        "onb-gram-identity", square and bool(spaces) and worst <= 1e-12,
+        f"max Gram deviation {worst:.2e}, count == dim", "1e-12",
+        "; ".join(tag for _, tag in spaces),
     )
 
 
-def check_tight_frame_constant(p_list, size, rng) -> CheckResult:
+def check_tight_frame_constant(p_list, size, rng, systems) -> CheckResult:
+    configs = _kept(TIGHT_CONFIGS, p_list)
     worst = 0.0
-    used = []
-    ok = True
-    for p, mode in TIGHT_CONFIGS:
-        if p not in p_list:
-            continue
-        sys = _tight_lattice_system(p, mode)
-        expected = float(p * p)
-        vals = sys.values_spectrum[0]
-        dev = float(np.max(np.abs(vals - expected)))
-        worst = max(worst, dev)
-        if dev > 1e-9:
-            ok = False
-        used.append(f"p={p} {mode} bound {expected:g}")
+    for p, mode in configs:
+        vals = systems.tight(p, mode).values_spectrum[0]
+        worst = _worse(worst, float(np.max(np.abs(vals - float(p * p)))))
     return CheckResult(
-        "tight-frame-constant", ok and bool(used),
-        f"max eigenvalue deviation {worst:.2e}", "1e-9", "; ".join(used),
+        "tight-frame-constant", bool(configs) and worst <= 1e-9,
+        f"max eigenvalue deviation {worst:.2e}", "1e-9",
+        "; ".join(f"p={p} {mode} bound {p * p:g}" for p, mode in configs),
     )
 
 
-def check_section_trichotomy(p_list, size, rng) -> CheckResult:
-    used = []
+def check_section_trichotomy(p_list, size, rng, systems) -> CheckResult:
+    spaces = _onb_spaces(p_list)
     ok = True
     notes = []
-    for p, mode, m, k in ONB_CONFIGS:
-        if p not in p_list:
-            continue
-        space = _space(p, mode, m, k)
-        chi = indicator(space)
-        rep0 = frame_bounds(build(chi, _modulation_ladder_points(space, 0)))
-        rep_plus = frame_bounds(build(chi, _modulation_ladder_points(space, 1)))
-        rep_minus = frame_bounds(build(chi, _modulation_ladder_points(space, -1)))
-        good = (
+    for space, _ in spaces:
+        rep0, rep_plus, rep_minus = (frame_bounds(systems.ladder(space, step)) for step in (0, 1, -1))
+        ok = ok and (
             rep0.classification == "ONB"
             and rep_plus.classification == "TightFrame"
-            and abs((rep_plus.tight_constant or 0.0) - p) <= 1e-9
+            and abs((rep_plus.tight_constant or 0.0) - space.params.p) <= 1e-9
             and rep_minus.rank < space.dim
             and rep_minus.classification == "Incomplete"
         )
-        ok = ok and good
         constant = rep_plus.tight_constant if rep_plus.tight_constant is not None else math.nan
         notes.append(
             f"{rep0.classification}/{rep_plus.classification}({constant:.6g})/"
             f"{rep_minus.classification}(rank {rep_minus.rank}<{space.dim})"
         )
-        used.append(f"p={p} {mode} ({m},{k})")
     return CheckResult(
-        "section-trichotomy", ok and bool(used),
-        "; ".join(notes) if notes else "no configs", "1e-9 / 1e-12", "; ".join(used),
+        "section-trichotomy", ok and bool(spaces),
+        "; ".join(notes) if notes else "no configs", "1e-9 / 1e-12",
+        "; ".join(tag for _, tag in spaces),
     )
 
 
-def check_section_density_one(p_list, size, rng) -> CheckResult:
-    used = []
+def check_section_density_one(p_list, size, rng, systems) -> CheckResult:
+    configs = _kept(((2, CARRY), (3, CARRY), (2, MODULAR)), p_list)
     ok = True
     region = 4
-    for p, mode in ((2, CARRY), (3, CARRY), (2, MODULAR)):
-        if p not in p_list:
-            continue
+    for p, mode in configs:
         params = GroupParams(p, mode)
         lam = PointSet.group(section(params, region, 0), params)
-        prof = density_profile(lam, (0, region), region)
-        for row in prof.rows:
-            if row.max_count != p**row.n or row.min_count != p**row.n:
-                ok = False
-            if row.upper_ratio != 1 or row.lower_ratio != 1:
-                ok = False
-        used.append(f"p={p} {mode} N={region}")
+        rows = density_profile(lam, (0, region), region).rows
+        ok = all(row.max_count == row.min_count == p**row.n
+                 and row.upper_ratio == row.lower_ratio == 1 for row in rows) and ok
     return CheckResult(
-        "section-density-one", ok and bool(used),
-        "per-ball counts p**n, ratios exactly 1/1", "exact", "; ".join(used),
+        "section-density-one", ok and bool(configs),
+        "per-ball counts p**n, ratios exactly 1/1", "exact",
+        "; ".join(f"p={p} {mode} N={region}" for p, mode in configs),
     )
 
 
-def check_product_lattice_density(p_list, size, rng) -> CheckResult:
+def check_product_lattice_density(p_list, size, rng, systems) -> CheckResult:
     used = []
     ok = True
-    for p, mode in TIGHT_CONFIGS:
-        if p not in p_list:
-            continue
-        sys = _tight_lattice_system(p, mode)
+    for p, mode in _kept(TIGHT_CONFIGS, p_list):
+        sys = systems.tight(p, mode)
         k = sys.window.space.k
         expected = Fraction(p) ** (2 * k)
-        prof = density_profile(sys.lam, (-k, k), k)
-        for row in prof.rows:
-            if row.upper_ratio != expected or row.lower_ratio != expected:
-                ok = False
+        rows = density_profile(sys.lam, (-k, k), k).rows
+        ok = all(row.upper_ratio == row.lower_ratio == expected for row in rows) and ok
         used.append(f"p={p} {mode} density {expected}")
     return CheckResult(
         "product-lattice-density", ok and bool(used),
@@ -276,63 +288,54 @@ def check_product_lattice_density(p_list, size, rng) -> CheckResult:
     )
 
 
-def check_stft_energy_identity(p_list, size, rng) -> CheckResult:
+def check_stft_energy_identity(p_list, size, rng, systems) -> CheckResult:
     pairs = 100 if size == "full" else 20
+    spaces = _onb_spaces(p_list)
     worst = 0.0
-    used = []
-    for p, mode, m, k in ONB_CONFIGS:
-        if p not in p_list:
-            continue
-        space = _space(p, mode, m, k)
+    for space, _ in spaces:
         for _ in range(pairs):
             f = _random_function(space, rng)
             g = _random_function(space, rng)
-            grid = stft(f, g)
             target = f.norm() * g.norm()
-            worst = max(worst, abs(grid.l2_norm() - target) / target)
-        used.append(f"p={p} {mode} ({m},{k}) x{pairs}")
-    ok = bool(used) and worst <= 1e-10
+            worst = _worse(worst, abs(stft(f, g).l2_norm() - target) / target)
     return CheckResult(
-        "stft-energy-identity", ok,
-        f"max relative error {worst:.2e}", "1e-10", "; ".join(used),
+        "stft-energy-identity", bool(spaces) and worst <= 1e-10,
+        f"max relative error {worst:.2e}", "1e-10",
+        "; ".join(f"{tag} x{pairs}" for _, tag in spaces),
     )
 
 
-def check_sample_sum_amalgam_bound(p_list, size, rng) -> CheckResult:
+def check_sample_sum_amalgam_bound(p_list, size, rng, systems) -> CheckResult:
     draws = 100 if size == "full" else 20
+    configs = _kept(TIGHT_CONFIGS, p_list)
     worst_slack = -math.inf
-    used = []
     ok = True
-    for p, mode in TIGHT_CONFIGS:
-        if p not in p_list:
-            continue
-        sys = _tight_lattice_system(p, mode)
+    for p, mode in configs:
+        sys = systems.tight(p, mode)
         space = sys.window.space
         for draw in range(draws):
             f = _random_function(space, rng)
-            if draw == 0 and _sample_gap(sys, f) > 1e-10:
+            if draw == 0 and not _sample_gap(sys, f) <= 1e-10:
                 ok = False
             lhs, mid, _ = bessel_chain_check(f, sys, space.m)
-            slack = lhs - mid
-            worst_slack = max(worst_slack, slack)
-            if lhs > mid + 1e-10:
+            worst_slack = _worse(worst_slack, lhs - mid)
+            if not lhs <= mid + 1e-10:
                 ok = False
-        used.append(f"p={p} {mode} x{draws}")
     return CheckResult(
-        "sample-sum-amalgam-bound", ok and bool(used),
-        f"max(lhs - majorant) = {worst_slack:.2e}", "1e-10", "; ".join(used),
+        "sample-sum-amalgam-bound", ok and bool(configs),
+        f"max(lhs - majorant) = {worst_slack:.2e}", "1e-10",
+        "; ".join(f"p={p} {mode} x{draws}" for p, mode in configs),
     )
 
 
-def check_wiener_two_route_equality(p_list, size, rng) -> CheckResult:
+def check_wiener_two_route_equality(p_list, size, rng, systems) -> CheckResult:
     grids = 20 if size == "full" else 6
-    configs = [c for c in ((2, CARRY, 1, 1), (3, CARRY, 1, 1), (2, MODULAR, 2, 1)) if c[0] in p_list]
+    configs = _kept(((2, CARRY, 1, 1), (3, CARRY, 1, 1), (2, MODULAR, 2, 1)), p_list)
     if not configs:
         return CheckResult("wiener-two-route-equality", False, "no configs", "exact")
     exact = True
     for i in range(grids):
-        p, mode, m, k = configs[i % len(configs)]
-        space = _space(p, mode, m, k)
+        space = _space(*configs[i % len(configs)])
         grid = stft(_random_function(space, rng), _random_function(space, rng))
         for p_exp in (1, 2, math.inf):
             if wiener_norm(grid, p_exp) != _keyed_wiener_norm(grid, p_exp):
@@ -344,45 +347,35 @@ def check_wiener_two_route_equality(p_list, size, rng) -> CheckResult:
     )
 
 
-def check_transform_unitarity(p_list, size, rng) -> CheckResult:
+def check_transform_unitarity(p_list, size, rng, systems) -> CheckResult:
     if size == "full":
         configs = ((2, CARRY, 3, 3), (3, CARRY, 2, 2), (2, MODULAR, 3, 3), (3, MODULAR, 1, 1))
     else:
         configs = ((2, CARRY, 2, 2), (3, CARRY, 1, 1), (2, MODULAR, 2, 2))
+    configs = _kept(configs, p_list)
     worst = 0.0
-    used = []
-    for p, mode, m, k in configs:
-        if p not in p_list:
-            continue
-        space = _space(p, mode, m, k)
-        chi = indicator(space)
-        f_chi = fourier(chi)
-        dev = float(np.max(np.abs(f_chi.coeffs - indicator(space.dual).coeffs)))
-        worst = max(worst, dev)
+    for config in configs:
+        space = _space(*config)
+        dev = float(np.max(np.abs(fourier(indicator(space)).coeffs - indicator(space.dual).coeffs)))
         f = _random_function(space, rng)
         ff = fourier(f)
-        worst = max(worst, abs(ff.norm() - f.norm()) / f.norm())
-        worst = max(worst, float(np.max(np.abs(ff.coeffs - _naive_dual_sums(f)))))
-        used.append(f"p={p} {mode} dim {space.dim}")
-    ok = bool(used) and worst <= 1e-12
+        worst = _worse(worst, dev, abs(ff.norm() - f.norm()) / f.norm(),
+                       float(np.max(np.abs(ff.coeffs - _naive_dual_sums(f)))))
     return CheckResult(
-        "transform-unitarity", ok,
+        "transform-unitarity", bool(configs) and worst <= 1e-12,
         f"max deviation {worst:.2e} (unit-ball image, norm, oracle)", "1e-12",
-        "; ".join(used),
+        "; ".join(f"p={p} {mode} dim {p ** (m + k)}" for p, mode, m, k in configs),
     )
 
 
-def check_dual_reconstruction(p_list, size, rng) -> CheckResult:
+def check_dual_reconstruction(p_list, size, rng, systems) -> CheckResult:
     draws = 50 if size == "full" else 10
+    spaces = _onb_spaces(p_list)
     worst_recon = 0.0
     worst_bounds = 0.0
-    used = []
     ok = True
-    for p, mode, m, k in ONB_CONFIGS:
-        if p not in p_list:
-            continue
-        space = _space(p, mode, m, k)
-        chi = indicator(space)
+    for space, _ in spaces:
+        onb = systems.ladder(space, 0)
         extra = tuple(
             (
                 space.index_section[rng.next_below(space.dim)],
@@ -390,9 +383,8 @@ def check_dual_reconstruction(p_list, size, rng) -> CheckResult:
             )
             for _ in range(4)
         )
-        lam = PointSet.phase(_modulation_ladder_points(space, 0).points + extra, space.params)
-        sys = build(chi, lam)
-        used.append(f"p={p} {mode} ({m},{k}) +4 extra, x{draws}")
+        lam = PointSet.phase(onb.lam.points + extra, space.params)
+        sys = build(onb.window, lam)
         try:
             duals = canonical_dual(sys)  # before frame_bounds: both read the one full spectrum
         except RankDeficiencyError:  # a system that does not span has no dual
@@ -401,52 +393,41 @@ def check_dual_reconstruction(p_list, size, rng) -> CheckResult:
         report = frame_bounds(sys)
         for _ in range(draws):
             f = _random_function(space, rng)
-            err = (reconstruct(sys, duals, f) - f).norm() / f.norm()
-            worst_recon = max(worst_recon, err)
-        dual_report = frame_bounds(GaborSystem(chi, lam, duals))
-        worst_bounds = max(
+            worst_recon = _worse(worst_recon, (reconstruct(sys, duals, f) - f).norm() / f.norm())
+        dual_report = frame_bounds(GaborSystem(onb.window, lam, duals))
+        worst_bounds = _worse(
             worst_bounds,
             abs(dual_report.lower - 1.0 / report.upper),
             abs(dual_report.upper - 1.0 / report.lower),
         )
-        if worst_recon > 1e-8 or worst_bounds > 1e-8:
-            ok = False
     return CheckResult(
-        "dual-reconstruction", ok and bool(used),
+        "dual-reconstruction", ok and bool(spaces) and worst_recon <= 1e-8 and worst_bounds <= 1e-8,
         f"max reconstruction error {worst_recon:.2e}, max bound reciprocity error {worst_bounds:.2e}",
-        "1e-8", "; ".join(used),
+        "1e-8", "; ".join(f"{tag} +4 extra, x{draws}" for _, tag in spaces),
     )
 
 
-def check_repeated_point_bound_growth(p_list, size, rng) -> CheckResult:
+def check_repeated_point_bound_growth(p_list, size, rng, systems) -> CheckResult:
     reps = [1, 2, 4, 8] if size == "full" else [1, 2, 4]
-    used = []
+    spaces = _onb_spaces(p_list)
     ok = True
     detail = []
-    for p, mode, m, k in ONB_CONFIGS:
-        if p not in p_list:
-            continue
-        space = _space(p, mode, m, k)
-        chi = indicator(space)
-        sys = build(chi, _modulation_ladder_points(space, 0))
+    for space, _ in spaces:
         origin = (GroupElement.zero(space.params), GroupElement.zero(space.params))
-        results, grew = bessel_stress(sys, origin, reps)  # grew: B(N) >= N||chi||^2, nondecreasing
-        ok = ok and grew
+        results, grew = bessel_stress(systems.ladder(space, 0), origin, reps)
+        ok = ok and grew  # grew: B(N) >= N||chi||^2, nondecreasing
         detail.append(",".join(f"B({n})={b:.3f}" for n, b in results))
-        used.append(f"p={p} {mode}")
     return CheckResult(
-        "repeated-point-bound-growth", ok and bool(used),
-        "; ".join(detail) if detail else "no configs", "1e-9", "; ".join(used),
+        "repeated-point-bound-growth", ok and bool(spaces),
+        "; ".join(detail) if detail else "no configs", "1e-9",
+        "; ".join(f"p={space.params.p} {space.params.mode}" for space, _ in spaces),
     )
 
 
-def check_separated_decomposition(p_list, size, rng) -> CheckResult:
-    corpus = _random_group_corpus(20 if size == "full" else 8, rng)
-    checked = 0
+def check_separated_decomposition(p_list, size, rng, systems) -> CheckResult:
+    corpus = _group_corpus(p_list, size, rng)
     ok = True
-    for i, (params, lam, region) in enumerate(corpus):
-        if params.p not in p_list:
-            continue
+    for i, params, lam, region in corpus:
         scale = i % 2
         parts = separated_decomposition(lam, scale, region)
         n_cap = finite_density_check(lam, scale, region).max_per_ball
@@ -457,42 +438,38 @@ def check_separated_decomposition(p_list, size, rng) -> CheckResult:
             ok = False
         if len(parts) > params.p * n_cap:
             ok = False
-        checked += 1
     return CheckResult(
-        "separated-decomposition", ok and checked > 0,
-        f"{checked} random multisets: union, separation, part count all exact", "exact",
+        "separated-decomposition", ok and bool(corpus),
+        f"{len(corpus)} random multisets: union, separation, part count all exact", "exact",
     )
 
 
-def check_scale_propagation_bound(p_list, size, rng) -> CheckResult:
-    corpus = _random_group_corpus(20 if size == "full" else 8, rng)
-    checked = 0
+def check_scale_propagation_bound(p_list, size, rng, systems) -> CheckResult:
+    """No mutant can make this check FAIL.  finite_density_check raises InvariantViolation
+    on a report past its bound, so a defect leaves run_suite as an exception and the
+    all_within test here never sees False.  And any count that sums scale-n balls into a
+    scale-m ball holds at most p**(d(m-n)) N_n points, a factor p**d under the bound."""
+    corpus = _group_corpus(p_list, size, rng)
     ok = True
-    for params, lam, region in corpus:
-        if params.p not in p_list:
-            continue
+    for _, params, lam, region in corpus:
         for n in range(0, region):
             if not finite_density_check(lam, n, region).all_within:
                 ok = False
-        checked += 1
     return CheckResult(
-        "scale-propagation-bound", ok and checked > 0,
-        f"{checked} random multisets, every base scale", "exact",
+        "scale-propagation-bound", ok and bool(corpus),
+        f"{len(corpus)} random multisets, every base scale", "exact",
     )
 
 
-def check_automorphism_invariance(p_list, size, rng) -> CheckResult:
+def check_automorphism_invariance(p_list, size, rng, systems) -> CheckResult:
     """Row j of the report counts the balls of B**j H = A**(r j) H in A^R H.  The second
     route moves lam by B = A**r (automorphism(r) on every point) into a fresh PointSet,
     whose A-scale r(j+1) balls in A^(R+r) H are the images of those balls, and requires
     the same max and min counts row by row; a report that counts at the wrong scale fails."""
-    corpus = _random_group_corpus(20 if size == "full" else 8, rng)
+    corpus = _group_corpus(p_list, size, rng)
     r = 2
-    checked = 0
     ok = True
-    for params, lam, region in corpus:
-        if params.p not in p_list:
-            continue
+    for _, params, lam, region in corpus:
         report = automorphism_invariance_check(lam, r, (0, region // r), region)
         image = PointSet.group(tuple(x.automorphism(r) for x in lam.points), params)
         moved = [density_profile(image, (r * (j + 1), r * (j + 1)), region + r).rows[0]
@@ -500,46 +477,33 @@ def check_automorphism_invariance(p_list, size, rng) -> CheckResult:
         counts = [(row.max_count, row.min_count) for row in report.rows]
         if not report.all_equal or counts != [(row.max_count, row.min_count) for row in moved]:
             ok = False
-        checked += 1
     return CheckResult(
-        "automorphism-invariance", ok and checked > 0,
-        f"{checked} random multisets, squared map, ratios equal row-by-row", "exact",
+        "automorphism-invariance", ok and bool(corpus),
+        f"{len(corpus)} random multisets, squared map, ratios equal row-by-row", "exact",
     )
 
 
-def check_frame_density_necessity(p_list, size, rng) -> CheckResult:
+def check_frame_density_necessity(p_list, size, rng, systems) -> CheckResult:
     used = []
-    ok = True
-    systems = []
-    for p, mode, m, k in ONB_CONFIGS:
-        if p not in p_list:
-            continue
-        space = _space(p, mode, m, k)
-        chi = indicator(space)
-        systems.append((build(chi, _modulation_ladder_points(space, 0)), space.m, True))
-        systems.append((build(chi, _modulation_ladder_points(space, 1)), space.m, False))
-        used.append(f"p={p} {mode} ({m},{k})")
-    for p, mode in TIGHT_CONFIGS:
-        if p not in p_list:
-            continue
-        sys = _tight_lattice_system(p, mode)
-        systems.append((sys, sys.window.space.m, False))
+    cases = []  # (system, expect a Riesz basis)
+    for space, tag in _onb_spaces(p_list):
+        cases += [(systems.ladder(space, 0), True), (systems.ladder(space, 1), False)]
+        used.append(tag)
+    for p, mode in _kept(TIGHT_CONFIGS, p_list):
+        cases.append((systems.tight(p, mode), False))
         used.append(f"p={p} {mode} lattice")
-    for sys, region, expect_riesz in systems:
-        if expect_riesz:
-            sys.spectrum  # riesz_check's dual needs the vectors; frame_bounds reads them too
-        report = frame_bounds(sys)
-        if report.classification not in ("ONB", "TightFrame", "Frame"):
+    ok = True
+    for sys, expect_riesz in cases:
+        if frame_bounds(sys).classification not in ("ONB", "TightFrame", "Frame"):
             ok = False
             continue
-        prof = density_profile(sys.lam, (0, region), region)
-        if any(row.lower_ratio < 1 for row in prof.rows):
+        region = sys.window.space.m
+        rows = density_profile(sys.lam, (0, region), region).rows
+        if any(row.lower_ratio < 1 for row in rows):
             ok = False
-        if expect_riesz:
-            if not riesz_check(sys):
-                ok = False
-            if any(row.upper_ratio != 1 or row.lower_ratio != 1 for row in prof.rows):
-                ok = False
+        if expect_riesz and not (
+                riesz_check(sys) and all(row.upper_ratio == row.lower_ratio == 1 for row in rows)):
+            ok = False
     return CheckResult(
         "frame-density-necessity", ok and bool(used),
         "frames: lower ratio >= 1; Riesz bases: ratios exactly 1", "exact",
@@ -569,8 +533,9 @@ CHECKS = (
 def run_suite(p_list=(2, 3), size: str = "full", seed: int = DEFAULT_SEED) -> list[CheckResult]:
     if size not in ("small", "full"):
         raise ValueError(f"size must be 'small' or 'full', got {size!r}")
+    systems = _Systems()  # this run's systems, shared by its checks
     results = []
     for fn in CHECKS:
         rng = SplitMix64(seed)  # each check draws from a fresh, identical stream
-        results.append(fn(tuple(p_list), size, rng))
+        results.append(fn(tuple(p_list), size, rng, systems))
     return results

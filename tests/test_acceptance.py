@@ -4,6 +4,9 @@ Runs the suite once per session and asserts each check separately, printing
 one PASS/FAIL line per criterion (visible with `pytest -s` or on failure).
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from padicgabor import density, gabor, model, verify
@@ -71,7 +74,8 @@ def _cells_keyed_by_high_digits(grid):
 def test_wiener_two_route_equality_sees_wrong_cells(monkeypatch, mutant, size):
     # the second route keys cells by group arithmetic, so a wrong cell layout shows
     monkeypatch.setattr(model, "_cell_sups", mutant)
-    result = verify.check_wiener_two_route_equality((2, 3), size, SplitMix64(verify.DEFAULT_SEED))
+    result = verify.check_wiener_two_route_equality(
+        (2, 3), size, SplitMix64(verify.DEFAULT_SEED), verify._Systems())
     assert not result.passed, result.line()
 
 
@@ -84,7 +88,8 @@ def _counts_at_scale_j(lam, r, n_range, region):
 def test_automorphism_invariance_sees_a_wrong_scale(monkeypatch, size):
     # the second route counts the image under A**r as a fresh point set
     monkeypatch.setattr(verify, "automorphism_invariance_check", _counts_at_scale_j)
-    result = verify.check_automorphism_invariance((2, 3), size, SplitMix64(verify.DEFAULT_SEED))
+    result = verify.check_automorphism_invariance(
+        (2, 3), size, SplitMix64(verify.DEFAULT_SEED), verify._Systems())
     assert not result.passed, result.line()
 
 
@@ -125,13 +130,15 @@ _negated_translations = _with_points(lambda x, xi: (-x, xi))
 _conjugated_characters = _with_points(lambda x, xi: (x, -xi))  # <y, -xi> = conj <y, xi>
 
 
-def _patch_build(monkeypatch, mutant):
-    monkeypatch.setattr(gabor, "build", mutant)
-    monkeypatch.setattr(verify, "build", mutant)
+def _patch(monkeypatch, name, mutant):
+    # every layer that imported the function by name sees the mutant
+    for module in (model, gabor, density, verify):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, mutant)
 
 
 def test_a_build_without_characters_fails_the_frame_checks(monkeypatch):
-    _patch_build(monkeypatch, _dropped_characters)
+    _patch(monkeypatch, "build", _dropped_characters)
     results = run_suite(size="small")
     assert len(results) == 15
     failed = {r.name for r in results if not r.passed}
@@ -143,6 +150,77 @@ def test_a_build_without_characters_fails_the_frame_checks(monkeypatch):
 @pytest.mark.parametrize("size", ["small", "full"])
 def test_sample_sum_amalgam_bound_sees_the_sign_of_build(monkeypatch, mutant, size):
     # the analysis coefficients must be the STFT samples at the points themselves
-    _patch_build(monkeypatch, mutant)
-    result = verify.check_sample_sum_amalgam_bound((2, 3), size, SplitMix64(verify.DEFAULT_SEED))
+    _patch(monkeypatch, "build", mutant)
+    result = verify.check_sample_sum_amalgam_bound(
+        (2, 3), size, SplitMix64(verify.DEFAULT_SEED), verify._Systems())
     assert not result.passed, result.line()
+
+
+_STFT = model.stft
+
+
+def _nan_stft(f, g):
+    grid = _STFT(f, g)
+    return model.StftGrid(grid.space, grid.values * math.nan)
+
+
+def test_a_nan_measurement_fails_its_check(monkeypatch):
+    # max() drops a NaN and NaN > tol is False, so a NaN grid must still fail
+    _patch(monkeypatch, "stft", _nan_stft)
+    failed = {r.name for r in run_suite(size="small") if not r.passed}
+    assert {"stft-energy-identity", "sample-sum-amalgam-bound"} <= failed, failed
+
+
+def _frame_operator_without_measure(sys):
+    w = sys.vector_matrix()
+    return np.einsum("ac,bc->ab", w, np.conj(w))
+
+
+def _stft_without_measure(f, g):
+    return model.StftGrid(f.space, _STFT(f, g).values / f.space.coset_measure)
+
+
+_RADIX_DFT = model._radix_dft
+
+
+def _radix_dft_with_conjugated_roots(rows, p, roots):
+    return _RADIX_DFT(rows, p, np.conj(roots))
+
+
+def _build_without_repeats(window, lam):
+    return _BUILD(window, PointSet.phase(tuple(dict.fromkeys(lam.points)), lam.params))
+
+
+_SEPARATED = density.separated_decomposition
+
+
+def _parts_all_labelled_one(lam, n, region):
+    # the parts of one C0 member merge, so a ball's points share a part
+    merged = {}
+    for part in _SEPARATED(lam, n, region):
+        merged.setdefault(part.c0_index, []).extend(part.points.points)
+    return [density.DecompositionPart(1, c0, PointSet.group(tuple(pts), lam.params))
+            for c0, pts in merged.items()]
+
+
+MUTANTS = {  # check: (patched name, one plausible defect of it)
+    "tight-frame-constant": ("frame_operator", _frame_operator_without_measure),
+    "stft-energy-identity": ("stft", _stft_without_measure),
+    "transform-unitarity": ("_radix_dft", _radix_dft_with_conjugated_roots),
+    "repeated-point-bound-growth": ("build", _build_without_repeats),
+    "separated-decomposition": ("separated_decomposition", _parts_all_labelled_one),
+}
+
+
+@pytest.mark.parametrize("check", list(MUTANTS))
+def test_each_check_fails_under_its_mutant(monkeypatch, check):
+    _patch(monkeypatch, *MUTANTS[check])
+    results = {r.name: r for r in run_suite(size="small")}
+    assert not results[check].passed, results[check].line()
+
+
+def test_a_build_patched_between_runs_takes_effect(monkeypatch):
+    # the systems live for one run_suite call, so a later run builds its own
+    assert all(r.passed for r in run_suite(size="small"))
+    _patch(monkeypatch, "build", _dropped_characters)
+    assert not run_suite(size="small")[0].passed

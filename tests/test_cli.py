@@ -12,12 +12,13 @@ import warnings
 import numpy as np
 import pytest
 
-from padicgabor import cli, gabor, linalg
+from padicgabor import cli, gabor, linalg, verify
 from padicgabor.cli import main
 from padicgabor.linalg import ConvergenceError
 from padicgabor.localfield import CARRY, MAX_BODY_DIGITS, MODULAR, GroupParams
 from padicgabor.model import ModelFunction, ModelSpace, StftGrid, stft
 from padicgabor.rng import SplitMix64
+from padicgabor.verify import run_suite
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -830,8 +831,27 @@ def test_verify_runs_one_jacobi_per_system(capsys, monkeypatch):
 
     monkeypatch.setattr(gabor, "frame_operator", recorded)
     assert main(["verify", "--suite", "paper", "--sizes", "full"]) == 0
-    assert len(asked) == len(systems) <= 39
+    assert len(asked) == len(systems) <= 30
     assert len({id(sys) for sys in systems}) == len(systems)
+
+
+def test_each_run_decomposes_its_own_systems(monkeypatch):
+    # the systems live for one run_suite call: a module-level cache would hand the second run
+    # the first run's ONB systems, already decomposed
+    asked = _record_jacobi(monkeypatch)
+    onbs = []
+    gram = verify.gram
+
+    def recorded(sys):
+        onbs.append(sys)
+        return gram(sys)
+
+    monkeypatch.setattr(verify, "gram", recorded)
+    run_suite(size="small")
+    first, first_onbs = len(asked), list(onbs)
+    run_suite(size="small")
+    assert first > 0 and len(asked) == 2 * first
+    assert not {id(sys) for sys in first_onbs} & {id(sys) for sys in onbs[len(first_onbs):]}
 
 
 PINNED_VERIFY_SMALL = (  # (stdout, --out)
@@ -846,9 +866,21 @@ PINNED_VERIFY_FULL = (  # (stdout, --out)
 )
 
 
-def _verify_digests(size, tmp_path, capsys):
+PINNED_VERIFY_SMALL_ONE_PRIME = {  # p: (stdout, --out) of --sizes small --p p
+    "2": (
+        "79cd6851b7e66701c37eccca5cb0a75a2eb19c48fd84a29a5440252f38529b69",
+        "db4eb443cf2495f8e51133b315b53e269ae8afa2f804d02a7d1f18f30021c679",
+    ),
+    "3": (
+        "6255ca604791ebc685908f527f24aef12415f2f07275fbd0b1824cc1a1bcf344",
+        "c0b3dc342edd1fe8925eb39478391da287a219db6325294f18bf3ace5752826d",
+    ),
+}
+
+
+def _verify_digests(size, tmp_path, capsys, *extra):
     out = tmp_path / "v.json"
-    assert main(["verify", "--suite", "paper", "--sizes", size, "--out", str(out)]) == 0
+    assert main(["verify", "--suite", "paper", "--sizes", size, *extra, "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     return tuple(hashlib.sha256(text.encode()).hexdigest() for text in (stdout, out.read_text()))
 
@@ -860,3 +892,10 @@ def test_verify_small_output_bytes_are_pinned(tmp_path, capsys):
 def test_verify_full_output_bytes_are_pinned(tmp_path, capsys):
     # the size the paper-verify benchmark workload runs
     assert _verify_digests("full", tmp_path, capsys) == PINNED_VERIFY_FULL
+
+
+@pytest.mark.parametrize("p", list(PINNED_VERIFY_SMALL_ONE_PRIME))
+def test_verify_one_prime_output_bytes_are_pinned(tmp_path, capsys, p):
+    # a single-prime run keeps only that prime's configs in every check
+    digests = _verify_digests("small", tmp_path, capsys, "--p", p)
+    assert digests == PINNED_VERIFY_SMALL_ONE_PRIME[p]
