@@ -149,7 +149,14 @@ def _parse_function(doc: dict, space: ModelSpace, role: str) -> ModelFunction:
             fn = fn.scaled(float(space.params.p) ** (-set_scale / 2.0))
         return fn
     if kind == "coeffs":
-        values = [complex(re, im) for re, im in _get(doc, "values", role, list)]
+        pairs = _get(doc, "values", role, list)
+        num = (int, float)  # as in _get, a bool is not a number
+        try:
+            values = [complex(re, im) for re, im in pairs if type(re) in num and type(im) in num]
+        except (TypeError, ValueError):  # an entry that is not two values
+            values = ()
+        if len(values) != len(pairs):
+            raise ConfigError(f"{role} values must be [re, im] pairs of numbers")
         if not all(map(cmath.isfinite, values)):
             raise ConfigError(f"{role} values must be finite (no NaN or Infinity)")
         fn = ModelFunction(space, values)
@@ -399,7 +406,7 @@ def cmd_verify(args, out) -> int:
     if args.suite != "paper":
         raise ConfigError(f"unknown suite {args.suite!r}; available: paper")
     try:
-        p_list = tuple(int(tok) for tok in args.p.split(",")) if args.p else (2, 3)
+        p_list = tuple(int(tok) for tok in args.p.split(","))
     except ValueError:
         raise ConfigError(f"--p expects a comma-separated list of primes, got {args.p!r}")
     unsupported = sorted(set(p_list) - {2, 3})

@@ -8,11 +8,12 @@ operator S f = sum <f, v> v is assembled as a dim x dim Hermitian matrix
 acting on coefficient vectors with the coset measure folded in; its
 extreme eigenvalues are the frame bounds of the system for the model
 space, the natural desk-scale reading of "frame for L^2".  Each system
-diagonalizes S at most once.  Bounds, rank and the ONB test need only
-eigenvalues (GaborSystem.values_spectrum); the canonical dual and the Riesz
-test of a square system need vectors (GaborSystem.spectrum), and they take
-the full decomposition before any bound is read, so the bounds read it too.
-No count x count Gram is formed for them.  Classification:
+diagonalizes S at most once.  Bounds, rank, the ONB test and the Riesz
+test need only eigenvalues (GaborSystem.values_spectrum); only the canonical
+dual needs vectors (GaborSystem.spectrum), and a dual taken first leaves its
+full decomposition for the bounds to read.  No count x count Gram is formed
+for them.  A Riesz basis is a spanning square system: in finite dimension
+its Gram is invertible and its canonical dual biorthogonal.  Classification:
 
 * ONB         -- count == dim and S = I: for square W, mu W W* = I iff
   mu W* W = I, and ||G - I||_2 = ||S - I||_2 = max |lambda - 1|;
@@ -33,8 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from .density import PHASE, PointSet, finite_density_check
-from .linalg import HermitianMatrix, RankDeficiencyError, hermitian_eigs, solve_hermitian
-from .model import ModelFunction, stft, wiener_norm
+from .linalg import RANK_TOL, HermitianMatrix, RankDeficiencyError, hermitian_eigs, solve_hermitian
+from .model import ModelFunction, _same_space, stft, wiener_norm
 # build no longer calls it; it stays a gabor name because perfbench/selftest.py
 # checks that tracing patches padicgabor.gabor.modulate
 from .model import modulate  # noqa: F401
@@ -44,7 +45,6 @@ TIGHT_FRAME = "TightFrame"
 FRAME = "Frame"
 INCOMPLETE = "Incomplete"
 
-RANK_TOL = 1e-9
 ONB_TOL = 1e-12
 TIGHT_TOL = 1e-9
 
@@ -111,8 +111,7 @@ def frame_operator(sys: GaborSystem) -> np.ndarray:
 
 def _analysis(sys: GaborSystem, f: ModelFunction) -> np.ndarray:
     """The coefficients <f, v> over the system vectors v, as one product."""
-    if f.space != sys.window.space:
-        raise ValueError(f"model spaces differ: {f.space!r} vs {sys.window.space!r}")
+    _same_space(f, sys.window)
     w = sys.vector_matrix()
     return sys.window.space.coset_measure * np.einsum("ac,a->c", np.conj(w), f.coeffs)
 
@@ -179,7 +178,7 @@ def frame_bounds(sys: GaborSystem) -> GaborReport:
 
 def canonical_dual(sys: GaborSystem) -> np.ndarray:
     """dim x count matrix of the dual vectors S^-1 v; requires the system to span."""
-    return solve_hermitian(sys.spectrum, sys.vector_matrix(), tol=RANK_TOL)
+    return solve_hermitian(sys.spectrum, sys.vector_matrix())
 
 
 def reconstruct(sys: GaborSystem, duals: np.ndarray, f: ModelFunction) -> ModelFunction:
@@ -187,24 +186,15 @@ def reconstruct(sys: GaborSystem, duals: np.ndarray, f: ModelFunction) -> ModelF
     return ModelFunction(sys.window.space, np.einsum("ac,c->a", duals, _analysis(sys, f)))
 
 
-def riesz_check(sys: GaborSystem, tol: float = 1e-8) -> bool:
-    """True iff the system is a Riesz basis: invertible Gram and biorthogonal dual.
+def riesz_check(sys: GaborSystem) -> bool:
+    """True iff the system is a Riesz basis: it spans and is square.
 
-    The Gram of a spanning system is invertible iff the system is square.  A square system
-    takes the full spectrum first, so the bounds and the dual share one decomposition.
+    A system that does not span raises RankDeficiencyError.
     """
-    if sys.count == sys.dim:
-        sys.spectrum
     report = frame_bounds(sys)
     if report.rank < sys.dim:
         raise RankDeficiencyError(report.lower, RANK_TOL * max(1.0, report.upper))
-    if sys.count != sys.dim:
-        return False
-    d = canonical_dual(sys)
-    measure = sys.window.space.coset_measure
-    w = sys.vector_matrix()
-    bio = measure * np.einsum("ai,aj->ij", np.conj(d), w)  # <v_j, dual_i>
-    return float(np.max(np.abs(bio - np.eye(sys.count)))) <= tol
+    return sys.count == sys.dim
 
 
 def bessel_stress(sys_base: GaborSystem, lambda0, reps: list[int]):
@@ -232,16 +222,18 @@ def bessel_stress(sys_base: GaborSystem, lambda0, reps: list[int]):
     return results, ok
 
 
-def bessel_chain_check(f: ModelFunction, sys: GaborSystem, region: int):
+def bessel_chain_check(f: ModelFunction, sys: GaborSystem):
     """The square-sum of samples against the counting-times-amalgam majorant.
 
     Returns (lhs, mid, rhs): lhs = sum over lam of |V_phi f|^2, mid = N_0 times
     the squared amalgam 2-norm of V_phi f where N_0 caps the per-unit-cell
     count of lam, and rhs = ||f||^2 ||phi||^2 for context (the exact value of
-    the full plane integral).
+    the full plane integral).  N_0 is counted in A^max(m, k) H, the window
+    model's region, which holds every point of the system.
     """
     lhs = float(np.sum(np.abs(_analysis(sys, f)) ** 2))
-    n0 = finite_density_check(sys.lam, 0, region).max_per_ball
+    space = sys.window.space
+    n0 = finite_density_check(sys.lam, 0, max(space.m, space.k)).max_per_ball
     grid = stft(f, sys.window)
     mid = n0 * wiener_norm(grid, 2) ** 2
     rhs = (f.norm() * sys.window.norm()) ** 2

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
+RANK_TOL = 1e-9
 
 
 class RankDeficiencyError(RuntimeError):
@@ -184,8 +185,8 @@ def hermitian_eigs(matrix: HermitianMatrix, vectors: bool = True):
     return vals[order], off, sweeps, None if vecs is None else vecs[:, order]
 
 
-def solve_hermitian(eigs, rhs, tol: float = 1e-9):
-    """Solve M x = rhs given eigs = hermitian_eigs(M); requires min |eig| > tol * max(1, top).
+def solve_hermitian(eigs, rhs):
+    """Solve M x = rhs given eigs = hermitian_eigs(M); requires min |eig| > RANK_TOL * max(1, top).
 
     rhs may be a vector or a matrix of stacked right-hand sides (columns).
     """
@@ -193,7 +194,7 @@ def solve_hermitian(eigs, rhs, tol: float = 1e-9):
     if vecs is None:
         raise ValueError("solve_hermitian needs eigenvectors: pass hermitian_eigs(M, vectors=True)")
     top = float(np.max(np.abs(vals)))
-    cutoff = tol * max(1.0, top)
+    cutoff = RANK_TOL * max(1.0, top)
     small = float(np.min(np.abs(vals)))
     if small <= cutoff:
         raise RankDeficiencyError(small, cutoff)

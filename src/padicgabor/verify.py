@@ -111,12 +111,9 @@ class _Systems(dict):
 
     def ladder(self, space: ModelSpace, step: int) -> GaborSystem:
         """chi_H translated along H-cosets, modulations refined (step > 0), kept (the ONB) or
-        coarsened.  The ONB takes its full spectrum: the Riesz test needs its vectors, and
-        its bounds read the same eigenvalue bits as a values-only decomposition."""
+        coarsened."""
         if (space, step) not in self:
-            sys = self[space, step] = build(indicator(space), _lattice(space, 0, -step))
-            if step == 0:
-                sys.spectrum
+            self[space, step] = build(indicator(space), _lattice(space, 0, -step))
         return self[space, step]
 
     def tight(self, p: int, mode: str) -> GaborSystem:
@@ -317,7 +314,7 @@ def check_sample_sum_amalgam_bound(p_list, size, rng, systems) -> CheckResult:
             f = _random_function(space, rng)
             if draw == 0 and not _sample_gap(sys, f) <= 1e-10:
                 ok = False
-            lhs, mid, _ = bessel_chain_check(f, sys, space.m)
+            lhs, mid, _ = bessel_chain_check(f, sys)
             worst_slack = _worse(worst_slack, lhs - mid)
             if not lhs <= mid + 1e-10:
                 ok = False

@@ -20,7 +20,8 @@ from padicgabor.model import ModelFunction, ModelSpace, StftGrid, stft
 from padicgabor.rng import SplitMix64
 from padicgabor.verify import run_suite
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def write_config(tmp_path, name, doc):
@@ -166,6 +167,19 @@ def test_stft_grid_output(tmp_path, capsys):
     assert doc["values"][0] == [1.0, 0.0]
 
 
+def test_readme_frame_example(tmp_path, capsys):
+    # the first json block of README.md is the config its frame example reports on
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "readme.json"
+    cfg.write_text(block)
+    assert main(["frame", "--config", str(cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["c"] == 4.000000000000001
+    assert doc["classification"] == "TightFrame"
+    assert (doc["count"], doc["dim"], doc["sweeps"]) == (16, 4, 0)
+
+
 def test_output_deterministic(tmp_path):
     cfg = write_config(tmp_path, "f.json", FRAME_TIGHT)
     out1 = tmp_path / "a.json"
@@ -223,6 +237,13 @@ def test_unsupported_prime_exit_2(capsys):
     assert main(["verify", "--suite", "paper", "--p", "5"]) == 2
     assert "p in {2, 3}" in capsys.readouterr().err
     assert main(["verify", "--suite", "paper", "--p", "2,x"]) == 2
+
+
+def test_empty_prime_list_exit_2(capsys):
+    assert main(["verify", "--suite", "paper", "--p", ""]) == 2
+    captured = capsys.readouterr()
+    assert "--p expects a comma-separated list of primes, got ''" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_small_passes(capsys, tmp_path):
@@ -338,6 +359,20 @@ def test_non_finite_coeffs_exit_2(tmp_path, capsys, command, role, bad):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("role", ["window", "function"])
+@pytest.mark.parametrize("bad", [[True, 0], [0.5, False], [1, 2, 3], [1], ["1", 2], "ab", None],
+                         ids=["re-bool", "im-bool", "triple", "single", "string", "text", "null"])
+def test_coeffs_values_must_be_number_pairs(tmp_path, capsys, role, bad):
+    values = [list(pair) for pair in COEFFS_PAIR[role]["values"]]
+    values[1] = bad
+    doc = {**COEFFS_PAIR, role: {"type": "coeffs", "values": values}}
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["stft", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {role} values must be [re, im] pairs of numbers\n"
+    assert captured.out == ""
+
+
 HUGE_COEFFS = {"type": "coeffs", "values": [[1e200, 0]] * 4}
 OVERFLOWING = [
     # the squared norm overflows
@@ -436,10 +471,15 @@ EXPLICIT_TIGHT = {**FRAME_TIGHT, "lambda": {"ambient": "phase", "type": "explici
         {**EXPLICIT_TIGHT, "model": {"m": True, "k": 1}},
         {**EXPLICIT_TIGHT, "model": {"m": 1, "k": True}},
         {**FRAME_TIGHT, "lambda": {**FRAME_TIGHT["lambda"], "x": {"outer": True, "inner": -1}}},
+        {**FRAME_TIGHT, "window": {"type": "coeffs", "values": [[True, False]] * 4}},
+        {**FRAME_TIGHT, "window": {"type": "coeffs", "values": [[1, 2, 3]] * 4}},
+        {**FRAME_TIGHT, "window": {"type": "coeffs", "values": [["1", 2]] * 4}},
+        {**FRAME_TIGHT, "window": {"type": "coeffs", "values": [1, 0, 0, 0]}},
     ],
     ids=[
         "point-texts-int", "point-xi-int", "shift-int", "set-scale-bool", "parts-int",
         "part-int", "parts-mixed-ambient", "lambda-int", "model-m-bool", "model-k-bool", "section-outer-bool",
+        "coeffs-bool", "coeffs-triple", "coeffs-string", "coeffs-number",
     ],
 )
 def test_frame_bad_config_exits_2(tmp_path, capsys, doc):
@@ -833,6 +873,7 @@ def test_verify_runs_one_jacobi_per_system(capsys, monkeypatch):
     assert main(["verify", "--suite", "paper", "--sizes", "full"]) == 0
     assert len(asked) == len(systems) <= 30
     assert len({id(sys) for sys in systems}) == len(systems)
+    assert asked.count(True) == 3  # only check 10's canonical duals take eigenvectors
 
 
 def test_each_run_decomposes_its_own_systems(monkeypatch):
