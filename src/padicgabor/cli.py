@@ -53,7 +53,7 @@ from .model import (
 from .verify import DEFAULT_SEED, run_suite
 
 MAX_ENTRIES = 2**22  # complex entries of any array a command builds: 64 MiB, dim <= 2048
-MAX_FRAME_DIM = 2**8  # dim of a frame model: its O(dim^3) Jacobi takes seconds at 256
+MAX_FRAME_DIM = 2**8  # dim of a frame model: S costs O(dim^2 count), its eigenvalues O(dim^3)
 MAX_POINTS = 2**20  # points a lambda lists or generates
 MAX_P = 2**16  # the prime
 MAX_SCALE = 64  # density scales and powers, |valuation| of a config element
@@ -155,6 +155,8 @@ def _parse_function(doc: dict, space: ModelSpace, role: str) -> ModelFunction:
             values = [complex(re, im) for re, im in pairs if type(re) in num and type(im) in num]
         except (TypeError, ValueError):  # an entry that is not two values
             values = ()
+        except OverflowError:  # an integer past the float range
+            raise ConfigError(f"{role} values must fit in a float: a number is too large") from None
         if len(values) != len(pairs):
             raise ConfigError(f"{role} values must be [re, im] pairs of numbers")
         if not all(map(cmath.isfinite, values)):

@@ -1,29 +1,32 @@
-"""Dense complex Hermitian eigendecomposition and solves, self-contained.
+"""Dense complex Hermitian eigenvalues, eigendecomposition and solves, self-contained.
 
-Jacobi iteration with unitary 2x2 rotations in the Brent-Luk parallel order
-(Brent & Luk 1985): each sweep is n - 1 rounds of disjoint pairs (n rounds
-for odd n), and a round's rotations are applied together as array
-operations.  Dimensions in this package stay in the low hundreds, so the
-O(n^3) sweeps are plenty; no external eigensolver is called, and the
-rotations use elementwise numpy arithmetic and einsum, not BLAS, so they do
-not depend on thread count.  A matrix that does not converge within the
-sweep cap raises ConvergenceError.  A and V^H are separate arrays, and the
-rotations are fixed by A alone (Demmel & Veselic 1992), so a values-only
-decomposition never touches V and gives the same eigenvalue bits.
-hermitian_eigs is the one decomposition entry point; solve_hermitian solves
-from a decomposition it returned with vectors, so a caller that needs both
-the spectrum and solves diagonalizes once.
+Eigenvalues alone come from a Householder reduction to a real symmetric
+tridiagonal (Wilkinson 1965) and implicit QL with Wilkinson shifts on it
+(Bowdler, Martin, Reinsch & Wilkinson 1968, EISPACK tql1).  Eigenvectors come
+from Jacobi iteration with unitary 2x2 rotations in the Brent-Luk parallel
+order (Brent & Luk 1985): each sweep is n - 1 rounds of disjoint pairs (n
+rounds for odd n), applied together as array operations.  Both start with
+the Jacobi's exit test, so a matrix already diagonal to it gives the same
+bits either way.  No external eigensolver is called, and the array work is
+elementwise numpy arithmetic and einsum, not BLAS, so it does not depend on
+thread count.  Each iteration has a cap, past which it raises
+ConvergenceError.  hermitian_eigs is the one decomposition entry point;
+solve_hermitian solves from a decomposition it returned with vectors, so a
+caller that needs both the spectrum and solves diagonalizes once.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
 RANK_TOL = 1e-9
+EXIT_TOL = 1e-30  # the Jacobi stops once ||off-diagonal||_F <= EXIT_TOL * ||A||_F * n
+EPS = float(np.finfo(float).eps)
 
 
 class RankDeficiencyError(RuntimeError):
@@ -36,14 +39,13 @@ class RankDeficiencyError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Jacobi iteration hit its sweep cap with off-diagonal mass left."""
+    """An iteration hit its cap (Jacobi sweeps, QL steps) with off-diagonal mass left."""
 
-    def __init__(self, sweeps: int, off: float, target: float):
+    def __init__(self, steps: int, off: float, target: float, unit: str = "Jacobi sweeps"):
         super().__init__(
-            f"Jacobi eigensolver did not converge in {sweeps} sweeps: "
-            f"off-diagonal norm {off:.3e} > {target:.3e}"
+            f"no convergence in {steps} {unit}: off-diagonal norm {off:.3e} > {target:.3e}"
         )
-        self.sweeps = sweeps
+        self.steps = steps
 
 
 @dataclass
@@ -100,33 +102,31 @@ def _rounds(n: int) -> list[tuple[np.ndarray, ...]]:
     return list(zip(rows.transpose(0, 2, 1), rows, ij, 2 * diag, off, clear))
 
 
-def _jacobi(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-30, vectors: bool = True):
+def _frobenius(a: np.ndarray):
+    return np.sqrt(np.sum(np.abs(a) ** 2))
+
+
+def _jacobi(matrix: np.ndarray, sweeps: int = 60, tol: float = EXIT_TOL):
     """Parallel-order Jacobi diagonalization with unitary 2x2 rotations.
 
     Returns (diag, unitary V, sweeps run, off) with M = V (D + E) V^H, E the
-    off-diagonal part left at exit and off its Frobenius norm; V is None when
-    vectors is False.  A sweep is the rounds of _rounds(n); the rotations of a
-    round act on disjoint pairs, so they commute and are applied together.
-    A and V^H are separate n x n arrays.  With U the round's block rotation,
-    the rows of A go to U^H A, A to its conjugate transpose, whose rows go to
-    U^H once more: A <- U^H A U, with row operations only.  The rotations are
-    fixed by A alone, so the rows of V^H go to U^H V^H (V <- V U) only when
-    vectors are asked for, and the eigenvalues are the same bits either way.
+    off-diagonal part left at exit and off its Frobenius norm.  A sweep is the
+    rounds of _rounds(n); the rotations of a round act on disjoint pairs, so
+    they commute and are applied together.  A and V^H are separate n x n
+    arrays.  With U the round's block rotation, the rows of A go to U^H A, A
+    to its conjugate transpose, whose rows go to U^H once more: A <- U^H A U,
+    with row operations only, and the rows of V^H go to U^H V^H (V <- V U).
     Entries at most tol * ||A|| get the identity rotation and are set to
-    zero.  Raises ConvergenceError if the off-diagonal norm still exceeds that
-    threshold times n after the last allowed sweep.
+    zero.  The exit test is off <= tol * ||A|| * n; it holds at once for
+    n = 1 and for the zero matrix.  Raises ConvergenceError if it still fails
+    after the last allowed sweep.
     """
     n = matrix.shape[0]
     a = np.array(matrix, dtype=complex, order="C")
-    vh = np.eye(n, dtype=complex) if vectors else None
-    if n == 1:
-        return a.real.diagonal().copy(), vh, 0, 0.0
-    norm = np.sqrt(np.sum(np.abs(a) ** 2))
-    if norm == 0.0:
-        return np.zeros(n), vh, 0, 0.0
+    vh = np.eye(n, dtype=complex)
     flat = a.reshape(-1)
     floats = flat.view(float)
-    thresh = tol * norm
+    thresh = tol * _frobenius(a)
     half = n // 2
     # one work array, made once: an n x n temporary made every round can cost
     # fresh pages from the allocator at large n (dim 256 ran twice as long)
@@ -134,7 +134,7 @@ def _jacobi(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-30, vectors: b
     rotated, spare = work[: 2 * half * n].reshape(2, half, n), work.reshape(n, n)
     done = 0
     while True:
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diagonal(a))) ** 2))
+        off = _frobenius(a - np.diag(np.diagonal(a)))
         if off <= thresh * n:
             break
         if done == sweeps:
@@ -162,27 +162,114 @@ def _jacobi(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-30, vectors: b
             # U = [[c, s], [-conj(s), c]] on columns (i, j); uh[l, k] is U^H per pair
             uh = np.array([[c, -s], [np.conj(s), c]])
             a[rows] = np.einsum("lkh,khc->lhc", uh, a[rows], out=rotated)
-            if vectors:
-                vh[rows] = np.einsum("lkh,khc->lhc", uh, vh[rows], out=rotated)
+            vh[rows] = np.einsum("lkh,khc->lhc", uh, vh[rows], out=rotated)
             a[...] = np.conjugate(a, out=spare).T
             a[rows] = np.einsum("lkh,khc->lhc", uh, a[rows], out=rotated)
             floats[clear] = 0.0
-    return np.diagonal(a).real.copy(), vh.conj().T if vectors else None, done, float(off)
+    return np.diagonal(a).real.copy(), vh.conj().T, done, float(off)
+
+
+def _tridiagonal(matrix: np.ndarray) -> tuple[list[float], list[float]]:
+    """(d, e): a real symmetric tridiagonal T unitarily similar to Hermitian A, n >= 2.
+
+    d is the diagonal and e[i] couples d[i] and d[i + 1].  Step k reflects the
+    column x below the diagonal onto -phase(x_0) ||x|| e_1 (Householder;
+    Wilkinson 1965): with v = x + phase(x_0) ||x|| e_1 and
+    tau = 2 / ||v||^2 = 1 / (||x|| (||x|| + |x_0|)), the trailing block B goes
+    to H B H for H = I - tau v v^H by one matvec p = tau B v and the rank-2
+    update B -= v q^H + q v^H, q = p - (tau v^H p / 2) v.  A diagonal unitary
+    similarity takes the phase off each sub-diagonal entry, so e holds ||x||.
+    """
+    a = np.array(matrix, dtype=complex)
+    n = a.shape[0]
+    d, e = [], []
+    for k in range(n - 1):
+        x = a[k + 1 :, k]
+        alpha = float(np.sqrt(np.sum(x.real**2 + x.imag**2)))
+        d.append(float(a[k, k].real))
+        e.append(alpha)
+        if alpha == 0.0 or k == n - 2:
+            continue
+        x0 = complex(x[0])
+        v = x.copy()
+        v[0] += (x0 / abs(x0) if x0 else 1.0) * alpha
+        tau = 1.0 / (alpha * (alpha + abs(x0)))
+        b = a[k + 1 :, k + 1 :]
+        p = tau * np.einsum("ij,j->i", b, v)
+        q = p - (0.5 * tau * np.einsum("i,i->", v.conj(), p).real) * v
+        b -= np.multiply.outer(v, q.conj())
+        b -= np.multiply.outer(q, v.conj())
+    d.append(float(a[n - 1, n - 1].real))
+    return d, e
+
+
+def _ql(d: list[float], e: list[float], cap: int = 30) -> list[float]:
+    """All eigenvalues of the symmetric tridiagonal (d, e), ascending, by implicit QL.
+
+    The QL steps use Wilkinson shifts (Bowdler, Martin, Reinsch & Wilkinson
+    1968, EISPACK tql1).  An entry of e at most EPS * max(|d_i| + |e_i|) is
+    neglected, which splits T there; eigenvalue l is found when e[l] is.
+    Raises ConvergenceError after cap QL steps on one eigenvalue.
+    """
+    d, e = list(d), [*e, 0.0]
+    n = len(d)
+    small = EPS * max(abs(x) + abs(y) for x, y in zip(d, e))
+    for l in range(n):
+        for step in range(cap + 1):
+            m = l
+            while abs(e[m]) > small:  # e[n - 1] = 0 stops it
+                m += 1
+            if m == l:
+                break
+            if step == cap:
+                raise ConvergenceError(cap, abs(e[l]), small, "QL steps on one eigenvalue")
+            # the eigenvalue of the leading 2 x 2 block of T[l:m+1] nearer d[l], as the shift
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s, c, p = 1.0, 1.0, 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # underflow: T splits at i + 1; restart the step
+                    d[i + 1], e[m] = d[i + 1] - p, 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l], e[l], e[m] = d[l] - p, g, 0.0
+    return sorted(d)
 
 
 def hermitian_eigs(matrix: HermitianMatrix, vectors: bool = True):
     """(eigenvalues ascending, error bound, Jacobi sweeps, vectors or None).
 
-    The vectors are the matching orthonormal eigenvector columns; with vectors=False slot 3 is
-    None and V is never rotated.  The bound is _jacobi's off: by Weyl's inequality each eigenvalue
-    lies within it of an eigenvalue of the final rotated matrix.  Rounding in the rotations is not
-    covered by it.
+    With vectors the Jacobi runs: slot 3 holds the eigenvector columns, and the
+    bound is its exit off-diagonal norm, within which each eigenvalue lies of
+    one of the final rotated matrix (Weyl); rotation rounding is not covered.
+    Without, slot 3 is None and slot 2 is 0.  A matrix that passes the Jacobi's
+    exit test gives its sorted diagonal and that bound, the Jacobi's bits.  Any
+    other takes the tridiagonal and QL, and the bound 4 n EPS ||A||_F, the usual
+    c n EPS ||A||_F backward-error form of Householder reduction plus QL: it
+    covers rounding in the reflections and rotations and the neglected
+    sub-diagonal entries (each at most EPS ||T||).  The constant 4 is not
+    proved; the tests check it against the Jacobi.
     """
-    if matrix.dim < 1:
+    a, n = matrix.entries, matrix.dim
+    if n < 1:
         raise ValueError("dimension must be >= 1")
-    vals, vecs, sweeps, off = _jacobi(matrix.entries, vectors=vectors)
-    order = np.argsort(vals, kind="stable")
-    return vals[order], off, sweeps, None if vecs is None else vecs[:, order]
+    if vectors:
+        vals, vecs, sweeps, off = _jacobi(a)
+        order = np.argsort(vals, kind="stable")
+        return vals[order], off, sweeps, vecs[:, order]
+    norm, off = _frobenius(a), _frobenius(a - np.diag(np.diagonal(a)))
+    if off <= EXIT_TOL * norm * n:
+        return np.sort(np.diagonal(a).real, kind="stable"), float(off), 0, None
+    return np.array(_ql(*_tridiagonal(a))), 4 * n * EPS * float(norm), 0, None
 
 
 def solve_hermitian(eigs, rhs):
@@ -199,7 +286,5 @@ def solve_hermitian(eigs, rhs):
     if small <= cutoff:
         raise RankDeficiencyError(small, cutoff)
     b = np.asarray(rhs, dtype=complex)
-    proj = vecs.conj().T @ b
-    if b.ndim == 1:
-        return vecs @ (proj / vals)
-    return vecs @ (proj / vals[:, np.newaxis])
+    proj = np.einsum("ai,a...->i...", vecs.conj(), b)
+    return np.einsum("ai,i...->a...", vecs, (proj.T / vals).T)

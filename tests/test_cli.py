@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
+import functools
 import hashlib
 import json
 import math
@@ -373,6 +374,19 @@ def test_coeffs_values_must_be_number_pairs(tmp_path, capsys, role, bad):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("role", ["window", "function"])
+@pytest.mark.parametrize("bad", [[10**400, 0], [0, -(10**400)]])
+def test_coeffs_values_too_large_for_a_float(tmp_path, capsys, role, bad):
+    values = [list(pair) for pair in COEFFS_PAIR[role]["values"]]
+    values[1] = bad
+    doc = {**COEFFS_PAIR, role: {"type": "coeffs", "values": values}}
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["stft", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {role} values must fit in a float: a number is too large\n"
+    assert captured.out == ""
+
+
 HUGE_COEFFS = {"type": "coeffs", "values": [[1e200, 0]] * 4}
 OVERFLOWING = [
     # the squared norm overflows
@@ -505,14 +519,16 @@ def test_eigensolver_failure_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_frame_dim_at_the_cap_is_accepted(tmp_path, capsys, monkeypatch):
-    # dim 256 = MAX_FRAME_DIM reaches the eigensolver; the stub stands in for its sweeps
+    # dim 256 = MAX_FRAME_DIM reaches the real eigensolver: the ONB's operator carries rounding
+    # off the diagonal, so it takes the tridiagonal path
     dims = []
+    eigs = gabor.hermitian_eigs
 
-    def diagonal(matrix, vectors=True):
+    def recorded(matrix, vectors=True):
         dims.append(matrix.dim)
-        return np.sort(np.diag(matrix.entries).real), 0.0, 0, np.eye(matrix.dim) if vectors else None
+        return eigs(matrix, vectors)
 
-    monkeypatch.setattr(gabor, "hermitian_eigs", diagonal)
+    monkeypatch.setattr(gabor, "hermitian_eigs", recorded)
     side = {"outer": 4, "inner": 0}
     doc = {**FRAME_ONB, "model": {"m": 4, "k": 4},
            "lambda": {"ambient": "phase", "type": "product-sections", "x": side, "xi": side}}
@@ -520,7 +536,20 @@ def test_frame_dim_at_the_cap_is_accepted(tmp_path, capsys, monkeypatch):
     assert main(["frame", "--config", cfg]) == 0
     assert dims == [cli.MAX_FRAME_DIM]
     report = json.loads(capsys.readouterr().out)
-    assert report["dim"] == report["count"] == cli.MAX_FRAME_DIM
+    assert report["dim"] == report["count"] == report["rank"] == cli.MAX_FRAME_DIM
+    assert (report["classification"], report["sweeps"]) == ("ONB", 0)
+    assert abs(report["lower"] - 1.0) <= 1e-12 and abs(report["upper"] - 1.0) <= 1e-12
+
+
+def test_ql_step_cap_exits_1(tmp_path, capsys, monkeypatch):
+    # the QL's own ConvergenceError, not a stub's, reaches the frame command's exit 1
+    monkeypatch.setattr(linalg, "_ql", functools.partial(linalg._ql, cap=1))
+    cfg = write_config(tmp_path, "f.json", PINNED_FRAMES["random-carry-3-dim27"][0])
+    assert main(["frame", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("eigensolver failed: no convergence in 1 QL steps on one ")
+    assert "Jacobi" not in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def _run_cli(args, threads):
@@ -624,7 +653,7 @@ BOUND_CASES = {
     "region": ("density", _task(region=3000000)),
     "n-range": ("density", _task(n_range=[-14400, -14399])),
     "model-extent": ("frame", {**FRAME_ONB, "model": {"m": 40, "k": 0}}),
-    # dim^2 fits MAX_ENTRIES, but the frame's Jacobi would run for minutes
+    # dim^2 fits MAX_ENTRIES, but the frame operator and its O(dim^3) eigenvalues would not
     "frame-dim-1331": ("frame", {**FRAME_ONB, "group": {"p": 11}, "model": {"m": 2, "k": 1}}),
     "frame-dim-512": ("frame", {**FRAME_ONB, "model": {"m": 5, "k": 4}}),
     "prime": ("density", {**DENSITY_SECTION, "group": {"p": 1000000000000000003}}),
@@ -814,18 +843,18 @@ def _pinned_frame(seed):
 
 
 # frame prints its bounds, and verify its measured floats, so these digests pin
-# the Jacobi eigenvalues and every kernel under the paper checks bit for bit
+# the eigenvalues and every kernel under the paper checks bit for bit
 PINNED_FRAMES = {
     "onb-carry-2": (FRAME_ONB,
-                    "9f0d80ff5f944dc9e76f3f6a42a9972c11d5455863dff9db7aa250ef5d3ebdea"),
+                    "7bcaa07129a1ec57d8ec904fde6d47e2733330e77f04e5d972c289924419db2b"),
     "tight-modular-3": ({**FRAME_TIGHT, "group": {"p": 3, "mode": "modular"}},
                         "a4316bbac16846a5f78fd818b4287e74f02d22bf0145f2af12f86128a0f4f908"),
     "incomplete-carry-2": ({**FRAME_ONB, "lambda": {
         "ambient": "phase", "type": "product-sections",
         "x": {"outer": 2, "inner": 0}, "xi": {"outer": 2, "inner": 1}}},
-        "918c6005680ae738cdb07d7a4729da9904e7eda56897ce15a975a72135fda79d"),
+        "d2530fffdf92f5670f39c957dd6cb988a095f199a0910de248ac01d9489a3c36"),
     "random-carry-3-dim27": (_pinned_frame(35),
-                             "910d2fc2d7f46b12f78621d3959a28d1f753e3bc75b37aafb70c6233b41a5765"),
+                             "7900c2c4963e1890925a7eaf9c0bba4291377b634c3d5f7a6a4af0e995e8a5f1"),
 }
 
 
@@ -837,31 +866,37 @@ def test_frame_output_bytes_are_pinned(tmp_path, capsys, case):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-def _record_jacobi(monkeypatch):
-    """The vectors flag of every _jacobi call, in call order."""
-    asked = []
-    jacobi = linalg._jacobi
+def _record_eigs(monkeypatch):
+    """(vectors flag of every decomposition gabor asks for, one entry per _jacobi run)."""
+    asked, jacobi_runs = [], []
+    eigs, jacobi = gabor.hermitian_eigs, linalg._jacobi
 
-    def recorded(matrix, *args, **kwargs):
-        asked.append(kwargs.get("vectors", True))
+    def recorded(matrix, vectors=True):
+        asked.append(vectors)
+        return eigs(matrix, vectors)
+
+    def recorded_jacobi(matrix, *args, **kwargs):
+        jacobi_runs.append(matrix.shape[0])
         return jacobi(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "_jacobi", recorded)
-    return asked
+    monkeypatch.setattr(gabor, "hermitian_eigs", recorded)
+    monkeypatch.setattr(linalg, "_jacobi", recorded_jacobi)
+    return asked, jacobi_runs
 
 
 @pytest.mark.parametrize("case", list(PINNED_FRAMES))
 def test_frame_never_asks_for_vectors(tmp_path, capsys, monkeypatch, case):
-    asked = _record_jacobi(monkeypatch)
+    asked, jacobi_runs = _record_eigs(monkeypatch)
     cfg = write_config(tmp_path, "c.json", PINNED_FRAMES[case][0])
     assert main(["frame", "--config", cfg]) == 0
-    assert asked == [False]
+    assert asked == [False] and jacobi_runs == []
 
 
 def test_verify_runs_one_jacobi_per_system(capsys, monkeypatch):
     # every decomposition starts from frame_operator; the list keeps each system alive, so
-    # distinct ids mean no system was decomposed twice
-    asked = _record_jacobi(monkeypatch)
+    # distinct ids mean no system was decomposed twice.  Only check 10's canonical duals take
+    # eigenvectors, and they are the only Jacobi runs.
+    asked, jacobi_runs = _record_eigs(monkeypatch)
     systems = []
     frame_operator = gabor.frame_operator
 
@@ -873,13 +908,13 @@ def test_verify_runs_one_jacobi_per_system(capsys, monkeypatch):
     assert main(["verify", "--suite", "paper", "--sizes", "full"]) == 0
     assert len(asked) == len(systems) <= 30
     assert len({id(sys) for sys in systems}) == len(systems)
-    assert asked.count(True) == 3  # only check 10's canonical duals take eigenvectors
+    assert asked.count(True) == len(jacobi_runs) == 3
 
 
 def test_each_run_decomposes_its_own_systems(monkeypatch):
     # the systems live for one run_suite call: a module-level cache would hand the second run
     # the first run's ONB systems, already decomposed
-    asked = _record_jacobi(monkeypatch)
+    asked, _ = _record_eigs(monkeypatch)
     onbs = []
     gram = verify.gram
 
@@ -896,25 +931,25 @@ def test_each_run_decomposes_its_own_systems(monkeypatch):
 
 
 PINNED_VERIFY_SMALL = (  # (stdout, --out)
-    "7a70c9774b22baa414e9f24d233d6c7ae20fdad57ef394cc312c8d9ac0261116",
-    "5a065c14eb226eb0d200dae76bd7628efd48167260899ccbecfdbd9dc7088527",
+    "b6a4fdab8b1b008f6ac336bdbabdae64f062a6c1ba07322a2fef774b223e7d12",
+    "6de0bf5946e9aa4a06de9d4931ffd44e720770776f8fa4d8705c5972a055d9b6",
 )
 
 
 PINNED_VERIFY_FULL = (  # (stdout, --out)
-    "02e80ccf22434d44819a000fe4a40d8d6b04a4a63c461f4ecd3fb0bd739bc882",
-    "a3c4a6c6965be6becfefbdd5c13d597fa4ecd6cb0047db07d5eb07f1c2b776f9",
+    "541bdbc6c0421338de6092c8499cfbce754db7ca3531f36908ba03daae2ffcb4",
+    "9ce5ffd426144080049d21bce327e3262b813daedd708ec102a141603dd8b5c3",
 )
 
 
 PINNED_VERIFY_SMALL_ONE_PRIME = {  # p: (stdout, --out) of --sizes small --p p
     "2": (
-        "79cd6851b7e66701c37eccca5cb0a75a2eb19c48fd84a29a5440252f38529b69",
-        "db4eb443cf2495f8e51133b315b53e269ae8afa2f804d02a7d1f18f30021c679",
+        "9c89b2abd62758e290029c404ce392786703a38a0dd4d260aaa16ae7c5253942",
+        "57fd216ee9d60e11b6eca95fc1af76546a5ef8764623147cf1e8c37789e8033f",
     ),
     "3": (
-        "6255ca604791ebc685908f527f24aef12415f2f07275fbd0b1824cc1a1bcf344",
-        "c0b3dc342edd1fe8925eb39478391da287a219db6325294f18bf3ace5752826d",
+        "f2440d90f75f0ea7cadcd46d1658d756ceb78d2564c35b15df43a239b74eb183",
+        "8682bf0f3fafb8f23eb8f91662415dad3e49cde399f52735984afa1f70c767c9",
     ),
 }
 

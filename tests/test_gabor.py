@@ -17,7 +17,6 @@ from padicgabor.gabor import (
     riesz_check,
 )
 from padicgabor.geometry import section
-from padicgabor import linalg
 from padicgabor.linalg import RankDeficiencyError
 from padicgabor.localfield import CARRY, MODULAR, GroupElement, GroupParams
 from padicgabor import gabor
@@ -418,13 +417,13 @@ def test_one_decomposition_per_system(monkeypatch):
     # it; the bounds or a Riesz test alone take one values-only decomposition; no call forms
     # the Gram
     asked, grams = [], []
-    jacobi = linalg._jacobi
+    eigs = gabor.hermitian_eigs
 
-    def recorded(matrix, *args, **kwargs):
-        asked.append(kwargs.get("vectors", True))
-        return jacobi(matrix, *args, **kwargs)
+    def recorded(matrix, vectors=True):
+        asked.append(vectors)
+        return eigs(matrix, vectors)
 
-    monkeypatch.setattr(linalg, "_jacobi", recorded)
+    monkeypatch.setattr(gabor, "hermitian_eigs", recorded)
     monkeypatch.setattr(gabor, "gram", lambda sys: grams.append(sys))
     space = ModelSpace(P2, 2, 2)
     chi = indicator(space)

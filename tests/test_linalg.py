@@ -2,13 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from padicgabor import linalg
 from padicgabor.linalg import (
+    EPS,
+    RANK_TOL,
     ConvergenceError,
     HermitianMatrix,
     RankDeficiencyError,
     _jacobi,
+    _ql,
     _rounds,
+    _tridiagonal,
     hermitian_eigs,
     solve_hermitian,
 )
@@ -106,13 +113,17 @@ def test_singular_solve_reports_eigenvalue():
     assert exc.value.eigenvalue <= exc.value.tol
 
 
-def test_values_only_decomposition():
+def test_values_only_decomposition(monkeypatch):
+    # no sweeps and no vectors: the Jacobi never runs, and the values agree with it within the
+    # two stated bounds
     rng = np.random.default_rng(10)
     m = random_hermitian(7, rng)
+    monkeypatch.setattr(linalg, "_jacobi", None)
     vals, bound, sweeps, vecs = hermitian_eigs(m, vectors=False)
-    assert vecs is None
+    assert vecs is None and sweeps == 0 and isinstance(bound, float)
+    monkeypatch.undo()
     full = hermitian_eigs(m)
-    assert vals.tobytes() == full[0].tobytes() and (bound, sweeps) == full[1:3]
+    assert np.max(np.abs(vals - full[0])) <= bound + full[1]
     with pytest.raises(ValueError, match="eigenvectors"):
         solve_hermitian((vals, bound, sweeps, vecs), np.ones(7))
 
@@ -185,13 +196,21 @@ def cyclic_jacobi(matrix, sweeps=60, tol=1e-30):
     return np.diagonal(a).real.copy(), v
 
 
-def assert_values_only_matches(m, **kwargs):
-    """_jacobi without vectors: the same eigenvalue bytes, sweeps and off, and V is None."""
-    vals, vecs, sweeps, off = _jacobi(m, **kwargs)
-    only, none, only_sweeps, only_off = _jacobi(m, vectors=False, **kwargs)
-    assert none is None and vecs is not None
-    assert only.tobytes() == vals.tobytes()
-    assert (only_sweeps, only_off) == (sweeps, off)
+def assert_values_only_matches(m):
+    """The values-only path against _jacobi, never a sweep and never vectors: the Jacobi's bytes
+    and bound where it runs no sweep, else the bound 4 n EPS ||A||_F, and within the two bounds
+    of the Jacobi's eigenvalues.  Returns both spectra, ascending."""
+    m = HermitianMatrix(m).entries
+    vals, _, sweeps, off = _jacobi(m)
+    ref = np.sort(vals, kind="stable")
+    only, bound, only_sweeps, none = hermitian_eigs(HermitianMatrix(m), vectors=False)
+    assert none is None and only_sweeps == 0 and list(only) == sorted(only)
+    if sweeps == 0:
+        assert only.tobytes() == ref.tobytes() and bound == off
+    else:
+        assert bound == pytest.approx(4 * len(m) * EPS * np.linalg.norm(m), rel=1e-12)
+        assert np.max(np.abs(only - ref)) <= bound + off
+    return only, ref
 
 
 def assert_matches_reference(m):
@@ -244,7 +263,6 @@ def test_dead_pairs_get_identity_rotations():
     small = 1e-4 * random_hermitian(6, rng).entries
     m = np.diag(np.arange(1.0, 7.0)) + small - np.diag(np.diagonal(small))
     m[0, 1] = m[1, 0] = 0.5
-    assert_values_only_matches(m, tol=1e-3)
     vals, vecs, _, _ = _jacobi(m, tol=1e-3)
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(6))) <= 1e-12
     assert np.max(np.abs(vecs[2:, 2:] - np.eye(4))) == 0.0  # only the (0, 1) pair rotated
@@ -263,9 +281,9 @@ def test_rounds_cover_every_pair_once():
 
 def test_sweep_cap_raises_convergence_error():
     m = random_hermitian(8, np.random.default_rng(6)).entries
-    with pytest.raises(ConvergenceError) as exc:
+    with pytest.raises(ConvergenceError, match="in 1 Jacobi sweeps") as exc:
         _jacobi(m, sweeps=1)
-    assert exc.value.sweeps == 1
+    assert exc.value.steps == 1
     _, _, sweeps, _ = _jacobi(m)
     assert 1 < sweeps < 60
 
@@ -283,3 +301,104 @@ def test_error_bound_covers_the_eigenvalues(tol):
         assert np.max(np.abs(np.sort(vals) - np.sort(ref))) <= off + allowance
         assert off <= tol * np.linalg.norm(m) * n
     assert hermitian_eigs(HermitianMatrix(m))[1] == _jacobi(m)[3]  # slot 1 is the bound
+
+
+# The values-only path against the Jacobi.  Entries are dyadic, k / 64 for |k| <= 2^16, times
+# 2^j for |j| <= 64: squares and their sums stay normal floats, so both paths' Frobenius norms
+# are exact to rounding.  The stated bound: each eigenvalue of the values path lies within its
+# slot 1 (4 n EPS ||A||_F) plus the Jacobi's exit bound of the Jacobi's eigenvalue.
+SIZES = st.integers(1, 12)
+SCALES = st.integers(-64, 64).map(lambda j: 2.0**j)
+
+
+def _dyadic(draw, shape):
+    ks = draw(st.lists(st.integers(-(2**16), 2**16), min_size=int(np.prod(shape)),
+                       max_size=int(np.prod(shape))))
+    return np.array(ks, dtype=float).reshape(shape) / 64.0
+
+
+@st.composite
+def hermitian_matrices(draw):
+    n = draw(SIZES)
+    a = (_dyadic(draw, (n, n)) + 1j * _dyadic(draw, (n, n))) * draw(SCALES)
+    return HermitianMatrix((a + a.conj().T) / 2).entries
+
+
+def _unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(hermitian_matrices())
+def test_values_path_matches_jacobi_on_random_hermitian(m):
+    assert_values_only_matches(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SIZES, st.data(), st.integers(0, 2**32 - 1))
+def test_values_path_rank_count_on_low_rank_psd(n, data, seed):
+    # r orthonormal directions with weights in [1, 2^10]: eigenvalues c_i and n - r zeros, so
+    # the count above RANK_TOL * max(1, top) is r on both paths
+    r = data.draw(st.integers(0, n))
+    weights = np.array(data.draw(st.lists(st.integers(64, 2**16), min_size=r, max_size=r))) / 64
+    u = _unitary(n, seed)[:, :r]
+    m = HermitianMatrix(np.einsum("ai,i,bi->ab", u, weights, u.conj())).entries
+    vals, ref = assert_values_only_matches(m)
+    for spectrum in (vals, ref):
+        assert int(np.sum(spectrum > RANK_TOL * max(1.0, float(np.max(spectrum))))) == r
+
+
+@settings(max_examples=100, deadline=None)
+@given(SIZES.flatmap(lambda n: st.lists(
+    st.floats(-1e100, 1e100, allow_nan=False), min_size=n, max_size=n)))
+def test_values_path_keeps_a_diagonal_bit_for_bit(diagonal):
+    # the Jacobi's exit test comes first, so a diagonal (signed zeros, subnormals and all) is
+    # returned sorted with the Jacobi's bytes and bound
+    m = np.diag(np.array(diagonal, dtype=complex))
+    vals, bound, sweeps, _ = hermitian_eigs(HermitianMatrix(m), vectors=False)
+    full = hermitian_eigs(HermitianMatrix(m))
+    assert vals.tobytes() == full[0].tobytes()
+    assert (bound, sweeps) == (full[1], full[2]) == (0.0, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SIZES, st.data(), st.integers(0, 2**32 - 1))
+def test_values_path_on_repeated_eigenvalues(n, data, seed):
+    # a few distinct values, each repeated, in a random unitary basis
+    distinct = data.draw(st.lists(st.integers(-(2**10), 2**10), min_size=1, max_size=3))
+    spectrum = np.array([distinct[i % len(distinct)] for i in range(n)], dtype=float) / 4
+    u = _unitary(n, seed)
+    m = HermitianMatrix(np.einsum("ai,i,bi->ab", u, spectrum, u.conj())).entries
+    vals, _ = assert_values_only_matches(m)
+    # and against the exact spectrum: the construction's own rounding is a few EPS ||A||
+    assert np.max(np.abs(vals - np.sort(spectrum))) <= 8 * n * EPS * max(1.0, np.linalg.norm(m))
+
+
+def test_values_path_small_and_zero():
+    for m in ([[2.5]], [[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -3.0]], [[0.0, 1.0], [1.0, 0.0]]):
+        assert_values_only_matches(np.array(m, dtype=complex))
+    vals, bound, sweeps, vecs = hermitian_eigs(HermitianMatrix(np.zeros((4, 4))), vectors=False)
+    assert vals.tobytes() == np.zeros(4).tobytes() and (bound, sweeps, vecs) == (0.0, 0, None)
+    vals, bound, _, _ = hermitian_eigs(HermitianMatrix([[0.0, 1.0], [1.0, 0.0]]), vectors=False)
+    assert np.max(np.abs(vals - [-1.0, 1.0])) <= bound
+
+
+def test_tridiagonal_is_unitarily_similar():
+    # same eigenvalues, same Frobenius norm, and only real entries left
+    m = random_hermitian(9, np.random.default_rng(11)).entries
+    d, e = _tridiagonal(m)
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    assert len(d) == 9 and len(e) == 8 and min(e) >= 0.0
+    assert abs(np.linalg.norm(t) - np.linalg.norm(m)) <= 64 * EPS * np.linalg.norm(m)
+    ref = np.sort(_jacobi(m)[0])
+    assert np.max(np.abs(np.sort(_jacobi(t)[0]) - ref)) <= 64 * EPS * np.linalg.norm(m)
+
+
+def test_ql_step_cap_raises_convergence_error():
+    d, e = _tridiagonal(random_hermitian(8, np.random.default_rng(12)).entries)
+    with pytest.raises(ConvergenceError, match="in 1 QL steps on one eigenvalue") as exc:
+        _ql(d, e, cap=1)
+    assert exc.value.steps == 1
+    vals = _ql(d, e)  # the default cap is far from reached
+    assert len(vals) == 8 and vals == sorted(vals)
