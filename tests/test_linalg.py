@@ -123,7 +123,7 @@ def test_values_only_decomposition(monkeypatch):
     assert vecs is None and sweeps == 0 and isinstance(bound, float)
     monkeypatch.undo()
     full = hermitian_eigs(m)
-    assert np.max(np.abs(vals - full[0])) <= bound + full[1]
+    assert np.max(np.abs(vals - full[0])) <= 2 * bound + full[1]
     with pytest.raises(ValueError, match="eigenvectors"):
         solve_hermitian((vals, bound, sweeps, vecs), np.ones(7))
 
@@ -199,7 +199,8 @@ def cyclic_jacobi(matrix, sweeps=60, tol=1e-30):
 def assert_values_only_matches(m):
     """The values-only path against _jacobi, never a sweep and never vectors: the Jacobi's bytes
     and bound where it runs no sweep, else the bound 4 n EPS ||A||_F, and within the two bounds
-    of the Jacobi's eigenvalues.  Returns both spectra, ascending."""
+    of the Jacobi's eigenvalues, plus as much again for the Jacobi's rounding, which its bound
+    leaves out.  Returns both spectra, ascending."""
     m = HermitianMatrix(m).entries
     vals, _, sweeps, off = _jacobi(m)
     ref = np.sort(vals, kind="stable")
@@ -209,7 +210,7 @@ def assert_values_only_matches(m):
         assert only.tobytes() == ref.tobytes() and bound == off
     else:
         assert bound == pytest.approx(4 * len(m) * EPS * np.linalg.norm(m), rel=1e-12)
-        assert np.max(np.abs(only - ref)) <= bound + off
+        assert np.max(np.abs(only - ref)) <= 2 * bound + off
     return only, ref
 
 
@@ -305,8 +306,8 @@ def test_error_bound_covers_the_eigenvalues(tol):
 
 # The values-only path against the Jacobi.  Entries are dyadic, k / 64 for |k| <= 2^16, times
 # 2^j for |j| <= 64: squares and their sums stay normal floats, so both paths' Frobenius norms
-# are exact to rounding.  The stated bound: each eigenvalue of the values path lies within its
-# slot 1 (4 n EPS ||A||_F) plus the Jacobi's exit bound of the Jacobi's eigenvalue.
+# are exact to rounding.  The stated bound is assert_values_only_matches's.
+ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 SIZES = st.integers(1, 12)
 SCALES = st.integers(-64, 64).map(lambda j: 2.0**j)
 
@@ -329,17 +330,17 @@ def _unitary(n, seed):
     return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
 
 
-@settings(max_examples=150, deadline=None)
+@ORACLE
 @given(hermitian_matrices())
 def test_values_path_matches_jacobi_on_random_hermitian(m):
     assert_values_only_matches(m)
 
 
-@settings(max_examples=60, deadline=None)
+@ORACLE
 @given(SIZES, st.data(), st.integers(0, 2**32 - 1))
 def test_values_path_rank_count_on_low_rank_psd(n, data, seed):
-    # r orthonormal directions with weights in [1, 2^10]: eigenvalues c_i and n - r zeros, so
-    # the count above RANK_TOL * max(1, top) is r on both paths
+    # r orthonormal directions with weights in [1, 2^10]: the eigenvalues are the weights and
+    # n - r zeros, so the count above RANK_TOL * max(1, top) is r on both paths
     r = data.draw(st.integers(0, n))
     weights = np.array(data.draw(st.lists(st.integers(64, 2**16), min_size=r, max_size=r))) / 64
     u = _unitary(n, seed)[:, :r]
@@ -349,7 +350,7 @@ def test_values_path_rank_count_on_low_rank_psd(n, data, seed):
         assert int(np.sum(spectrum > RANK_TOL * max(1.0, float(np.max(spectrum))))) == r
 
 
-@settings(max_examples=100, deadline=None)
+@ORACLE
 @given(SIZES.flatmap(lambda n: st.lists(
     st.floats(-1e100, 1e100, allow_nan=False), min_size=n, max_size=n)))
 def test_values_path_keeps_a_diagonal_bit_for_bit(diagonal):
@@ -362,7 +363,7 @@ def test_values_path_keeps_a_diagonal_bit_for_bit(diagonal):
     assert (bound, sweeps) == (full[1], full[2]) == (0.0, 0)
 
 
-@settings(max_examples=60, deadline=None)
+@ORACLE
 @given(SIZES, st.data(), st.integers(0, 2**32 - 1))
 def test_values_path_on_repeated_eigenvalues(n, data, seed):
     # a few distinct values, each repeated, in a random unitary basis
@@ -371,8 +372,9 @@ def test_values_path_on_repeated_eigenvalues(n, data, seed):
     u = _unitary(n, seed)
     m = HermitianMatrix(np.einsum("ai,i,bi->ab", u, spectrum, u.conj())).entries
     vals, _ = assert_values_only_matches(m)
-    # and against the exact spectrum: the construction's own rounding is a few EPS ||A||
-    assert np.max(np.abs(vals - np.sort(spectrum))) <= 8 * n * EPS * max(1.0, np.linalg.norm(m))
+    # and against the exact spectrum: the path's bound, plus twice that for the rounding of
+    # u diag(spectrum) u^H itself
+    assert np.max(np.abs(vals - np.sort(spectrum))) <= 12 * n * EPS * np.linalg.norm(m)
 
 
 def test_values_path_small_and_zero():
