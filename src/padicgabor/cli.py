@@ -1,15 +1,16 @@
 """Command-line front end: density, frame, stft, norms, and verify.
 
 Configs are JSON documents; group elements appear in their text form
-(`3/2^2` carry, `[-2]102` modular).  Every config value is read through
-`_get`, and every size a config sets is bounded from its exponents before
-anything is built (MAX_ENTRIES, MAX_FRAME_DIM, MAX_POINTS, MAX_P, MAX_SCALE
-below).  All structured output is JSON with sorted keys, exact rationals as
-"a/b" strings and complex numbers as [re, im] pairs, so a fixed config and
-seed reproduce byte-identical bytes; `--out` is opened before the command runs.
-`_dumps` writes it: json.dumps(indent=2) for the document, and one
-numpy-aware writer for complex arrays (the stft grid) that gives the same
-bytes, with an np.isfinite test in place of allow_nan.
+(`3/2^2` carry, `[-2]102` modular), and a lambda's points are parsed
+straight to the integer keys of a density.PointSet.  Every config value is
+read through `_get`, and every size a config sets is bounded from its
+exponents before anything is built (MAX_ENTRIES, MAX_FRAME_DIM, MAX_POINTS,
+MAX_P, MAX_SCALE below).  All structured output is JSON with sorted keys,
+exact rationals as "a/b" strings and complex numbers as [re, im] pairs, so
+a fixed config and seed reproduce byte-identical bytes; `--out` is opened
+before the command runs.  `_dumps` writes it: json.dumps(indent=2), and the
+same bytes without that pure-Python encoder for complex arrays (the stft
+grid) and for the decomposition's point texts, made from the keys.
 Exit codes: 0 success, 1 failed verification or violated internal identity,
 2 configuration or usage errors (every ValueError, TypeError or
 OverflowError, the library's input checks included, and a result that
@@ -26,6 +27,7 @@ import io
 import json
 import math
 import sys
+from itertools import product, repeat
 
 import numpy as np
 
@@ -39,9 +41,8 @@ from .density import (
     separated_decomposition,
 )
 from .gabor import build, frame_bounds
-from .geometry import section
 from .linalg import ConvergenceError
-from .localfield import CARRY, GroupElement, GroupParams, parse_element
+from .localfield import CARRY, GroupElement, GroupParams, parse_rational, rational_text
 from .model import (
     ModelFunction,
     ModelSpace,
@@ -107,17 +108,17 @@ def _power_at_most(p: int, exp: int, limit: int, what: str) -> int:
     return p**exp
 
 
-def _element(params: GroupParams, text, where: str) -> GroupElement:
-    """A config element; a nonzero one must have |valuation| <= MAX_SCALE.
+def _rational(params: GroupParams, text, where: str) -> tuple[int, int]:
+    """A config element as its normal form (num, vexp); a nonzero one needs |vexp| <= MAX_SCALE.
 
     Below that range it lies outside every region and model the bounds
     allow; above it, it shares the ball of 0 at every scale they allow.
     """
-    x = parse_element(params, text)
-    if not x.is_zero() and abs(x.valuation()) > MAX_SCALE:
-        raise ConfigError(f"{where} {text!r:.80} has valuation {x.valuation()} outside "
+    num, vexp = parse_rational(params, text)
+    if num and abs(vexp) > MAX_SCALE:
+        raise ConfigError(f"{where} {text!r:.80} has valuation {-vexp} outside "
                           f"[-{MAX_SCALE}, {MAX_SCALE}]")
-    return x
+    return num, vexp
 
 
 def _parse_group(doc: dict) -> GroupParams:
@@ -143,7 +144,7 @@ def _parse_function(doc: dict, space: ModelSpace, role: str) -> ModelFunction:
         set_scale = _get(doc, "set_scale", role, int, default=0)
         shift = _get(doc, "shift", role, default=None)
         if shift is not None:
-            shift = _element(space.params, shift, f"{role} shift")
+            shift = GroupElement(space.params, *_rational(space.params, shift, f"{role} shift"))
         fn = indicator(space, set_scale=set_scale, shift=shift)
         if kind == "scaled-indicator":
             fn = fn.scaled(float(space.params.p) ** (-set_scale / 2.0))
@@ -181,7 +182,8 @@ def _parse_points(doc: dict, params: GroupParams, budget: int = MAX_POINTS) -> P
         ambient = parts[0].ambient
         if any(p.ambient != ambient for p in parts):
             raise ConfigError("union lambda mixes group and phase parts")
-        return PointSet(ambient, tuple(pt for p in parts for pt in p.points), params)
+        anchor = max(p.anchor for p in parts)
+        return PointSet(ambient, params, anchor, tuple(k for p in parts for k in p.keys_at(anchor)))
     ambient = _get(doc, "ambient", "lambda", default="phase")
     if ambient not in ("group", "phase"):
         raise ConfigError(f"lambda ambient must be 'group' or 'phase', got {ambient!r:.80}")
@@ -190,24 +192,27 @@ def _parse_points(doc: dict, params: GroupParams, budget: int = MAX_POINTS) -> P
         if len(points) > budget:
             raise ConfigError(f"lambda lists {len(points)} points, more than the {budget} allowed")
         if ambient == "group":
-            return PointSet.group((_element(params, t, "lambda point") for t in points), params)
-        pts = []
+            return PointSet.rationals(ambient, [_rational(params, text, "lambda point")
+                                                for text in points], params)
+        coords = []
         for pair in points:
             if not (isinstance(pair, list) and len(pair) == 2):  # a 2-char text would unpack
                 raise ConfigError(f"a phase lambda point must be a pair [x, xi], got {pair!r:.80}")
-            pts.append(tuple(_element(params, text, "lambda point") for text in pair))
-        return PointSet.phase(pts, params)
+            coords += [_rational(params, text, "lambda point") for text in pair]
+        return PointSet.rationals(ambient, coords, params)
     if kind == "product-sections":
         x = _section_scales(_get(doc, "x", "lambda"), "lambda.x")
         xi = (0, 0)  # a group lambda has no xi axis
         if ambient == "phase":
             xi = _section_scales(_get(doc, "xi", "lambda"), "lambda.xi")
         _power_at_most(params.p, x[0] - x[1] + xi[0] - xi[1], budget, "lambda points")
-        xs = section(params, *x)
+        xs, xis = (PointSet("group", params, outer, tuple(range(params.p ** (outer - inner))))
+                   for outer, inner in (x, xi))  # member a is a * p^-outer, as in geometry.section
         if ambient == "group":
-            return PointSet.group(xs, params)
-        xis = section(params, *xi)
-        return PointSet.phase(tuple((a, b) for a in xs for b in xis), params)
+            return xs
+        anchor = max(x[0], xi[0])
+        return PointSet(ambient, params, anchor, tuple(product(xs.keys_at(anchor),
+                                                               xis.keys_at(anchor))))
     raise ConfigError(f"unknown lambda type {kind!r:.80}")
 
 
@@ -224,35 +229,37 @@ def _not_finite(why) -> ConfigError:
 def _dumps(doc) -> str:
     """Strict JSON: a NaN or infinity in a result (say, from overflow) is an input error.
 
-    A complex ndarray in doc is written as its [re, im] pairs, the bytes that
-    json.dumps gives for the pairs as lists, straight from its float64 view:
-    one np.isfinite test, then one %r template per pair at the array's indent.
-    The rest goes through json.dumps, whose indent=2 encoder is pure Python.
+    A complex ndarray in doc (its [re, im] pairs: one np.isfinite test, one %r
+    template per pair) and a map of strings (one join of their JSON texts) get
+    the bytes json.dumps gives them as lists, without its pure-Python encoder.
     """
-    arrays = []
+    holes = []
 
     def hole(value):
-        if not (isinstance(value, np.ndarray) and value.dtype == complex):
+        if not (isinstance(value, map) or isinstance(value, np.ndarray) and value.dtype == complex):
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        arrays.append(value)
-        return f"\0{len(arrays) - 1}"  # written "\u0000<i>", which no result string holds
+        holes.append(value)
+        return f"\0{len(holes) - 1}"  # written "\u0000<i>", which no result string holds
 
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=hole)
     except ValueError as exc:
         raise _not_finite(exc)
     # the whole text is built before the caller writes any of it
-    for i, arr in enumerate(arrays):
-        fl = arr.reshape(-1).view(np.float64)
-        if not np.isfinite(fl).all():
-            raise _not_finite("the array holds NaN or infinity")
+    for i, value in enumerate(holes):
         head, _, tail = text.partition(f'"\\u0000{i}"')
         line = head[head.rfind("\n") + 1:]
         i0 = line[:len(line) - len(line.lstrip(" "))]
         i1, i2 = i0 + "  ", i0 + "    "
-        pair = f"[\n{i2}%r,\n{i2}%r\n{i1}]"
-        body = (",\n" + i1).join([pair] * (fl.size // 2)) % tuple(fl.tolist())
-        text = f"{head}[\n{i1}{body}\n{i0}]{tail}" if fl.size else f"{head}[]{tail}"
+        if isinstance(value, map):
+            body = (",\n" + i1).join(map(json.encoder.encode_basestring_ascii, value))
+        else:
+            fl = value.reshape(-1).view(np.float64)
+            if not np.isfinite(fl).all():
+                raise _not_finite("the array holds NaN or infinity")
+            pair = f"[\n{i2}%r,\n{i2}%r\n{i1}]"
+            body = (",\n" + i1).join([pair] * (fl.size // 2)) % tuple(fl.tolist())
+        text = f"{head}[\n{i1}{body}\n{i0}]{tail}" if body else f"{head}[]{tail}"
     return text + "\n"
 
 
@@ -299,7 +306,8 @@ def cmd_density(args, out) -> int:
                     {
                         "label": part.label,
                         "c0_index": part.c0_index,
-                        "points": [pt.text() for pt in part.points.points],
+                        "points": map(rational_text, repeat(params), part.points.keys,
+                                      repeat(part.points.anchor)),
                     }
                     for part in parts
                 ],

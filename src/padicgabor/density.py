@@ -6,21 +6,20 @@ balls of measure p**n (group) or p**2n (phase); a density profile records,
 per scale, the largest and smallest number of points per ball together with
 the exact rational ratios count / measure.
 
-Within a region A^R H the scale-n ball of x is keyed by the exact integer
-x*p^R mod p^(R-n), which is the index of its coset in the canonical section
-of A^R H / A^n H; a phase point's key is k_x + p^(R-n) * k_xi.  Keys of
-point sets in one region share the anchor, so the per-ball counts of a
-multiset union are the sums of its parts' counts, and a union is profiled as
-the concatenation of its parts.
+A point set holds each coordinate x as its key, the integer x*p^F at one
+anchor F with every coordinate in A^F H; a GroupElement is made only when a
+caller reads ``points``, and a point's text comes from (key, F).  In a
+region A^R H the scale-n ball of x is keyed by x*p^R mod p^(R-n), the index
+of its coset in the canonical section of A^R H / A^n H; a phase point's
+ball key is k_x + p^(R-n) * k_xi.  Keys in one region share the anchor, so
+a union is profiled as the concatenation of its parts' keys.
 
 Which balls a point set occupies, and how many points each holds, depend
-on the scale alone.  So each scale is counted once per point set, in the
-least region A^F H that holds the points, and a declared region only decides
-the minimum.  The balls nest: a scale-n ball is the union of p^(d(n-k))
-scale-k balls for k < n, and its key is the finer key reduced mod p^(F-n)
-(per axis for phase keys).  A point set computes x*p^F once per coordinate
-and counts the keys of one scale with one ``Counter``; every coarser scale
-is then a fold of the last count, which costs one step per distinct ball
+on the scale alone.  So each scale is counted once per point set, at its
+anchor F, and a declared region only decides the minimum.  The balls nest:
+a scale-n ball's key is the finer key reduced mod p^(F-n) (per axis for
+phase keys), so one ``Counter`` counts the first scale asked for, and every
+coarser scale is a fold of the last count, one step per distinct ball
 rather than one per point.  Of each scale the (max, min, distinct) triple
 over the occupied balls is kept, and of the counts themselves only the last.
 
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .localfield import GroupParams
+from .localfield import GroupElement, GroupParams, rational_text
 
 GROUP = "group"
 PHASE = "phase"
@@ -51,12 +50,15 @@ class InvariantViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class PointSet:
-    """Finite multiset of group or phase-space points of one group; order is significant."""
+    """Finite multiset of group or phase-space points of one group; order is significant.
+
+    A group point x is held as its key x*p^anchor, a phase point (x, xi) as its
+    pair of keys; any anchor with every coordinate in A^anchor H serves."""
 
     ambient: str
-    points: tuple
     params: GroupParams
-    _ints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    anchor: int
+    keys: tuple
     # n -> (max, min, distinct) over the occupied balls, and the last (n, counts) to fold
     _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -64,77 +66,84 @@ class PointSet:
     def __post_init__(self):
         if self.ambient not in (GROUP, PHASE):
             raise ValueError(f"ambient must be {GROUP!r} or {PHASE!r}")
-        object.__setattr__(self, "points", tuple(self.points))
-        params = self.params
-        # points mostly share the params object itself, which spares the field compare
-        if any(c.params is not params and c.params != params for c in self._flat()):
-            raise ValueError("every coordinate of every point must lie in the group of params")
 
     @staticmethod
     def group(points, params: GroupParams) -> "PointSet":
-        return PointSet(GROUP, tuple(points), params)
+        return PointSet._elements(GROUP, tuple(points), params)
 
     @staticmethod
     def phase(points, params: GroupParams) -> "PointSet":
-        return PointSet(PHASE, tuple(points), params)
+        return PointSet._elements(PHASE, tuple(c for x, xi in points for c in (x, xi)), params)
 
-    def __len__(self) -> int:
-        return len(self.points)
+    @staticmethod
+    def _elements(ambient: str, flat: tuple, params: GroupParams) -> "PointSet":
+        # points mostly share the params object itself, which spares the field compare
+        if any(c.params is not params and c.params != params for c in flat):
+            raise ValueError("every coordinate of every point must lie in the group of params")
+        return PointSet.rationals(ambient, [(c.num, c.vexp) for c in flat], params)
 
-    def _coords(self, pt) -> tuple:
-        return (pt,) if self.ambient == GROUP else pt
+    @staticmethod
+    def rationals(ambient: str, coords: list, params: GroupParams) -> "PointSet":
+        """Points of coordinates num * p**-vexp, two in a row for phase, at their least anchor."""
+        anchor = max((vexp for num, vexp in coords if num), default=0)
+        # a zero coordinate is the int 0 at every anchor (p**(anchor - 0) may be a float)
+        flat = [num * params.p ** (anchor - vexp) if num else 0 for num, vexp in coords]
+        return PointSet(ambient, params, anchor, PointSet._pack(ambient, flat))
+
+    @staticmethod
+    def _pack(ambient: str, flat: list) -> tuple:
+        return tuple(flat) if ambient == GROUP else tuple(zip(flat[::2], flat[1::2]))
 
     def _flat(self):
-        """Every coordinate, in order; a phase point must be a pair."""
-        if self.ambient == GROUP:
-            return self.points
-        return (c for x, xi in self.points for c in (x, xi))
+        return self.keys if self.ambient == GROUP else [c for pair in self.keys for c in pair]
+
+    def __len__(self) -> int:
+        return len(self.keys)
 
     @cached_property
-    def _finest(self) -> int | None:
-        """Least R with every coordinate in A^R H; None when all coordinates are zero."""
-        return max((c.vexp for c in self._flat() if c.num), default=None)  # valuation -vexp
+    def points(self) -> tuple:
+        """The points as GroupElements (pairs of them for phase), made from the keys."""
+        return self._pack(self.ambient, [GroupElement.from_rational(self.params, c, self.anchor)
+                                         for c in self._flat()])
+
+    def keys_at(self, region: int) -> tuple:
+        """The keys re-anchored at region; every coordinate must lie in A^region H."""
+        d = region - self.anchor
+        if d == 0:
+            return self.keys
+        self.require_in_region(region)
+        q = self.params.p ** abs(d)
+        return self._pack(self.ambient, [c * q if d > 0 else c // q for c in self._flat()])
 
     def ball_keys(self, n: int, region: int) -> list[int]:
         """Scale-n ball key of every point, in order: x*p^region mod p^(region-n).
 
         Keys of point sets in one region share the anchor and compare directly.
         """
-        ints = self._ints.get(region)
-        if ints is None:
-            self.require_in_region(region)
-            # geometry.anchored_int inlined: num * p**(region - vexp), and a zero
-            # coordinate is the int 0 at every anchor (p**(region - 0) may be a float)
-            p = self.params.p
-            flat = [c.num * p ** (region - c.vexp) if c.num else 0 for c in self._flat()]
-            ints = tuple(flat) if self.ambient == GROUP else tuple(zip(flat[::2], flat[1::2]))
-            self._ints[region] = ints
+        keys = self.keys_at(region)
         q = self.params.p ** max(region - n, 0)
         if self.ambient == GROUP:
-            return [a % q for a in ints]
-        return [a % q + q * (b % q) for a, b in ints]
+            return [a % q for a in keys]
+        return [a % q + q * (b % q) for a, b in keys]
 
     def buckets(self, n: int) -> dict:
         """Map ball key -> list of point positions, at scale n."""
         out: dict = {}
-        for i, key in enumerate(self.ball_keys(n, self._finest or 0)):
+        for i, key in enumerate(self.ball_keys(n, self.anchor)):
             out.setdefault(key, []).append(i)
         return out
 
-    def _point_text(self, pt) -> str:
-        if self.ambient == GROUP:
-            return pt.text()
-        return f"({pt[0].text()}, {pt[1].text()})"
-
     def require_in_region(self, region: int) -> None:
         """Every coordinate must lie in A^region H; names the first offender."""
-        if self._finest is None or self._finest <= region:
+        if region >= self.anchor:
             return
-        for pt in self.points:
-            if any(c.valuation() < -region for c in self._coords(pt)):
-                raise ValueError(
-                    f"point {self._point_text(pt)} lies outside the region A^{region}H"
-                )
+        q = self.params.p ** (self.anchor - region)  # x in A^region H iff q divides x*p^anchor
+        for key in self.keys:
+            coords = (key,) if self.ambient == GROUP else key
+            if any(c % q for c in coords):
+                text = ", ".join(rational_text(self.params, c, self.anchor) for c in coords)
+                text = text if self.ambient == GROUP else f"({text})"
+                raise ValueError(f"point {text} lies outside the region A^{region}H")
 
     @property
     def dimension_factor(self) -> int:
@@ -202,14 +211,14 @@ def _fold(counts: dict, q: int, qf: int) -> dict:
 def _scale_counts(lam: PointSet, n: int, region: int) -> tuple[int, int, int]:
     """(max, min, distinct) of the per-ball counts at scale n within A^region H.
 
-    Counted once per scale, at the anchor F of the finest point: folded from
-    the last count when that is of a finer scale, else counted from the ball
-    keys.  The minimum is 0 unless the occupied balls tile A^region H.
+    Counted once per scale, at the anchor F of the keys: folded from the last
+    count when that is of a finer scale, else counted from the ball keys.
+    The minimum is 0 unless the occupied balls tile A^region H.
     """
     p = lam.params.p
     memo = lam._counts.get(n)
     if memo is None:
-        anchor, last = lam._finest or 0, lam._last
+        anchor, last = lam.anchor, lam._last
         if last is not None and last[0] < n:
             counts = _fold(last[1], p ** max(anchor - n, 0), p ** max(anchor - last[0], 0))
         else:
@@ -265,21 +274,18 @@ def separated_decomposition(lam: PointSet, n: int, region: int) -> list[Decompos
     """
     if lam.ambient != GROUP:
         raise ValueError("separated decomposition is defined for group point sets")
-    if not lam.points:
+    if not lam.keys:
         return []
     if n > region:
         raise ValueError(f"scale {n} exceeds region {region}")
     p, q = lam.params.p, lam.params.p ** (region - n)
-    seen: Counter = Counter()
+    seen: dict = {}
     parts: dict[tuple[int, int], list[int]] = {}
-    for pos, key in enumerate(lam.ball_keys(n, region)):
-        seen[key] += 1
-        parts.setdefault((seen[key], key * p // q), []).append(pos)  # c0 = top digit
-    return [
-        DecompositionPart(j, ci, PointSet.group(tuple(lam.points[i] for i in parts[j, ci]),
-                                                lam.params))
-        for j, ci in sorted(parts)
-    ]
+    for point, key in zip(lam.keys, lam.ball_keys(n, region)):
+        j = seen[key] = seen.get(key, 0) + 1
+        parts.setdefault((j, key * p // q), []).append(point)  # c0 = top digit
+    return [DecompositionPart(j, ci, PointSet(GROUP, lam.params, lam.anchor, tuple(parts[j, ci])))
+            for j, ci in sorted(parts)]
 
 
 @dataclass(frozen=True)

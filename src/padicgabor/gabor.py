@@ -2,8 +2,8 @@
 
 A system is the family M_xi T_x phi over a finite multiset of plane points
 (x, xi), stored once as the dim x count matrix of its vectors.  build reads
-two index lists, the model space's index of each x and its dual's index of
-each xi, so the space's index_of is the one window test.  The frame
+two index arrays from the point keys, the space's indices of the x and its
+dual's of the xi, so the space's indices is the one window test.  The frame
 operator S f = sum <f, v> v is assembled as a dim x dim Hermitian matrix
 acting on coefficient vectors with the coset measure folded in; its
 extreme eigenvalues are the frame bounds of the system for the model
@@ -82,7 +82,7 @@ class GaborSystem:
 def build(window: ModelFunction, lam: PointSet) -> GaborSystem:
     """Materialize M_xi T_x window over lam, preserving order and multiplicity.
 
-    One gather-multiply over two index lists: row c of the shift table gathers
+    One gather-multiply over two index arrays: row c of the shift table gathers
     T_{x_c} window, which the character row of xi_c then modulates.
     """
     if window.is_zero():
@@ -90,8 +90,9 @@ def build(window: ModelFunction, lam: PointSet) -> GaborSystem:
     if lam.ambient != PHASE:
         raise ValueError("a Gabor system needs phase-space points (x, xi)")
     space = window.space
-    shifts = np.array([space.index_of(x) for x, _ in lam.points], dtype=np.int64)
-    rows = space.char_rows([xi for _, xi in lam.points]) * window.coeffs[space.shift_table(shifts)]
+    xs, xis = zip(*lam.keys) if lam.keys else ((), ())
+    shifts = space.shift_table(space.indices(xs, lam.anchor))
+    rows = space.char_rows(space.dual.indices(xis, lam.anchor)) * window.coeffs[shifts]
     return GaborSystem(window, lam, np.ascontiguousarray(rows.T))
 
 

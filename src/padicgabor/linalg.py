@@ -62,7 +62,7 @@ class HermitianMatrix:
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"need a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
+        if not np.all(np.isfinite(m)):
             raise ValueError("matrix has non-finite entries")
         scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
         defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
@@ -103,7 +103,9 @@ def _rounds(n: int) -> list[tuple[np.ndarray, ...]]:
 
 
 def _frobenius(a: np.ndarray):
-    return np.sqrt(np.sum(np.abs(a) ** 2))
+    """||a||_F, squared at an exact power-of-two scale near 1/max|a_ij|, so none over/underflows."""
+    e = np.frexp(np.max(np.abs(a), initial=0.0))[1]
+    return np.ldexp(np.sqrt(np.sum(np.ldexp(np.abs(a), -e) ** 2)), e)
 
 
 def _jacobi(matrix: np.ndarray, sweeps: int = 60, tol: float = EXIT_TOL):
@@ -269,7 +271,9 @@ def hermitian_eigs(matrix: HermitianMatrix, vectors: bool = True):
     norm, off = _frobenius(a), _frobenius(a - np.diag(np.diagonal(a)))
     if off <= EXIT_TOL * norm * n:
         return np.sort(np.diagonal(a).real, kind="stable"), float(off), 0, None
-    return np.array(_ql(*_tridiagonal(a))), 4 * n * EPS * float(norm), 0, None
+    e = np.frexp(np.max(np.abs(a)))[1]  # the reduction squares too: scale a exactly first
+    vals = np.ldexp(_ql(*_tridiagonal(np.ldexp(a.view(float), -e).view(complex))), e)
+    return vals, 4 * n * EPS * float(norm), 0, None
 
 
 def solve_hermitian(eigs, rhs):

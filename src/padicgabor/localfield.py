@@ -94,6 +94,14 @@ def _digit_product(a: int, b: int, p: int) -> int:
     return _from_digits([c % p for c in acc], p)
 
 
+def _normal(p: int, num: int, vexp: int) -> tuple[int, int]:
+    """(num, vexp) of num * p**-vexp with p∤num, or (0, 0): the normal form."""
+    while num and num % p == 0:
+        num //= p
+        vexp -= 1
+    return (num, vexp) if num else (0, 0)
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """Prime p plus the addition convention (carry vs. modular)."""
@@ -136,13 +144,7 @@ class GroupElement:
     @staticmethod
     def from_rational(params: GroupParams, num: int, vexp: int = 0) -> "GroupElement":
         """The element num * p**-vexp (num >= 0 in modular mode), normalized."""
-        if num == 0:
-            return GroupElement(params)
-        p = params.p
-        while num % p == 0:
-            num //= p
-            vexp -= 1
-        return GroupElement(params, num=num, vexp=vexp)
+        return GroupElement(params, *_normal(params.p, num, vexp))
 
     @staticmethod
     def from_coeffs(params: GroupParams, coeffs) -> "GroupElement":
@@ -235,20 +237,25 @@ class GroupElement:
 
     def text(self) -> str:
         """Round-tripping text form: `num/p^vexp` or `[lo]digits` (little-endian)."""
-        p = self.params.p
-        if self.params.mode == CARRY:
-            if self.vexp <= 0:
-                return str(self.num * p**-self.vexp)
-            return f"{self.num}/{p}^{self.vexp}"
-        digits = _digits(self.num, p) or [0]
-        return f"[{-self.vexp}]" + ("" if p <= 10 else ",").join(map(str, digits))
+        return rational_text(self.params, self.num, self.vexp)
 
     def __str__(self) -> str:
         return self.text()
 
 
-def parse_element(params: GroupParams, text: str) -> GroupElement:
-    """Inverse of GroupElement.text(); a modular body has at most MAX_BODY_DIGITS digits."""
+def rational_text(params: GroupParams, num: int, vexp: int) -> str:
+    """The bytes of GroupElement.from_rational(params, num, vexp).text(), with no element."""
+    p = params.p
+    num, vexp = _normal(p, num, vexp)
+    if params.mode == CARRY:
+        return str(num * p**-vexp) if vexp <= 0 else f"{num}/{p}^{vexp}"
+    sep = "" if p <= 10 else ","  # p = 2: the binary text reversed, with no loop per digit
+    body = f"{num:b}"[::-1] if p == 2 else sep.join(map(str, _digits(num, p) or [0]))
+    return f"[{-vexp}]{body}"
+
+
+def parse_rational(params: GroupParams, text: str) -> tuple[int, int]:
+    """The normal form (num, vexp) a text names; a modular body has <= MAX_BODY_DIGITS digits."""
     if not isinstance(text, str):
         raise ValueError(f"element text must be a string, got {text!r}")
     text = text.strip()
@@ -262,8 +269,8 @@ def parse_element(params: GroupParams, text: str) -> GroupElement:
             vexp = int(exp_s) if exp_s else 1
             if vexp < 0:
                 raise ValueError(f"carry exponent in {text!r} must be >= 0 (num/p^vexp)")
-            return GroupElement.from_rational(params, int(num_s), vexp)
-        return GroupElement.from_rational(params, int(text), 0)
+            return _normal(params.p, int(num_s), vexp)
+        return _normal(params.p, int(text), 0)
     if not text.startswith("["):
         raise ValueError(f"modular element must look like '[lo]digits', got {text!r:.80}")
     close = text.index("]")
@@ -276,7 +283,12 @@ def parse_element(params: GroupParams, text: str) -> GroupElement:
     digits = [int(d) for d in digit_strs]
     if any(not 0 <= d < params.p for d in digits):
         raise ValueError(f"digits of {text!r:.80} must lie in 0..{params.p - 1}")
-    return GroupElement.from_coeffs(params, enumerate(digits, lo))
+    return _normal(params.p, _from_digits(digits, params.p), -lo)
+
+
+def parse_element(params: GroupParams, text: str) -> GroupElement:
+    """Inverse of GroupElement.text(): the element parse_rational names."""
+    return GroupElement.from_rational(params, *parse_rational(params, text))
 
 
 @dataclass(frozen=True)

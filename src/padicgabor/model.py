@@ -4,9 +4,10 @@ A model space holds the functions supported on A^m H that are constant on
 cosets of A^-k H.  Such a function is a complex vector indexed by the
 canonical section of A^m H / A^-k H (dimension p**(m+k)); each coset carries
 Haar measure p**-k, so ||f||^2 = p**-k * sum |f_a|^2 and the indicator of H
-has norm one.  A space is a frozen value of (params, m, k), and index_of is
-its one window test: an element outside A^m H raises ResolutionError there,
-and a character xi is tested by the dual space, whose window is A^k H.
+has norm one.  A space is a frozen value of (params, m, k), and indices is
+its one window test: x outside A^m H (p^(F-m) does not divide its key x*p^F)
+raises ResolutionError there, and a character xi is tested by the dual
+space, whose window is A^k H.
 
 The index set is a finite abelian group: cyclic Z/p**(m+k) in carry mode,
 elementary abelian (Z/p)**(m+k) in modular mode.  Inside a space an element
@@ -41,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import anchored_int, section
+from .geometry import section
 from .localfield import CARRY, GroupElement, GroupParams, Phase
 
 
@@ -86,14 +87,22 @@ class ModelSpace:
     def coset_measure(self) -> float:
         return float(self.params.p) ** (-self.k)
 
-    def index_of(self, x: GroupElement) -> int:
-        """Index of the coset of x mod A^-k H: the one test that x lies in A^m H."""
-        if x.valuation() < -self.m:
+    def indices(self, keys, anchor: int) -> np.ndarray:
+        """Index mod A^-k H of each x with key x*p^anchor: the one test that x lies in A^m H."""
+        q = self.params.p ** abs(anchor - self.m)
+        if anchor <= self.m:
+            return np.array([key * q % self.dim for key in keys], dtype=np.int64)
+        outside = next((key for key in keys if key % q), 0)  # a key in A^m H is 0 mod q
+        if outside:
+            x = GroupElement.from_rational(self.params, outside, anchor)
             raise ResolutionError(
                 f"{x.text()} lies outside A^{self.m}H (valuation {x.valuation()} < -{self.m}); "
-                f"embed into a space of larger extent (translation) or resolution (modulation)"
-            )
-        return anchored_int(x, self.m) % self.dim
+                f"embed into a space of larger extent (translation) or resolution (modulation)")
+        return np.array([key // q % self.dim for key in keys], dtype=np.int64)
+
+    def index_of(self, x: GroupElement) -> int:
+        """Index of the coset of x mod A^-k H; x must lie in A^m H."""
+        return int(self.indices((x.num,), x.vexp)[0])
 
     # -- index-group arithmetic ----------------------------------------------
 
@@ -119,11 +128,10 @@ class ModelSpace:
 
     def char_values(self, xi: GroupElement) -> np.ndarray:
         """Unit phases <x_a, xi> over the index section; xi must have val >= -k."""
-        return self.char_rows([xi])[0]
+        return self.char_rows(np.array([self.dual.index_of(xi)]))[0]
 
-    def char_rows(self, xis) -> np.ndarray:
-        """Row r: char_values(xis[r]), a table lookup at the dual index of xis[r]."""
-        b = np.array([self.dual.index_of(xi) for xi in xis], dtype=np.int64)
+    def char_rows(self, b: np.ndarray) -> np.ndarray:
+        """Row r: the unit phases <x_a, xi> for the xi of dual index b[r], a table lookup."""
         if self.params.mode == CARRY:
             # <x_a, xi_b> = a * b / p^(m+k) mod 1
             return np.conj(self._neg_root_table[b[:, np.newaxis] * np.arange(self.dim) % self.dim])

@@ -15,8 +15,10 @@ import pytest
 
 from padicgabor import cli, gabor, linalg, verify
 from padicgabor.cli import main
+from padicgabor.density import PointSet
+from padicgabor.geometry import anchored_int, section
 from padicgabor.linalg import ConvergenceError
-from padicgabor.localfield import CARRY, MAX_BODY_DIGITS, MODULAR, GroupParams
+from padicgabor.localfield import CARRY, MAX_BODY_DIGITS, MODULAR, GroupParams, parse_element
 from padicgabor.model import ModelFunction, ModelSpace, StftGrid, stft
 from padicgabor.rng import SplitMix64
 from padicgabor.verify import run_suite
@@ -457,6 +459,21 @@ def test_emitted_arrays_inside_a_document_match_the_stdlib_encoder():
     assert cli._dumps(np.array([3j])) == _stdlib_dumps(np.array([3j]))
 
 
+def test_emitted_text_lists_match_the_stdlib_encoder():
+    # a map of strings (the decomposition's point texts) nested at several indents, next to
+    # an array, one holding escapes, and empty
+    texts = ["0", "1/2^3", "[-2]10,3", 'q"\\\u00e9\n', ""]
+    doc = {"a": {"points": texts, "z": [texts[:1], []]}, "b": np.array([1j]), "c": []}
+
+    def holes(v):
+        if isinstance(v, dict):
+            return {key: holes(x) for key, x in v.items()}
+        if isinstance(v, list) and all(isinstance(x, str) for x in v):
+            return map(str, v)
+        return [holes(x) for x in v] if isinstance(v, list) else v
+    assert cli._dumps(holes(doc)) == _stdlib_dumps(doc)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("part", ["re", "im"])
 def test_non_finite_grid_is_refused(bad, part):
@@ -682,10 +699,10 @@ BOUND_CASES = {
 
 @pytest.mark.parametrize("case", list(BOUND_CASES))
 def test_sizes_beyond_the_bounds_exit_2(tmp_path, capsys, monkeypatch, case):
-    def enumerated(*args):
-        raise AssertionError("a section was enumerated before the bounds were checked")
+    def built(*args):
+        raise AssertionError("a point set was built before the bounds were checked")
 
-    monkeypatch.setattr(cli, "section", enumerated)
+    monkeypatch.setattr(cli.PointSet, "__post_init__", built)
     command, doc = BOUND_CASES[case]
     cfg = tmp_path / "c.json"
     cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -975,3 +992,209 @@ def test_verify_one_prime_output_bytes_are_pinned(tmp_path, capsys, p):
     # a single-prime run keeps only that prime's configs in every check
     digests = _verify_digests("small", tmp_path, capsys, "--p", p)
     assert digests == PINNED_VERIFY_SMALL_ONE_PRIME[p]
+
+
+def test_frame_of_a_huge_window_is_finite(tmp_path, capsys):
+    # entries near 1e300 in the frame operator: its norms square them, so they are taken
+    # at a power-of-two scale (the exit was 2, overflow encountered in square)
+    values = [[1e150, 0], [2e149, 1e149], [0, 3e149], [1e149, 0]]
+    doc = {**FRAME_TIGHT, "window": {"type": "coeffs", "values": values}}
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["frame", "--config", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["classification"] == "TightFrame" and 2.29e300 < out["lower"] <= out["upper"]
+
+
+# -- points as integer keys, against the GroupElement path ----------------------------
+
+
+def _element_points(doc, params):
+    """A lambda's points as GroupElements, the way the CLI read them before keys: texts
+    through parse_element, section members from geometry.section."""
+    if doc["type"] == "union":
+        return [pt for part in doc["parts"] for pt in _element_points(part, params)]
+    phase = doc.get("ambient", "phase") == "phase"
+    if doc["type"] == "explicit":
+        if phase:
+            return [tuple(parse_element(params, t) for t in pair) for pair in doc["points"]]
+        return [parse_element(params, t) for t in doc["points"]]
+    xs = section(params, doc["x"]["outer"], doc["x"]["inner"])
+    if not phase:
+        return list(xs)
+    return [(x, xi) for x in xs for xi in section(params, doc["xi"]["outer"], doc["xi"]["inner"])]
+
+
+def _element_lambda(doc, params, budget=cli.MAX_POINTS):
+    leaf = doc
+    while leaf["type"] == "union":
+        leaf = leaf["parts"][0]
+    make = PointSet.phase if leaf.get("ambient", "phase") == "phase" else PointSet.group
+    return make(_element_points(doc, params), params)
+
+
+def _texts(p, mode, scale):
+    """Point texts over F_p or Q_p: zeros, repeats and texts not in normal form."""
+    if mode == CARRY:
+        return ["0", f"{2 * p}/{p}^3", "7", "7", f"-1/{p}", f"{p * p}/{p}^1", f"0/{p}^4",
+                f"{p - 1}/{p}^{scale}", f"{p ** 3}"]
+    sep = "" if p <= 10 else ","
+    return ["[0]0", "[-3]0010", "[2]1", "[2]1", f"[-1]{p - 1}0{p - 1}", "[0]", "[1]000",
+            f"[{-scale}]" + sep.join(["1", "0"]), f"[3]{p - 1}"]
+
+
+def _key_path_lambdas(p, mode):
+    texts = _texts(p, mode, 2)
+    group = {"ambient": "group", "type": "explicit", "points": texts}
+    phase = {"ambient": "phase", "type": "explicit",
+             "points": [[a, b] for a, b in zip(texts, texts[3:] + texts[:3])]}
+    return {
+        "group": group,
+        "phase": phase,
+        "group-section": {"ambient": "group", "type": "product-sections",
+                          "x": {"outer": 2, "inner": -1}},
+        "phase-sections": {"ambient": "phase", "type": "product-sections",
+                           "x": {"outer": 2, "inner": 0}, "xi": {"outer": 0, "inner": -2}},
+        "single-zero-section": {"ambient": "group", "type": "product-sections",
+                                "x": {"outer": 3, "inner": 3}},
+        # parts anchored at 2, -1 and 3: the union re-anchors them at 3
+        "group-union": {"type": "union", "parts": [
+            {"ambient": "group", "type": "product-sections", "x": {"outer": 2, "inner": 0}},
+            {"ambient": "group", "type": "explicit",
+             "points": [f"{p}", f"{p ** 3}", "0"] if mode == CARRY else ["[1]1", "[3]1", "[0]"]},
+            {"ambient": "group", "type": "explicit", "points": _texts(p, mode, 3)[-2:]}]},
+        "phase-union": {"type": "union", "parts": [
+            phase, {"ambient": "phase", "type": "product-sections",
+                    "x": {"outer": 1, "inner": 0}, "xi": {"outer": -1, "inner": -2}}]},
+        "empty": {"ambient": "group", "type": "explicit", "points": []},
+    }
+
+
+KEY_PATH_CASES = [(p, mode, name) for p in (2, 3, 5, 11) for mode in (CARRY, MODULAR)
+                  for name in _key_path_lambdas(p, mode)]
+
+
+@pytest.mark.parametrize("p,mode,name", KEY_PATH_CASES)
+def test_parsed_keys_match_the_element_path(tmp_path, capsys, monkeypatch, p, mode, name):
+    params = GroupParams(p, mode)
+    lam_doc = _key_path_lambdas(p, mode)[name]
+    lam = cli._parse_points(lam_doc, params)
+    elements = _element_points(lam_doc, params)
+    assert lam.points == tuple(elements)
+    coords = elements if lam.ambient == "group" else [c for pt in elements for c in pt]
+    flat = lam.keys if lam.ambient == "group" else [c for pair in lam.keys for c in pair]
+    assert list(flat) == [anchored_int(c, lam.anchor) for c in coords]
+    if lam_doc["type"] == "explicit":  # parsing anchors at the least R, 0 for zeros only
+        assert lam.anchor == max((c.vexp for c in coords if not c.is_zero()), default=0)
+    # the same bytes as the element path, texts in the decomposition included
+    region = max(3, lam.anchor)
+    task = {"region": region, "n_range": [-2, region],
+            "checks": ["separation", "finite", "automorphism"]}
+    cfg = write_config(tmp_path, "c.json", {"group": {"p": p, "mode": mode},
+                                            "lambda": lam_doc, "task": task})
+    assert main(["density", "--config", cfg]) == 0
+    keyed = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_parse_points", _element_lambda)
+    assert main(["density", "--config", cfg]) == 0
+    assert keyed == capsys.readouterr().out
+    doc = json.loads(keyed)
+    if "decomposition" in doc:  # texts against an oracle of the text form
+        written = [t for part in doc["decomposition"]["parts"] for t in part["points"]]
+        assert sorted(written) == sorted(_old_text(x) for x in elements)
+
+
+def _old_text(x):
+    """GroupElement.text() as it was written before it shared its code with the keys."""
+    p = x.params.p
+    if x.params.mode == CARRY:
+        return str(x.num * p ** -x.vexp) if x.vexp <= 0 else f"{x.num}/{p}^{x.vexp}"
+    digits = []
+    num = x.num
+    while num:
+        num, d = divmod(num, p)
+        digits.append(d)
+    return f"[{-x.vexp}]" + ("" if p <= 10 else ",").join(map(str, digits or [0]))
+
+
+@pytest.mark.parametrize("p,mode", [(2, CARRY), (2, MODULAR), (3, CARRY), (3, MODULAR),
+                                    (5, CARRY), (5, MODULAR)])
+@pytest.mark.parametrize("kind", ["explicit", "sections", "union"])
+def test_frame_of_parsed_keys_matches_the_element_path(tmp_path, capsys, monkeypatch, p, mode,
+                                                       kind):
+    m = k = 1 if p == 5 else 2
+    texts = [t for t in _texts(p, mode, 1) if parse_element(GroupParams(p, mode), t).vexp <= 1]
+    explicit = {"ambient": "phase", "type": "explicit",
+                "points": [[a, b] for a in texts for b in texts[:4]]}
+    sections = {"ambient": "phase", "type": "product-sections",
+                "x": {"outer": m, "inner": -k}, "xi": {"outer": k - 1, "inner": -m}}
+    lam_doc = {"explicit": explicit, "sections": sections,
+               "union": {"type": "union", "parts": [sections, explicit]}}[kind]
+    doc = {"group": {"p": p, "mode": mode}, "model": {"m": m, "k": k},
+           "window": {"type": "indicator", "set_scale": -1}, "lambda": lam_doc}
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["frame", "--config", cfg]) == 0
+    keyed = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_parse_points", _element_lambda)
+    assert main(["frame", "--config", cfg]) == 0
+    assert keyed == capsys.readouterr().out
+
+
+def _explicit(command, p, mode, points, ambient="group", **keys):
+    lam = {"ambient": ambient, "type": "explicit", "points": points}
+    if command == "density":
+        return {"group": {"p": p, "mode": mode}, "lambda": lam,
+                "task": {"region": keys.get("region", 3)}}
+    return {"group": {"p": p, "mode": mode}, "model": {"m": keys["m"], "k": keys["k"]},
+            "window": {"type": "indicator"}, "lambda": lam}
+
+
+EMBED = "embed into a space of larger extent (translation) or resolution (modulation)"
+# (command, config, stderr): the messages the GroupElement path gave, kept by the keys
+BAD_POINTS = {
+    "bad-base": ("density", _explicit("density", 2, CARRY, ["1/3^2"]),
+                 "denominator base 3 != p = 2"),
+    "negative-exponent": ("density", _explicit("density", 2, CARRY, ["1/2^-3"]),
+                          "carry exponent in '1/2^-3' must be >= 0 (num/p^vexp)"),
+    "digit-out-of-range": ("density", _explicit("density", 2, MODULAR, ["[-2]102"]),
+                           "digits of '[-2]102' must lie in 0..1"),
+    "digit-out-of-range-p11": ("density", _explicit("density", 11, MODULAR, ["[0]3,11"]),
+                               "digits of '[0]3,11' must lie in 0..10"),
+    "valuation-carry": ("density", _explicit("density", 2, CARRY, ["0", "1/2^65"], region=64),
+                        "lambda point '1/2^65' has valuation -65 outside [-64, 64]"),
+    "valuation-modular": ("density", _explicit("density", 3, MODULAR, ["[65]1"]),
+                          "lambda point '[65]1' has valuation 65 outside [-64, 64]"),
+    "valuation-phase": ("density", _explicit("density", 2, CARRY, [["0", "2"], ["0", "1/2^70"]],
+                                             "phase"),
+                        "lambda point '1/2^70' has valuation -70 outside [-64, 64]"),
+    "outside-region-carry": ("density", _explicit("density", 3, CARRY, ["5", "6/3^8", "1/3^4"]),
+                             "point 2/3^7 lies outside the region A^3H"),
+    "outside-region-modular": ("density",
+                               _explicit("density", 2, MODULAR, ["[0]1", "[-3]0010", "[-5]1"],
+                                         region=1),
+                               "point [-5]1 lies outside the region A^1H"),
+    "outside-region-phase": ("density", _explicit("density", 5, CARRY, [["1/5", "0"],
+                                                                      ["3", "1/5^2"]],
+                                                  "phase", region=1),
+                             "point (3, 1/5^2) lies outside the region A^1H"),
+    "outside-region-union": ("density", {**DENSITY_SECTION, "lambda": {"type": "union", "parts": [
+        DENSITY_SECTION["lambda"], {"ambient": "group", "type": "explicit", "points": ["1/2^4"]}]}},
+        "point 1/2^4 lies outside the region A^3H"),
+    "outside-model-x": ("frame", _explicit("frame", 2, CARRY, [["1/2", "0"], ["1/2^2", "0"]],
+                                           "phase", m=1, k=1),
+                        f"1/2^2 lies outside A^1H (valuation -2 < -1); {EMBED}"),
+    "outside-model-xi": ("frame", _explicit("frame", 3, MODULAR, [["[0]1", "[-1]2"],
+                                                                  ["[0]1", "[-2]1"]],
+                                            "phase", m=1, k=1),
+                         f"[-2]1 lies outside A^1H (valuation -2 < -1); {EMBED}"),
+    "outside-model-p5": ("frame", _explicit("frame", 5, CARRY, [["0", "0"], ["7/5^3", "1"]],
+                                            "phase", m=2, k=0),
+                         f"7/5^3 lies outside A^2H (valuation -3 < -2); {EMBED}"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_POINTS))
+def test_bad_points_keep_their_exit_code_and_message(tmp_path, capsys, case):
+    command, doc, message = BAD_POINTS[case]
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n" and captured.out == ""

@@ -1,6 +1,7 @@
 """Counting densities, separation, decompositions, and scale propagation."""
 
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -22,7 +23,7 @@ from padicgabor.density import (
     separated_decomposition,
 )
 from padicgabor.geometry import anchored_int, coset_rep, section
-from padicgabor.localfield import CARRY, MODULAR, GroupElement, GroupParams
+from padicgabor.localfield import CARRY, MODULAR, GroupElement, GroupParams, rational_text
 from padicgabor.rng import SplitMix64
 
 P2 = GroupParams(2, CARRY)
@@ -251,7 +252,7 @@ def test_point_set_validation():
     with pytest.raises(ValueError):
         PointSet.phase([(GroupElement.zero(P2), GroupElement.zero(P3))], P2)
     with pytest.raises(ValueError):
-        PointSet("weird", (), P2)
+        PointSet("weird", P2, 0, ())
     with pytest.raises(TypeError):
         PointSet.group([GroupElement.zero(P2)])  # params is required, never inferred
 
@@ -297,6 +298,10 @@ def ref_decomposition(lam, n, region):
             for j, ci in sorted(parts)]
 
 
+def of_elements(ambient, pts, params):
+    return (PointSet.group if ambient == "group" else PointSet.phase)(pts, params)
+
+
 def random_element(params, rng, region, digits):
     """Element of A^region H with digits up to exponent -region + digits - 1."""
     p = params.p
@@ -308,7 +313,7 @@ def random_element(params, rng, region, digits):
     )
 
 
-def random_lambda(params, ambient, rng, region, digits, size):
+def random_points(params, ambient, rng, region, digits, size):
     def draw():
         if ambient == "group":
             return random_element(params, rng, region, digits)
@@ -318,7 +323,11 @@ def random_lambda(params, ambient, rng, region, digits, size):
     pts = []
     for _ in range(size):
         pts.append(pts[rng.next_below(len(pts))] if pts and rng.next_below(4) == 0 else draw())
-    return PointSet(ambient, tuple(pts), params)
+    return pts
+
+
+def random_lambda(params, ambient, rng, region, digits, size):
+    return of_elements(ambient, random_points(params, ambient, rng, region, digits, size), params)
 
 
 DIFF_CASES = [
@@ -362,6 +371,43 @@ def test_integer_keys_match_coset_oracle(seed, params, ambient, region):
             assert got == ref_decomposition(lam, n, region)
 
 
+@pytest.mark.parametrize("seed,params,ambient,region", DIFF_CASES)
+def test_keys_and_texts_match_the_elements(seed, params, ambient, region):
+    rng = SplitMix64(200 + seed)
+    zero = GroupElement.zero(params)
+    pts = random_points(params, ambient, rng, region, 3, 30) + [zero if ambient == "group"
+                                                                 else (zero, zero)]
+    lam = of_elements(ambient, pts, params)
+    coords = pts if ambient == "group" else [c for pt in pts for c in pt]
+    anchor = max((c.vexp for c in coords if not c.is_zero()), default=0)
+    assert lam.anchor == anchor and len(lam) == len(pts) and lam.points == tuple(pts)
+    for at in (anchor, anchor + 1, anchor + 3):
+        keys = lam.keys_at(at)
+        flat = keys if ambient == "group" else [c for pair in keys for c in pair]
+        assert list(flat) == [anchored_int(c, at) for c in coords]
+        assert [rational_text(params, c, at) for c in flat] == [c.text() for c in coords]
+    assert PointSet(ambient, params, anchor + 3, lam.keys_at(anchor + 3)).points == lam.points
+    # below the anchor the first point with a coordinate outside is named
+    outside = [pt for pt in pts if any(not c.is_zero() and c.vexp == anchor
+                                       for c in ((pt,) if ambient == "group" else pt))]
+    if outside:
+        first = outside[0]
+        text = first.text() if ambient == "group" else f"({first[0].text()}, {first[1].text()})"
+        with pytest.raises(ValueError, match=re.escape(f"point {text} lies outside")):
+            lam.keys_at(anchor - 1)
+    else:
+        assert lam.keys_at(anchor - 1) == lam.keys
+
+
+def test_decomposition_parts_are_subsets_of_the_keys():
+    rng = SplitMix64(37)
+    for params in (P2, P3, M2, M3):
+        lam = random_lambda(params, "group", rng, 2, 4, 50)
+        parts = separated_decomposition(lam, 0, 3)
+        assert all(part.points.anchor == lam.anchor for part in parts)
+        assert sorted(k for part in parts for k in part.points.keys) == sorted(lam.keys)
+
+
 @pytest.mark.parametrize("params", (P2, P3, M2, M3))
 def test_union_parts_with_different_finest_digits(params):
     # one part uses digits down to exponent -3, the other only integers: per-set
@@ -370,6 +416,8 @@ def test_union_parts_with_different_finest_digits(params):
     fine = random_lambda(params, "group", rng, 3, 5, 30)
     coarse = random_lambda(params, "group", rng, 0, 2, 30)
     merged = PointSet.group(fine.points + coarse.points, params)
+    # a union re-anchors each part's keys at the largest anchor and concatenates them
+    assert merged.keys == fine.keys_at(merged.anchor) + coarse.keys_at(merged.anchor)
     for n in range(-3, 4):
         assert Counter(merged.ball_keys(n, 3)) == (
             Counter(fine.ball_keys(n, 3)) + Counter(coarse.ball_keys(n, 3))
@@ -432,7 +480,7 @@ def fold_cases(draw):
         ns = scales if order == "ascending" else scales[::-1]
     # one count per scale serves every region above the finest point, in any query order
     queries = [(n, region + draw(st.integers(0, 3))) for n in ns]
-    return PointSet(ambient, tuple(pts), params), queries
+    return of_elements(ambient, pts, params), queries
 
 
 @FOLDS

@@ -404,3 +404,33 @@ def test_ql_step_cap_raises_convergence_error():
     assert exc.value.steps == 1
     vals = _ql(d, e)  # the default cap is far from reached
     assert len(vals) == 8 and vals == sorted(vals)
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+@pytest.mark.parametrize("scale", [1e-200, 2.0**-1000, 1e200, 1e300])
+def test_norms_and_eigenvalues_at_extreme_scales(vectors, scale):
+    # squares of the entries under- or overflow at these scales, the entries do not; the
+    # Jacobi's bound leaves out its rotation rounding (see assert_values_only_matches)
+    m = HermitianMatrix(np.array([[0.0, scale], [scale, 0.0]]))
+    vals, bound, _, _ = hermitian_eigs(m, vectors=vectors)
+    assert np.all(np.isfinite(vals)) and bound < 1e-12 * scale
+    assert np.max(np.abs(vals - [-scale, scale])) <= bound + 4 * 2 * EPS * scale * vectors
+    assert linalg._frobenius(m.entries) == pytest.approx(np.sqrt(2.0) * scale, rel=2 * EPS)
+
+
+@pytest.mark.parametrize("e", [-1000, -600, 600, 990])
+def test_values_path_commutes_with_power_of_two_scaling(e):
+    # a power of two scales exactly, so the bits of the values and the bound scale with it
+    rng = np.random.default_rng(abs(e))
+    a = random_hermitian(7, rng).entries
+    vals, bound, _, _ = hermitian_eigs(HermitianMatrix(a), vectors=False)
+    scaled = np.ldexp(a.view(float), e).view(complex)
+    got, got_bound, _, _ = hermitian_eigs(HermitianMatrix(scaled), vectors=False)
+    assert np.array_equal(got, np.ldexp(vals, e)) and got_bound == np.ldexp(bound, e)
+
+
+def test_fortran_ordered_input_is_accepted():
+    m = HermitianMatrix(np.asfortranarray(np.eye(3) + 0j))
+    assert np.array_equal(m.entries, np.eye(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        HermitianMatrix(np.asfortranarray(np.array([[0, np.inf], [np.inf, 0]], dtype=complex)))

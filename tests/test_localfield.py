@@ -17,6 +17,8 @@ from padicgabor.localfield import (
     Phase,
     pairing_phase,
     parse_element,
+    parse_rational,
+    rational_text,
 )
 from padicgabor.rng import SplitMix64
 
@@ -419,6 +421,26 @@ def test_text_round_trip_and_form(data):
     assert parse_element(params, x.text()) == x
     if s == 0:
         assert x.text() == o_text(params, ox)
+
+
+@PROPS
+@given(data=st.data())
+def test_rational_text_and_parse_rational_match_the_oracle(data):
+    # (num, vexp) and texts that name the value but are not in normal form: p**j * num at
+    # vexp + j, and a modular body padded with zero digits at both ends
+    params = data.draw(PARAMS)
+    p, ox = params.p, data.draw(oracle_values(params))
+    x = element(params, ox)
+    j, pad = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 3))
+    assert rational_text(params, x.num * p**j, x.vexp + j) == o_text(params, ox) == x.text()
+    if params.mode == CARRY:
+        loose = f"{x.num * p**j}/{p}^{x.vexp + j}" if x.vexp + j > 0 else o_text(params, ox)
+    else:
+        lo, hi = min(ox, default=0) - j, max(ox, default=0) + pad
+        digits = [str(ox.get(e, 0)) for e in range(lo, hi + 1)]
+        loose = f"[{lo}]" + ("" if p <= 10 else ",").join(digits)
+    assert parse_rational(params, loose) == (x.num, x.vexp)
+    assert parse_element(params, loose) == x
 
 
 @PROPS

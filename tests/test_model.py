@@ -6,13 +6,14 @@ pairing, independent of the radix/tensor fast paths it checks.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from padicgabor.density import PointSet
 from padicgabor.gabor import build
-from padicgabor.geometry import coset_rep
+from padicgabor.geometry import anchored_int, coset_rep
 from padicgabor.localfield import (
     CARRY,
     MODULAR,
@@ -402,6 +403,24 @@ def test_index_of_matches_coset_lookup():
         members = space.index_section
         for x in kernel_elements(space, rng):
             assert space.index_of(x) == members.index(coset_rep(x, -k)), (space, x.text())
+
+
+def test_indices_read_keys_at_any_anchor():
+    # the key x*p^a at any anchor a that holds x gives the coset lookup's index; above m,
+    # a key that p^(a - m) does not divide is a point outside A^m H
+    rng = SplitMix64(21)
+    for params, m, k in KERNEL_SPACES:
+        space = ModelSpace(params, m, k)
+        xs = kernel_elements(space, rng)
+        want = [space.index_section.index(coset_rep(x, -k)) for x in xs]
+        least = max((x.vexp for x in xs if not x.is_zero()), default=0)
+        for anchor in (least, least + 1, m + 2):
+            keys = [anchored_int(x, anchor) for x in xs]
+            got = space.indices(keys, anchor)
+            assert got.dtype == np.int64 and got.tolist() == want
+        far = GroupElement.from_rational(params, 1, m + 1)
+        with pytest.raises(ResolutionError, match=re.escape(f"{far.text()} lies outside A^{m}H")):
+            space.indices(keys + [anchored_int(far, m + 2)], m + 2)
 
 
 def test_indicator_matches_valuation_loop():
