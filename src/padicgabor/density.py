@@ -280,12 +280,12 @@ def separated_decomposition(lam: PointSet, n: int, region: int) -> list[Decompos
         raise ValueError(f"scale {n} exceeds region {region}")
     p, q = lam.params.p, lam.params.p ** (region - n)
     seen: dict = {}
-    parts: dict[tuple[int, int], list[int]] = {}
+    parts: dict[int, list[int]] = {}  # j * p + c0 -> keys, c0 the top digit of the ball key
     for point, key in zip(lam.keys, lam.ball_keys(n, region)):
         j = seen[key] = seen.get(key, 0) + 1
-        parts.setdefault((j, key * p // q), []).append(point)  # c0 = top digit
-    return [DecompositionPart(j, ci, PointSet(GROUP, lam.params, lam.anchor, tuple(parts[j, ci])))
-            for j, ci in sorted(parts)]
+        parts.setdefault(j * p + key * p // q, []).append(point)
+    return [DecompositionPart(*divmod(jc, p), PointSet(GROUP, lam.params, lam.anchor,
+                                                       tuple(parts[jc]))) for jc in sorted(parts)]
 
 
 @dataclass(frozen=True)

@@ -260,8 +260,8 @@ def parse_rational(params: GroupParams, text: str) -> tuple[int, int]:
         raise ValueError(f"element text must be a string, got {text!r}")
     text = text.strip()
     if params.mode == CARRY:
-        if "/" in text:
-            num_s, den_s = text.split("/", 1)
+        num_s, slash, den_s = text.partition("/")
+        if slash:
             base_s, _, exp_s = den_s.partition("^")
             base = int(base_s)
             if base != params.p:
