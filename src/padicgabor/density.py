@@ -33,6 +33,7 @@ read the rows as finite-scale surrogates.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,7 +54,9 @@ class PointSet:
     """Finite multiset of group or phase-space points of one group; order is significant.
 
     A group point x is held as its key x*p^anchor, a phase point (x, xi) as its
-    pair of keys; any anchor with every coordinate in A^anchor H serves."""
+    pair of keys; any anchor with every coordinate in A^anchor H serves.  Equality
+    and hashing read the keys at the least such anchor (0 if every key is 0), so
+    they do not depend on the anchor a set was made at."""
 
     ambient: str
     params: GroupParams
@@ -99,6 +102,20 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self.keys)
+
+    @cached_property
+    def _normal_form(self) -> tuple:
+        divisor, least = math.gcd(*self._flat()), self.anchor
+        while divisor and divisor % self.params.p == 0:
+            divisor, least = divisor // self.params.p, least - 1
+        least = least if divisor else 0
+        return self.ambient, self.params, least, self.keys_at(least)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PointSet) and self._normal_form == other._normal_form
+
+    def __hash__(self) -> int:
+        return hash(self._normal_form)
 
     @cached_property
     def points(self) -> tuple:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .density import PHASE, PointSet, finite_density_check
 from .linalg import RANK_TOL, HermitianMatrix, RankDeficiencyError, hermitian_eigs, solve_hermitian
-from .model import ModelFunction, _same_space, stft, wiener_norm
+from .model import ModelFunction, StftGrid, _same_space, row_norms, stft_stack, wiener_norm
 # build no longer calls it; it stays a gabor name because perfbench/selftest.py
 # checks that tracing patches padicgabor.gabor.modulate
 from .model import modulate  # noqa: F401
@@ -223,19 +223,22 @@ def bessel_stress(sys_base: GaborSystem, lambda0, reps: list[int]):
     return results, ok
 
 
-def bessel_chain_check(f: ModelFunction, sys: GaborSystem):
-    """The square-sum of samples against the counting-times-amalgam majorant.
+def bessel_chain_check(fs: list[ModelFunction], sys: GaborSystem) -> list[tuple]:
+    """The square-sum of samples against the counting-times-amalgam majorant, for each f in fs.
 
-    Returns (lhs, mid, rhs): lhs = sum over lam of |V_phi f|^2, mid = N_0 times
+    Gives (lhs, mid, rhs) per f: lhs = sum over lam of |V_phi f|^2, mid = N_0 times
     the squared amalgam 2-norm of V_phi f where N_0 caps the per-unit-cell
     count of lam, and rhs = ||f||^2 ||phi||^2 for context (the exact value of
-    the full plane integral).  N_0 is counted in A^max(m, k) H, the window
-    model's region, which holds every point of the system.
+    the full plane integral).  N_0 is counted once, in A^max(m, k) H, the window
+    model's region, which holds every point of the system; the grids come from one
+    stft_stack call.
     """
-    lhs = float(np.sum(np.abs(_analysis(sys, f)) ** 2))
     space = sys.window.space
     n0 = finite_density_check(sys.lam, 0, max(space.m, space.k)).max_per_ball
-    grid = stft(f, sys.window)
-    mid = n0 * wiener_norm(grid, 2) ** 2
-    rhs = (f.norm() * sys.window.norm()) ** 2
-    return lhs, mid, rhs
+    rows = np.array([f.coeffs for f in fs], dtype=complex).reshape(len(fs), space.dim)
+    grids = stft_stack(space, rows, np.broadcast_to(sys.window.coeffs, rows.shape))
+    window_norm = sys.window.norm()
+    return [(float(np.sum(np.abs(_analysis(sys, f)) ** 2)),
+             n0 * wiener_norm(StftGrid(space, grid), 2) ** 2,
+             (f_norm * window_norm) ** 2)
+            for f, grid, f_norm in zip(fs, grids, row_norms(space, rows).tolist())]

@@ -27,8 +27,9 @@ exponent -1-e).  For p = 2 the contraction is a butterfly of real ufuncs that
 rounds exactly as the per-digit einsum does, and modular translation by index
 a is XOR with a, since digit-wise subtraction mod 2 is XOR.
 
-Short-time Fourier transforms gather STFT_BLOCK translation rows at a time,
-f * conj(T_x g) for each row, and run one batched transform per block; the
+Short-time Fourier transforms take a stack of (f, g) pairs and gather
+STFT_BLOCK translation rows of every pair at a time, f * conj(T_x g) for each
+row, through one batched transform per block; stft is a stack of one.  Each
 resulting grid carries every nonzero value of V_g f on the whole plane,
 since V_g f vanishes for x outside A^m H or xi outside the dual window and
 is constant on cosets of A^-k H x A^-m(dual) at model resolution.
@@ -46,8 +47,8 @@ from .geometry import section
 from .localfield import CARRY, GroupElement, GroupParams, Phase
 
 
-# translation rows per batched transform in stft: bounds the working set to
-# a few STFT_BLOCK x dim arrays next to the dim x dim grid
+# translation rows per batched transform in stft_stack: bounds the working set
+# to a few count x STFT_BLOCK x dim arrays next to the count x dim x dim grids
 STFT_BLOCK = 64
 
 
@@ -268,7 +269,7 @@ class ModelFunction:
         self.coeffs = vec.copy()
 
     def norm(self) -> float:
-        return math.sqrt(self.space.coset_measure * float(np.sum(np.abs(self.coeffs) ** 2)))
+        return float(row_norms(self.space, self.coeffs))
 
     def is_zero(self) -> bool:
         return not np.any(self.coeffs)
@@ -283,6 +284,11 @@ class ModelFunction:
 
     def scaled(self, c: complex) -> "ModelFunction":
         return ModelFunction(self.space, c * self.coeffs)
+
+
+def row_norms(space: ModelSpace, rows: np.ndarray) -> np.ndarray:
+    """||f|| for the coefficients of f along the last axis of rows, each row summed on its own."""
+    return np.sqrt(space.coset_measure * np.sum(np.abs(rows) ** 2, axis=-1))
 
 
 def _same_space(f: ModelFunction, g: ModelFunction) -> None:
@@ -365,22 +371,27 @@ class StftGrid:
         }
 
 
-def stft(f: ModelFunction, g: ModelFunction) -> StftGrid:
-    """Short-time Fourier transform of f against window g, STFT_BLOCK rows at a time."""
-    _same_space(f, g)
-    space = f.space
+def stft_stack(space: ModelSpace, fs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """V_g f for each pair of rows of fs and gs (count x dim), as a count x dim x dim stack.
+
+    Takes STFT_BLOCK translation rows of every pair at a time, f * conj(T_x g), through one
+    batched transform per block.  The product is formed out of place: numpy rounds a
+    length-1 product in place as it would in pure Python, and out of place as in longer rows.
+    """
     n = space.dim
-    values = np.empty((n, n), dtype=complex)
-    measure = space.coset_measure
+    fs = np.asarray(fs, dtype=complex)[:, np.newaxis]
+    values = np.empty((len(fs), n, n), dtype=complex)
     for start in range(0, n, STFT_BLOCK):
         stop = min(start + STFT_BLOCK, n)
-        shifted = g.coeffs[space.shift_table(np.arange(start, stop))]  # a fresh gather
-        if n == 1:  # numpy rounds a length-1 product differently in 2-D rows or in place
-            shifted = f.coeffs * np.conj(shifted[0])
-        else:
-            np.multiply(f.coeffs, np.conjugate(shifted, out=shifted), out=shifted)
-        np.multiply(measure, space.raw_dual_sums(shifted), out=values[start:stop])
-    return StftGrid(space, values)
+        shifted = fs * np.conj(gs[:, space.shift_table(np.arange(start, stop))])
+        np.multiply(space.coset_measure, space.raw_dual_sums(shifted), out=values[:, start:stop])
+    return values
+
+
+def stft(f: ModelFunction, g: ModelFunction) -> StftGrid:
+    """Short-time Fourier transform of f against window g: stft_stack of one pair."""
+    _same_space(f, g)
+    return StftGrid(f.space, stft_stack(f.space, f.coeffs[np.newaxis], g.coeffs[np.newaxis])[0])
 
 
 def _check_exponent(p_exp) -> float:

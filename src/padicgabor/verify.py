@@ -52,9 +52,12 @@ from .localfield import CARRY, MODULAR, GroupElement, GroupParams, pairing_phase
 from .model import (
     ModelFunction,
     ModelSpace,
+    StftGrid,
     fourier,
     indicator,
+    row_norms,
     stft,
+    stft_stack,
     wiener_norm,
 )
 from .rng import SplitMix64
@@ -136,6 +139,11 @@ def _worse(worst: float, *values: float) -> float:
 
 def _random_function(space: ModelSpace, rng: SplitMix64) -> ModelFunction:
     return ModelFunction(space, rng.complex_vector(space.dim))
+
+
+def _random_rows(space: ModelSpace, rng: SplitMix64, count: int) -> np.ndarray:
+    """count coefficient rows from one stream: the draws of count _random_function calls."""
+    return rng.complex_vector(count * space.dim).reshape(count, space.dim)
 
 
 def _naive_dual_sums(f: ModelFunction) -> np.ndarray:
@@ -290,11 +298,11 @@ def check_stft_energy_identity(p_list, size, rng, systems) -> CheckResult:
     spaces = _onb_spaces(p_list)
     worst = 0.0
     for space, _ in spaces:
-        for _ in range(pairs):
-            f = _random_function(space, rng)
-            g = _random_function(space, rng)
-            target = f.norm() * g.norm()
-            worst = _worse(worst, abs(stft(f, g).l2_norm() - target) / target)
+        draws = _random_rows(space, rng, 2 * pairs).reshape(pairs, 2, space.dim)  # f, g, f, ...
+        norms = row_norms(space, draws).tolist()
+        for (f_norm, g_norm), values in zip(norms, stft_stack(space, draws[:, 0], draws[:, 1])):
+            target = f_norm * g_norm
+            worst = _worse(worst, abs(StftGrid(space, values).l2_norm() - target) / target)
     return CheckResult(
         "stft-energy-identity", bool(spaces) and worst <= 1e-10,
         f"max relative error {worst:.2e}", "1e-10",
@@ -310,11 +318,10 @@ def check_sample_sum_amalgam_bound(p_list, size, rng, systems) -> CheckResult:
     for p, mode in configs:
         sys = systems.tight(p, mode)
         space = sys.window.space
-        for draw in range(draws):
-            f = _random_function(space, rng)
-            if draw == 0 and not _sample_gap(sys, f) <= 1e-10:
-                ok = False
-            lhs, mid, _ = bessel_chain_check(f, sys)
+        fs = [ModelFunction(space, row) for row in _random_rows(space, rng, draws)]
+        if not _sample_gap(sys, fs[0]) <= 1e-10:
+            ok = False
+        for lhs, mid, _ in bessel_chain_check(fs, sys):
             worst_slack = _worse(worst_slack, lhs - mid)
             if not lhs <= mid + 1e-10:
                 ok = False
@@ -388,9 +395,10 @@ def check_dual_reconstruction(p_list, size, rng, systems) -> CheckResult:
             ok = False
             continue
         report = frame_bounds(sys)
-        for _ in range(draws):
-            f = _random_function(space, rng)
-            worst_recon = _worse(worst_recon, (reconstruct(sys, duals, f) - f).norm() / f.norm())
+        fs = _random_rows(space, rng, draws)
+        recons = np.stack([reconstruct(sys, duals, ModelFunction(space, f)).coeffs for f in fs])
+        errors = row_norms(space, recons - fs) / row_norms(space, fs)
+        worst_recon = _worse(worst_recon, *errors.tolist())
         dual_report = frame_bounds(GaborSystem(onb.window, lam, duals))
         worst_bounds = _worse(
             worst_bounds,

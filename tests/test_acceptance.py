@@ -156,17 +156,16 @@ def test_sample_sum_amalgam_bound_sees_the_sign_of_build(monkeypatch, mutant, si
     assert not result.passed, result.line()
 
 
-_STFT = model.stft
+_STFT_STACK = model.stft_stack  # the one STFT path: stft is a stack of one pair
 
 
-def _nan_stft(f, g):
-    grid = _STFT(f, g)
-    return model.StftGrid(grid.space, grid.values * math.nan)
+def _nan_stft_stack(space, fs, gs):
+    return _STFT_STACK(space, fs, gs) * math.nan
 
 
 def test_a_nan_measurement_fails_its_check(monkeypatch):
     # max() drops a NaN and NaN > tol is False, so a NaN grid must still fail
-    _patch(monkeypatch, "stft", _nan_stft)
+    _patch(monkeypatch, "stft_stack", _nan_stft_stack)
     failed = {r.name for r in run_suite(size="small") if not r.passed}
     assert {"stft-energy-identity", "sample-sum-amalgam-bound"} <= failed, failed
 
@@ -176,8 +175,8 @@ def _frame_operator_without_measure(sys):
     return np.einsum("ac,bc->ab", w, np.conj(w))
 
 
-def _stft_without_measure(f, g):
-    return model.StftGrid(f.space, _STFT(f, g).values / f.space.coset_measure)
+def _stft_stack_without_measure(space, fs, gs):
+    return _STFT_STACK(space, fs, gs) / space.coset_measure
 
 
 _RADIX_DFT = model._radix_dft
@@ -205,7 +204,7 @@ def _parts_all_labelled_one(lam, n, region):
 
 MUTANTS = {  # check: (patched name, one plausible defect of it)
     "tight-frame-constant": ("frame_operator", _frame_operator_without_measure),
-    "stft-energy-identity": ("stft", _stft_without_measure),
+    "stft-energy-identity": ("stft_stack", _stft_stack_without_measure),
     "transform-unitarity": ("_radix_dft", _radix_dft_with_conjugated_roots),
     "repeated-point-bound-growth": ("build", _build_without_repeats),
     "separated-decomposition": ("separated_decomposition", _parts_all_labelled_one),

@@ -959,6 +959,18 @@ PINNED_VERIFY_FULL = (  # (stdout, --out)
 )
 
 
+PINNED_VERIFY_FULL_SEEDS = {  # seed: (stdout, --out) of --sizes full --seed seed
+    "1": (
+        "6d26076252cbf25c4c1a797b1c8d1805e972ee03898cb3214b4f642c044a46e3",
+        "8b87b3fa273b1831c40f682c88e92ccd3d02d9335b3eef5b7c98b231cb7e9527",
+    ),
+    "11": (
+        "37ef78425808724343bc8b47fb075def82b99976983a422dcd4b5284c238f742",
+        "7acc9c77f50a515f0b65a3b91f4365a463426d315549de10ed953aba18d85c3b",
+    ),
+}
+
+
 PINNED_VERIFY_SMALL_ONE_PRIME = {  # p: (stdout, --out) of --sizes small --p p
     "2": (
         "9c89b2abd62758e290029c404ce392786703a38a0dd4d260aaa16ae7c5253942",
@@ -985,6 +997,13 @@ def test_verify_small_output_bytes_are_pinned(tmp_path, capsys):
 def test_verify_full_output_bytes_are_pinned(tmp_path, capsys):
     # the size the paper-verify benchmark workload runs
     assert _verify_digests("full", tmp_path, capsys) == PINNED_VERIFY_FULL
+
+
+@pytest.mark.parametrize("seed", list(PINNED_VERIFY_FULL_SEEDS))
+def test_verify_full_output_bytes_are_pinned_at_other_seeds(tmp_path, capsys, seed):
+    # every random draw of the paper checks moves with the seed
+    digests = _verify_digests("full", tmp_path, capsys, "--seed", seed)
+    assert digests == PINNED_VERIFY_FULL_SEEDS[seed]
 
 
 @pytest.mark.parametrize("p", list(PINNED_VERIFY_SMALL_ONE_PRIME))

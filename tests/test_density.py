@@ -408,6 +408,35 @@ def test_decomposition_parts_are_subsets_of_the_keys():
         assert sorted(k for part in parts for k in part.points.keys) == sorted(lam.keys)
 
 
+def test_point_sets_compare_at_the_least_anchor():
+    # a decomposition part keeps its parent's anchor; the same points rebuilt anchor at the least
+    # the points 1/2^2, 1 and 3, decomposed at scale 0 in region 2
+    lam = PointSet.group([GroupElement.from_rational(P2, num, vexp)
+                          for num, vexp in ((1, 2), (1, 0), (3, 0))], P2)
+    part = next(part for part in separated_decomposition(lam, 0, 2) if part.points.keys == (12,))
+    rebuilt = PointSet.group(part.points.points, P2)
+    assert (part.points.anchor, rebuilt.anchor, rebuilt.keys) == (2, 0, (3,))
+    assert part.points == rebuilt and hash(part.points) == hash(rebuilt)
+    assert len({part.points, rebuilt}) == 1
+    # the same at every anchor, in both ambients, zeros only at anchor 0 and the empty set alike
+    assert PointSet("group", P2, 5, (0, 96, -32)) == PointSet("group", P2, 0, (0, 3, -1))
+    assert PointSet("phase", P3, 2, ((9, 0),)) == PointSet("phase", P3, 0, ((1, 0),))
+    assert PointSet("group", M2, 4, (0, 0)) == PointSet.group([GroupElement.zero(M2)] * 2, M2)
+    assert hash(PointSet("group", M2, -3, ())) == hash(PointSet.group((), M2))
+    # different points, order, multiplicity, ambient or group stay apart
+    one = PointSet("group", P2, 0, (1, 3))
+    for other in (PointSet("group", P2, 1, (1, 3)), PointSet("group", P2, 0, (3, 1)),
+                  PointSet("group", P2, 0, (1, 3, 3)), PointSet("group", M2, 0, (1, 3)),
+                  PointSet("phase", P2, 0, ((1, 3),)), (1, 3)):
+        assert one != other, other
+    rng = SplitMix64(38)
+    for params in (P2, P3, M2, M3):
+        lam = random_lambda(params, "phase", rng, 2, 4, 20)
+        for region in (lam.anchor, lam.anchor + 1, lam.anchor + 3):
+            moved = PointSet("phase", params, region, lam.keys_at(region))
+            assert moved == lam and hash(moved) == hash(lam)
+
+
 @pytest.mark.parametrize("params", (P2, P3, M2, M3))
 def test_union_parts_with_different_finest_digits(params):
     # one part uses digits down to exponent -3, the other only integers: per-set

@@ -278,20 +278,23 @@ def test_bessel_chain_check():
     rng = SplitMix64(44)
     sys = tight_lattice(P2)
     space = sys.window.space
-    for _ in range(30):
-        f = rand_fn(space, rng)
-        lhs, mid, rhs = bessel_chain_check(f, sys)
+    fs = [rand_fn(space, rng) for _ in range(30)]
+    results = bessel_chain_check(fs, sys)
+    assert len(results) == 30
+    for f, (lhs, mid, rhs) in zip(fs, results):
         assert lhs <= mid + 1e-10
         assert rhs > 0
+        assert bessel_chain_check([f], sys) == [(lhs, mid, rhs)]  # a batch of one, same floats
+    assert bessel_chain_check([], sys) == []
     # empty system: both sides vanish
     empty = GaborSystem(sys.window, PointSet.phase((), P2), np.zeros((space.dim, 0), complex))
-    lhs, mid, rhs = bessel_chain_check(rand_fn(space, rng), empty)
+    [(lhs, mid, rhs)] = bessel_chain_check([rand_fn(space, rng)], empty)
     assert lhs == 0.0 and mid == 0.0
     # one point per unit cell (N_0 = 1), unit-ball window: the bound is met exactly
     space2 = ModelSpace(P2, 1, 1)
     chi = indicator(space2)
     onb = build(chi, onb_points(space2))
-    lhs, mid, rhs = bessel_chain_check(chi, onb)
+    [(lhs, mid, rhs)] = bessel_chain_check([chi], onb)
     assert abs(lhs - 1.0) <= 1e-12 and abs(mid - 1.0) <= 1e-12 and abs(rhs - 1.0) <= 1e-12
     assert lhs <= mid + 1e-10
 
@@ -302,8 +305,7 @@ def test_bessel_chain_check_with_resolution_above_extent():
     space = ModelSpace(P2, 1, 2)
     chi = indicator(space)
     sys = build(chi, onb_points(space))
-    for f in [chi] + [rand_fn(space, rng) for _ in range(10)]:
-        lhs, mid, _ = bessel_chain_check(f, sys)
+    for lhs, mid, _ in bessel_chain_check([chi] + [rand_fn(space, rng) for _ in range(10)], sys):
         assert lhs <= mid + 1e-10
 
 
@@ -397,7 +399,7 @@ def test_analysis_products_match_inner_loops():
     vecs = [ModelFunction(space, v) for v in sys.vector_matrix().T]
     for _ in range(5):
         f = rand_fn(space, rng)
-        lhs, _, _ = bessel_chain_check(f, sys)
+        [(lhs, _, _)] = bessel_chain_check([f], sys)
         ref = sum(abs(inner(f, v)) ** 2 for v in vecs)
         assert abs(lhs - ref) <= 1e-12 * ref
     space2 = ModelSpace(P2, 2, 2)

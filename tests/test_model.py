@@ -31,8 +31,11 @@ from padicgabor.model import (
     indicator,
     inner,
     modulate,
+    STFT_BLOCK,
     modulation_norm,
+    row_norms,
     stft,
+    stft_stack,
     translate,
     wiener_norm,
 )
@@ -522,6 +525,41 @@ def test_dimension_one_spaces():
             f, g = rand_fn(space, rng), rand_fn(space, rng)
             assert same_bits(fourier(f).coeffs, f.coeffs)
             assert same_bits(stft(f, g).values[0], 1.0 * (f.coeffs * np.conj(g.coeffs)))
+
+
+@pytest.mark.parametrize("mode", (CARRY, MODULAR))
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_stft_stack_matches_per_pair_stft(p, mode):
+    # dim 1, a small dim, and one above STFT_BLOCK (several blocks, a partial last one)
+    rng = SplitMix64(25 + p)
+    widths = ((0, 0), (1, 1), (4, 3) if p == 2 else (2, 1) if p == 5 else (2, 2))
+    for m, k in widths:
+        space = ModelSpace(GroupParams(p, mode), m, k)
+        count = 7 if space.dim <= STFT_BLOCK else 2
+        draws = rng.complex_vector(2 * count * space.dim).reshape(count, 2, space.dim)
+        fs, gs = draws[:, 0], draws[:, 1]  # strided views, as verify passes them
+        stack = stft_stack(space, fs, gs)
+        assert stack.shape == (count, space.dim, space.dim)
+        window = np.broadcast_to(gs[0], fs.shape)  # one window for every f
+        for values, window_values, f, g in zip(stack, stft_stack(space, fs, window), fs, gs):
+            f, g = ModelFunction(space, f), ModelFunction(space, g)
+            assert same_bits(values, stft(f, g).values), (space, "pair")
+            assert same_bits(window_values, stft(f, ModelFunction(space, gs[0])).values), space
+        assert same_bits(stft_stack(space, fs[:1], gs[:1])[0], stack[0]), space
+    assert stft_stack(space, fs[:0], gs[:0]).shape == (0, space.dim, space.dim)
+
+
+def test_row_norms_match_one_row_at_a_time():
+    rng = SplitMix64(26)
+    for params, m, k in KERNEL_SPACES:
+        space = ModelSpace(params, m, k)
+        rows = rng.complex_vector(2 * 30 * space.dim).reshape(30, 2, space.dim)
+        norms = row_norms(space, rows)
+        for pair, row_pair in zip(norms, rows):
+            for norm, row in zip(pair, row_pair):
+                ref = math.sqrt(space.coset_measure * float(np.sum(np.abs(row) ** 2)))
+                assert same_bits(norm, np.float64(ref)), space
+                assert ModelFunction(space, row).norm() == ref
 
 
 def digit_loop_shift_table(space, ax):
