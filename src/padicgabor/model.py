@@ -27,10 +27,10 @@ exponent -1-e).  For p = 2 the contraction is a butterfly of real ufuncs that
 rounds exactly as the per-digit einsum does, and modular translation by index
 a is XOR with a, since digit-wise subtraction mod 2 is XOR.
 
-Short-time Fourier transforms take a stack of (f, g) pairs and gather
-STFT_BLOCK translation rows of every pair at a time, f * conj(T_x g) for each
-row, through one batched transform per block; stft is a stack of one.  Each
-resulting grid carries every nonzero value of V_g f on the whole plane,
+Short-time Fourier transforms take a stack of (f, g) pairs and run its
+translation rows f * conj(T_x g), pair after pair, through one batched
+transform per STFT_BLOCK rows; stft is a stack of one.  Each resulting grid
+carries every nonzero value of V_g f on the whole plane,
 since V_g f vanishes for x outside A^m H or xi outside the dual window and
 is constant on cosets of A^-k H x A^-m(dual) at model resolution.
 """
@@ -48,7 +48,7 @@ from .localfield import CARRY, GroupElement, GroupParams, Phase
 
 
 # translation rows per batched transform in stft_stack: bounds the working set
-# to a few count x STFT_BLOCK x dim arrays next to the count x dim x dim grids
+# to a few STFT_BLOCK x dim arrays next to the count x dim x dim grids
 STFT_BLOCK = 64
 
 
@@ -374,17 +374,19 @@ class StftGrid:
 def stft_stack(space: ModelSpace, fs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     """V_g f for each pair of rows of fs and gs (count x dim), as a count x dim x dim stack.
 
-    Takes STFT_BLOCK translation rows of every pair at a time, f * conj(T_x g), through one
-    batched transform per block.  The product is formed out of place: numpy rounds a
-    length-1 product in place as it would in pure Python, and out of place as in longer rows.
+    Stack row r is translation r % dim of pair r // dim.  STFT_BLOCK rows at a time,
+    f * conj(T_x g), go through one batched transform, so the small grids of many pairs share
+    a call.  The product is formed out of place: numpy rounds a length-1 product in place as
+    it would in pure Python, and out of place as in longer rows.
     """
     n = space.dim
-    fs = np.asarray(fs, dtype=complex)[:, np.newaxis]
     values = np.empty((len(fs), n, n), dtype=complex)
-    for start in range(0, n, STFT_BLOCK):
-        stop = min(start + STFT_BLOCK, n)
-        shifted = fs * np.conj(gs[:, space.shift_table(np.arange(start, stop))])
-        np.multiply(space.coset_measure, space.raw_dual_sums(shifted), out=values[:, start:stop])
+    rows = values.reshape(-1, n)
+    for start in range(0, len(rows), STFT_BLOCK):
+        r = np.arange(start, min(start + STFT_BLOCK, len(rows)))
+        pair = r // n
+        shifted = fs[pair] * np.conj(gs[pair[:, np.newaxis], space.shift_table(r % n)])
+        np.multiply(space.coset_measure, space.raw_dual_sums(shifted), out=rows[start:start + STFT_BLOCK])
     return values
 
 
