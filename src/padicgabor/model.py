@@ -27,10 +27,10 @@ exponent -1-e).  For p = 2 the contraction is a butterfly of real ufuncs that
 rounds exactly as the per-digit einsum does, and modular translation by index
 a is XOR with a, since digit-wise subtraction mod 2 is XOR.
 
-Short-time Fourier transforms take a stack of (f, g) pairs and run its
-translation rows f * conj(T_x g), pair after pair, through one batched
-transform per STFT_BLOCK rows; stft is a stack of one.  Each resulting grid
-carries every nonzero value of V_g f on the whole plane,
+Short-time Fourier transforms take a stack of (f, g) pairs and run their
+translation rows f * conj(T_x g) through one batched transform per
+STFT_BLOCK rows, several small pairs to a call; stft is a stack of one.  Each
+resulting grid carries every nonzero value of V_g f on the whole plane,
 since V_g f vanishes for x outside A^m H or xi outside the dual window and
 is constant on cosets of A^-k H x A^-m(dual) at model resolution.
 """
@@ -374,19 +374,20 @@ class StftGrid:
 def stft_stack(space: ModelSpace, fs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     """V_g f for each pair of rows of fs and gs (count x dim), as a count x dim x dim stack.
 
-    Stack row r is translation r % dim of pair r // dim.  STFT_BLOCK rows at a time,
-    f * conj(T_x g), go through one batched transform, so the small grids of many pairs share
-    a call.  The product is formed out of place: numpy rounds a length-1 product in place as
-    it would in pure Python, and out of place as in longer rows.
+    One batched transform takes STFT_BLOCK translation rows f * conj(T_x g) of one pair, or
+    every row of the STFT_BLOCK // dim pairs that fit.  The product goes to the output block,
+    out of place: numpy rounds a length-1 product in place as it would in pure Python.
     """
     n = space.dim
     values = np.empty((len(fs), n, n), dtype=complex)
-    rows = values.reshape(-1, n)
-    for start in range(0, len(rows), STFT_BLOCK):
-        r = np.arange(start, min(start + STFT_BLOCK, len(rows)))
-        pair = r // n
-        shifted = fs[pair] * np.conj(gs[pair[:, np.newaxis], space.shift_table(r % n)])
-        np.multiply(space.coset_measure, space.raw_dual_sums(shifted), out=rows[start:start + STFT_BLOCK])
+    per = max(1, STFT_BLOCK // n)
+    for first in range(0, len(fs), per):
+        f, g = fs[first:first + per, np.newaxis], gs[first:first + per]
+        for start in range(0, n, STFT_BLOCK):
+            block = values[first:first + per, start:start + STFT_BLOCK]
+            shifted = g[:, space.shift_table(np.arange(start, start + block.shape[1]))]
+            np.multiply(f, np.conjugate(shifted, out=shifted), out=block)
+            np.multiply(space.coset_measure, space.raw_dual_sums(block), out=block)
     return values
 
 

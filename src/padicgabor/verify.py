@@ -141,11 +141,6 @@ def _random_function(space: ModelSpace, rng: SplitMix64) -> ModelFunction:
     return ModelFunction(space, rng.complex_vector(space.dim))
 
 
-def _random_rows(space: ModelSpace, rng: SplitMix64, count: int) -> np.ndarray:
-    """count coefficient rows from one stream: the draws of count _random_function calls."""
-    return rng.complex_vector(count * space.dim).reshape(count, space.dim)
-
-
 def _naive_dual_sums(f: ModelFunction) -> np.ndarray:
     """Quadratic-cost transform straight from the exact pairing; test oracle."""
     space = f.space
@@ -298,7 +293,7 @@ def check_stft_energy_identity(p_list, size, rng, systems) -> CheckResult:
     spaces = _onb_spaces(p_list)
     worst = 0.0
     for space, _ in spaces:
-        draws = _random_rows(space, rng, 2 * pairs).reshape(pairs, 2, space.dim)  # f, g, f, ...
+        draws = rng.complex_vector(2 * pairs * space.dim).reshape(pairs, 2, space.dim)  # f, g, f, ...
         norms = row_norms(space, draws).tolist()
         for (f_norm, g_norm), values in zip(norms, stft_stack(space, draws[:, 0], draws[:, 1])):
             target = f_norm * g_norm
@@ -318,7 +313,8 @@ def check_sample_sum_amalgam_bound(p_list, size, rng, systems) -> CheckResult:
     for p, mode in configs:
         sys = systems.tight(p, mode)
         space = sys.window.space
-        fs = [ModelFunction(space, row) for row in _random_rows(space, rng, draws)]
+        rows = rng.complex_vector(draws * space.dim).reshape(draws, space.dim)
+        fs = [ModelFunction(space, row) for row in rows]
         if not _sample_gap(sys, fs[0]) <= 1e-10:
             ok = False
         for lhs, mid, _ in bessel_chain_check(fs, sys):
@@ -395,7 +391,7 @@ def check_dual_reconstruction(p_list, size, rng, systems) -> CheckResult:
             ok = False
             continue
         report = frame_bounds(sys)
-        fs = _random_rows(space, rng, draws)
+        fs = rng.complex_vector(draws * space.dim).reshape(draws, space.dim)
         recons = np.stack([reconstruct(sys, duals, ModelFunction(space, f)).coeffs for f in fs])
         errors = row_norms(space, recons - fs) / row_norms(space, fs)
         worst_recon = _worse(worst_recon, *errors.tolist())
