@@ -35,7 +35,7 @@ import numpy as np
 
 from .density import PHASE, PointSet, finite_density_check
 from .linalg import RANK_TOL, HermitianMatrix, RankDeficiencyError, hermitian_eigs, solve_hermitian
-from .model import ModelFunction, StftGrid, _same_space, row_norms, stft_stack, wiener_norm
+from .model import ModelFunction, StftGrid, _same_space, row_norms, stft_grids, wiener_norm
 # build no longer calls it; it stays a gabor name because perfbench/selftest.py
 # checks that tracing patches padicgabor.gabor.modulate
 from .model import modulate  # noqa: F401
@@ -231,12 +231,12 @@ def bessel_chain_check(fs: list[ModelFunction], sys: GaborSystem) -> list[tuple]
     count of lam, and rhs = ||f||^2 ||phi||^2 for context (the exact value of
     the full plane integral).  N_0 is counted once, in A^max(m, k) H, the window
     model's region, which holds every point of the system; the grids come from one
-    stft_stack call.
+    stft_grids call.
     """
     space = sys.window.space
     n0 = finite_density_check(sys.lam, 0, max(space.m, space.k)).max_per_ball
     rows = np.array([f.coeffs for f in fs], dtype=complex).reshape(len(fs), space.dim)
-    grids = stft_stack(space, rows, np.broadcast_to(sys.window.coeffs, rows.shape))
+    grids = stft_grids(space, rows, np.broadcast_to(sys.window.coeffs, rows.shape))
     window_norm = sys.window.norm()
     return [(float(np.sum(np.abs(_analysis(sys, f)) ** 2)),
              n0 * wiener_norm(StftGrid(space, grid), 2) ** 2,

@@ -29,10 +29,11 @@ a is XOR with a, since digit-wise subtraction mod 2 is XOR.
 
 Short-time Fourier transforms take a stack of (f, g) pairs and run their
 translation rows f * conj(T_x g) through one batched transform per
-STFT_BLOCK rows, several small pairs to a call; stft is a stack of one.  Each
-resulting grid carries every nonzero value of V_g f on the whole plane,
-since V_g f vanishes for x outside A^m H or xi outside the dual window and
-is constant on cosets of A^-k H x A^-m(dual) at model resolution.
+STFT_BLOCK rows, several small pairs to a call, and hand out the grids one by
+one; stft takes the grid of one pair.  Each grid carries every nonzero value
+of V_g f on the whole plane, since V_g f vanishes for x outside A^m H or xi
+outside the dual window and is constant on cosets of A^-k H x A^-m(dual) at
+model resolution.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from .geometry import section
 from .localfield import CARRY, GroupElement, GroupParams, Phase
 
 
-# translation rows per batched transform in stft_stack: bounds the working set
-# to a few STFT_BLOCK x dim arrays next to the count x dim x dim grids
+# translation rows per batched transform in stft_grids: bounds the working set
+# to a few STFT_BLOCK x dim arrays next to the grids of the pairs in the call
 STFT_BLOCK = 64
 
 
@@ -371,30 +372,31 @@ class StftGrid:
         }
 
 
-def stft_stack(space: ModelSpace, fs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    """V_g f for each pair of rows of fs and gs (count x dim), as a count x dim x dim stack.
+def stft_grids(space: ModelSpace, fs: np.ndarray, gs: np.ndarray):
+    """Yield V_g f, a dim x dim array, for each pair of rows of fs and gs (count x dim) in order.
 
     One batched transform takes STFT_BLOCK translation rows f * conj(T_x g) of one pair, or
-    every row of the STFT_BLOCK // dim pairs that fit.  The product goes to the output block,
-    out of place: numpy rounds a length-1 product in place as it would in pure Python.
+    every row of the STFT_BLOCK // dim pairs that fit, so only those pairs' grids are held.
+    The product goes to the grid block, out of place: numpy rounds a length-1 product in
+    place as it would in pure Python.
     """
     n = space.dim
-    values = np.empty((len(fs), n, n), dtype=complex)
     per = max(1, STFT_BLOCK // n)
     for first in range(0, len(fs), per):
         f, g = fs[first:first + per, np.newaxis], gs[first:first + per]
+        values = np.empty((len(g), n, n), dtype=complex)
         for start in range(0, n, STFT_BLOCK):
-            block = values[first:first + per, start:start + STFT_BLOCK]
+            block = values[:, start:start + STFT_BLOCK]
             shifted = g[:, space.shift_table(np.arange(start, start + block.shape[1]))]
             np.multiply(f, np.conjugate(shifted, out=shifted), out=block)
             np.multiply(space.coset_measure, space.raw_dual_sums(block), out=block)
-    return values
+        yield from values
 
 
 def stft(f: ModelFunction, g: ModelFunction) -> StftGrid:
-    """Short-time Fourier transform of f against window g: stft_stack of one pair."""
+    """Short-time Fourier transform of f against window g: the stft_grids of one pair."""
     _same_space(f, g)
-    return StftGrid(f.space, stft_stack(f.space, f.coeffs[np.newaxis], g.coeffs[np.newaxis])[0])
+    return StftGrid(f.space, next(stft_grids(f.space, f.coeffs[np.newaxis], g.coeffs[np.newaxis])))
 
 
 def _check_exponent(p_exp) -> float:

@@ -57,7 +57,7 @@ from .model import (
     indicator,
     row_norms,
     stft,
-    stft_stack,
+    stft_grids,
     wiener_norm,
 )
 from .rng import SplitMix64
@@ -293,9 +293,10 @@ def check_stft_energy_identity(p_list, size, rng, systems) -> CheckResult:
     spaces = _onb_spaces(p_list)
     worst = 0.0
     for space, _ in spaces:
-        draws = rng.complex_vector(2 * pairs * space.dim).reshape(pairs, 2, space.dim)  # f, g, f, ...
+        # f, g of one pair after another, as per-pair draws would come
+        draws = rng.complex_vector(2 * pairs * space.dim).reshape(pairs, 2, space.dim)
         norms = row_norms(space, draws).tolist()
-        for (f_norm, g_norm), values in zip(norms, stft_stack(space, draws[:, 0], draws[:, 1])):
+        for (f_norm, g_norm), values in zip(norms, stft_grids(space, draws[:, 0], draws[:, 1])):
             target = f_norm * g_norm
             worst = _worse(worst, abs(StftGrid(space, values).l2_norm() - target) / target)
     return CheckResult(

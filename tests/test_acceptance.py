@@ -156,16 +156,16 @@ def test_sample_sum_amalgam_bound_sees_the_sign_of_build(monkeypatch, mutant, si
     assert not result.passed, result.line()
 
 
-_STFT_STACK = model.stft_stack  # the one STFT path: stft is a stack of one pair
+_STFT_GRIDS = model.stft_grids  # the one STFT path: stft takes the grid of one pair
 
 
-def _nan_stft_stack(space, fs, gs):
-    return _STFT_STACK(space, fs, gs) * math.nan
+def _nan_stft_grids(space, fs, gs):
+    return (values * math.nan for values in _STFT_GRIDS(space, fs, gs))
 
 
 def test_a_nan_measurement_fails_its_check(monkeypatch):
     # max() drops a NaN and NaN > tol is False, so a NaN grid must still fail
-    _patch(monkeypatch, "stft_stack", _nan_stft_stack)
+    _patch(monkeypatch, "stft_grids", _nan_stft_grids)
     failed = {r.name for r in run_suite(size="small") if not r.passed}
     assert {"stft-energy-identity", "sample-sum-amalgam-bound"} <= failed, failed
 
@@ -175,8 +175,8 @@ def _frame_operator_without_measure(sys):
     return np.einsum("ac,bc->ab", w, np.conj(w))
 
 
-def _stft_stack_without_measure(space, fs, gs):
-    return _STFT_STACK(space, fs, gs) / space.coset_measure
+def _stft_grids_without_measure(space, fs, gs):
+    return (values / space.coset_measure for values in _STFT_GRIDS(space, fs, gs))
 
 
 _RADIX_DFT = model._radix_dft
@@ -204,7 +204,7 @@ def _parts_all_labelled_one(lam, n, region):
 
 MUTANTS = {  # check: (patched name, one plausible defect of it)
     "tight-frame-constant": ("frame_operator", _frame_operator_without_measure),
-    "stft-energy-identity": ("stft_stack", _stft_stack_without_measure),
+    "stft-energy-identity": ("stft_grids", _stft_grids_without_measure),
     "transform-unitarity": ("_radix_dft", _radix_dft_with_conjugated_roots),
     "repeated-point-bound-growth": ("build", _build_without_repeats),
     "separated-decomposition": ("separated_decomposition", _parts_all_labelled_one),

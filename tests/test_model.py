@@ -35,7 +35,7 @@ from padicgabor.model import (
     modulation_norm,
     row_norms,
     stft,
-    stft_stack,
+    stft_grids,
     translate,
     wiener_norm,
 )
@@ -529,7 +529,7 @@ def test_dimension_one_spaces():
 
 @pytest.mark.parametrize("mode", (CARRY, MODULAR))
 @pytest.mark.parametrize("p", (2, 3, 5))
-def test_stft_stack_matches_per_pair_stft(p, mode):
+def test_stft_grids_match_per_pair_stft(p, mode):
     # dim 1, a small dim, and one above STFT_BLOCK (several blocks, a partial last one)
     rng = SplitMix64(25 + p)
     widths = ((0, 0), (1, 1), (4, 3) if p == 2 else (2, 1) if p == 5 else (2, 2))
@@ -539,15 +539,16 @@ def test_stft_stack_matches_per_pair_stft(p, mode):
         count = 65 if space.dim == 1 else 7 if space.dim <= STFT_BLOCK else 2
         draws = rng.complex_vector(2 * count * space.dim).reshape(count, 2, space.dim)
         fs, gs = draws[:, 0], draws[:, 1]  # strided views, as verify passes them
-        stack = stft_stack(space, fs, gs)
-        assert stack.shape == (count, space.dim, space.dim)
+        grids = list(stft_grids(space, fs, gs))
+        assert len(grids) == count
         window = np.broadcast_to(gs[0], fs.shape)  # one window for every f
-        for values, window_values, f, g in zip(stack, stft_stack(space, fs, window), fs, gs):
+        for values, window_values, f, g in zip(grids, stft_grids(space, fs, window), fs, gs):
             f, g = ModelFunction(space, f), ModelFunction(space, g)
+            assert values.shape == (space.dim, space.dim) and values.flags.c_contiguous
             assert same_bits(values, stft(f, g).values), (space, "pair")
             assert same_bits(window_values, stft(f, ModelFunction(space, gs[0])).values), space
-        assert same_bits(stft_stack(space, fs[:1], gs[:1])[0], stack[0]), space
-    assert stft_stack(space, fs[:0], gs[:0]).shape == (0, space.dim, space.dim)
+        assert same_bits(next(stft_grids(space, fs[1:], gs[1:])), grids[1]), space
+    assert list(stft_grids(space, fs[:0], gs[:0])) == []
 
 
 def test_row_norms_match_one_row_at_a_time():
