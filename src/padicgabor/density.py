@@ -83,7 +83,9 @@ class PointSet:
         # points mostly share the params object itself, which spares the field compare
         if any(c.params is not params and c.params != params for c in flat):
             raise ValueError("every coordinate of every point must lie in the group of params")
-        return PointSet.rationals(ambient, [(c.num, c.vexp) for c in flat], params)
+        out = PointSet.rationals(ambient, [(c.num, c.vexp) for c in flat], params)
+        vars(out)["points"] = PointSet._pack(ambient, flat)  # already normal, so not rebuilt
+        return out
 
     @staticmethod
     def rationals(ambient: str, coords: list, params: GroupParams) -> "PointSet":
@@ -119,7 +121,8 @@ class PointSet:
 
     @cached_property
     def points(self) -> tuple:
-        """The points as GroupElements (pairs of them for phase), made from the keys."""
+        """The points as GroupElements (pairs of them for phase), made from the keys; a set
+        made from elements keeps those."""
         return self._pack(self.ambient, [GroupElement.from_rational(self.params, c, self.anchor)
                                          for c in self._flat()])
 

@@ -20,7 +20,9 @@ value is finally materialized as a complex number.
 
 The scaling automorphism x -> p**-n * x (resp. t**-n * x) is ``automorphism``;
 ``pairing_phase`` evaluates the self-dual character pairing as an exact
-rational ``Phase`` with denominator a power of p.
+rational ``Phase`` with denominator a power of p, from the operands' integers
+and without forming x*xi: one product reduced mod p**e in carry mode, and in
+modular mode the digit products over only the digits that can meet at t**-1.
 """
 
 from __future__ import annotations
@@ -347,14 +349,22 @@ def pairing_phase(x: GroupElement, xi: GroupElement) -> Phase:
 
     Carry mode: the fractional part {x*xi} reduced to [0,1).  Modular mode:
     (coefficient of t**-1 in x*xi) / p, the residue character.  Bilinear in
-    both arguments, exactly.
+    both arguments, exactly.  Read from the operands' integers, as x*xi has
+    vexp e = x.vexp + xi.vexp, without forming the product.
     """
-    if x.params != xi.params:
+    if x.params is not xi.params and x.params != xi.params:
         raise ParamMismatchError(f"mismatched params: {x.params} vs {xi.params}")
-    p = x.params.p
-    z = x * xi
-    if x.params.mode == MODULAR:
-        return Phase.make(p, z.digit(-1), 1)
-    if z.vexp <= 0:  # an integer
+    p, e = x.params.p, x.vexp + xi.vexp
+    if e <= 0 or not (x.num and xi.num):
         return Phase(p)
-    return Phase.make(p, z.num, z.vexp)
+    if x.params.mode == CARRY:  # both nums are prime to p, so their product mod p**e is too
+        return Phase(p, x.num * xi.num % p**e, e)
+    # sum of the digit products a_i * b_j with i + j = e - 1, over only the digits that can
+    # meet (a bit length bounds a digit count): a_lo.. of x.num and b_(e-hi).. of xi.num
+    lo, hi = max(0, e - xi.num.bit_length()), min(e, x.num.bit_length())
+    if lo >= hi:
+        return Phase(p)
+    top, q = hi - lo - 1, p ** (hi - lo)
+    da, db = _digits(x.num // p**lo % q, p), _digits(xi.num // p ** (e - hi) % q, p)
+    residue = sum(a * db[top - i] for i, a in enumerate(da) if top - i < len(db)) % p
+    return Phase(p, residue, 1) if residue else Phase(p)

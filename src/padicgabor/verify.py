@@ -137,10 +137,6 @@ def _worse(worst: float, *values: float) -> float:
     return worst
 
 
-def _random_function(space: ModelSpace, rng: SplitMix64) -> ModelFunction:
-    return ModelFunction(space, rng.complex_vector(space.dim))
-
-
 def _naive_dual_sums(f: ModelFunction) -> np.ndarray:
     """Quadratic-cost transform straight from the exact pairing; test oracle."""
     space = f.space
@@ -153,17 +149,22 @@ def _naive_dual_sums(f: ModelFunction) -> np.ndarray:
     return out
 
 
-def _keyed_wiener_norm(grid, p_exp) -> float:
-    """wiener_norm with entry (a, b) keyed to its unit cell by the coset reps of x_a, xi_b mod H.
+def _cell_keys(space: ModelSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column keys of the unit cell of entry (a, b): the coset reps of x_a, xi_b mod H."""
+    rows = [anchored_int(coset_rep(x, 0), space.m) for x in space.index_section]
+    cols = [anchored_int(coset_rep(xi, 0), space.k) for xi in space.dual.index_section]
+    return np.array(rows)[:, np.newaxis], np.array(cols)
+
+
+def _keyed_wiener_norm(grid, keys, p_exp) -> float:
+    """wiener_norm with entry (a, b) keyed to its unit cell by keys, the _cell_keys of its space.
 
     No index layout is assumed; the sups are summed as wiener_norm sums them.
     """
     space = grid.space
-    rows = [anchored_int(coset_rep(x, 0), space.m) for x in space.index_section]
-    cols = [anchored_int(coset_rep(xi, 0), space.k) for xi in space.dual.index_section]
     p = space.params.p
     sups = np.zeros((p**space.m, p**space.k))
-    np.maximum.at(sups, (np.array(rows)[:, np.newaxis], np.array(cols)), grid.magnitudes)
+    np.maximum.at(sups, keys, grid.magnitudes)
     return float(np.max(sups) if math.isinf(p_exp) else np.sum(sups**p_exp) ** (1.0 / p_exp))
 
 
@@ -334,13 +335,20 @@ def check_wiener_two_route_equality(p_list, size, rng, systems) -> CheckResult:
     configs = _kept(((2, CARRY, 1, 1), (3, CARRY, 1, 1), (2, MODULAR, 2, 1)), p_list)
     if not configs:
         return CheckResult("wiener-two-route-equality", False, "no configs", "exact")
+    spaces = [_space(*configs[i % len(configs)]) for i in range(grids)]
+    # f, g of one grid after another, as per-grid draws would come, then each space's pairs
+    stream = rng.complex_vector(sum(2 * space.dim for space in spaces))
+    pairs: dict[ModelSpace, list] = {}
+    for space, draw in zip(spaces, np.split(stream, np.cumsum([2 * s.dim for s in spaces]))):
+        pairs.setdefault(space, []).append(draw.reshape(2, space.dim))
     exact = True
-    for i in range(grids):
-        space = _space(*configs[i % len(configs)])
-        grid = stft(_random_function(space, rng), _random_function(space, rng))
-        for p_exp in (1, 2, math.inf):
-            if wiener_norm(grid, p_exp) != _keyed_wiener_norm(grid, p_exp):
-                exact = False
+    for space, draws in pairs.items():
+        keys = _cell_keys(space)
+        for values in stft_grids(space, *np.swapaxes(draws, 0, 1)):
+            grid = StftGrid(space, values)
+            for p_exp in (1, 2, math.inf):
+                if wiener_norm(grid, p_exp) != _keyed_wiener_norm(grid, keys, p_exp):
+                    exact = False
     return CheckResult(
         "wiener-two-route-equality", exact,
         f"{grids} grids x (1, 2, inf): sum route == integral route", "exact float equality",
@@ -358,7 +366,7 @@ def check_transform_unitarity(p_list, size, rng, systems) -> CheckResult:
     for config in configs:
         space = _space(*config)
         dev = float(np.max(np.abs(fourier(indicator(space)).coeffs - indicator(space.dual).coeffs)))
-        f = _random_function(space, rng)
+        f = ModelFunction(space, rng.complex_vector(space.dim))
         ff = fourier(f)
         worst = _worse(worst, dev, abs(ff.norm() - f.norm()) / f.norm(),
                        float(np.max(np.abs(ff.coeffs - _naive_dual_sums(f)))))

@@ -11,9 +11,11 @@ import pytest
 
 from padicgabor import density, gabor, model, verify
 from padicgabor.density import PointSet
-from padicgabor.localfield import GroupElement
+from padicgabor.localfield import CARRY, MODULAR, GroupElement, GroupParams
+from padicgabor.model import ModelFunction, ModelSpace
 from padicgabor.rng import SplitMix64
 from padicgabor.verify import CHECKS, run_suite
+from test_localfield import product_route_phase
 
 _RESULTS = None
 
@@ -53,6 +55,30 @@ def test_criterion(name):
     result = suite_results()[name]
     print(result.line())
     assert result.passed, result.line()
+
+
+def _product_route_dual_sums(f):
+    """_naive_dual_sums's loop with each pairing read off the product element x * xi."""
+    space = f.space
+    out = np.zeros(space.dual.dim, dtype=complex)
+    for b, xi in enumerate(space.dual.index_section):
+        acc = 0.0 + 0.0j
+        for a, x in enumerate(space.index_section):
+            acc += f.coeffs[a] * product_route_phase(x, xi).complex_value().conjugate()
+        out[b] = space.coset_measure * acc
+    return out
+
+
+# the transform-unitarity configs of --sizes full, then of --sizes small
+ORACLE_CONFIGS = [(2, CARRY, 3, 3), (3, CARRY, 2, 2), (2, MODULAR, 3, 3), (3, MODULAR, 1, 1),
+                  (2, CARRY, 2, 2), (3, CARRY, 1, 1), (2, MODULAR, 2, 2)]
+
+
+@pytest.mark.parametrize("config", ORACLE_CONFIGS)
+def test_the_oracle_keeps_its_bytes(config):
+    space = ModelSpace(GroupParams(*config[:2]), *config[2:])
+    f = ModelFunction(space, SplitMix64(verify.DEFAULT_SEED).complex_vector(space.dim))
+    assert verify._naive_dual_sums(f).tobytes() == _product_route_dual_sums(f).tobytes()
 
 
 def _cells_over_wrong_axes(grid):

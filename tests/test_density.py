@@ -371,6 +371,21 @@ def test_integer_keys_match_coset_oracle(seed, params, ambient, region):
             assert got == ref_decomposition(lam, n, region)
 
 
+@pytest.mark.parametrize("ambient", ["group", "phase"])
+@pytest.mark.parametrize("params", [P2, P3, M2, M3])
+def test_a_set_made_from_elements_keeps_them(monkeypatch, params, ambient):
+    zero = GroupElement.zero(params)
+    pts = random_points(params, ambient, SplitMix64(250), 2, 3, 40)
+    pts.append(zero if ambient == "group" else (zero, zero))
+
+    def from_rational(*args):
+        raise AssertionError("points rebuilt from the keys")
+
+    monkeypatch.setattr(GroupElement, "from_rational", staticmethod(from_rational))
+    lam = of_elements(ambient, pts, params)
+    assert lam.points == tuple(pts)
+
+
 @pytest.mark.parametrize("seed,params,ambient,region", DIFF_CASES)
 def test_keys_and_texts_match_the_elements(seed, params, ambient, region):
     rng = SplitMix64(200 + seed)

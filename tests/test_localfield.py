@@ -1,6 +1,7 @@
 """Exact arithmetic, valuation, dilation and character pairing."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,79 @@ def test_carry_pairing_matches_digit_convolution():
             x = GroupElement.from_rational(params, rng.next_below(params.p**8), rng.next_below(5))
             xi = GroupElement.from_rational(params, rng.next_below(params.p**8), rng.next_below(5))
             assert pairing_phase(x, xi).fraction() == convolution_phase_oracle(x, xi)
+
+
+def product_route_phase(x, xi):
+    """The pairing read off the product element x * xi: the reference for pairing_phase."""
+    p = x.params.p
+    z = x * xi
+    if x.params.mode == MODULAR:
+        return Phase.make(p, z.digit(-1), 1)
+    if z.vexp <= 0:  # an integer
+        return Phase(p)
+    return Phase.make(p, z.num, z.vexp)
+
+
+def pairing_operand(params, rng):
+    """Zero one time in eight, else up to 8 digits at vexp in [-6, 8], signed in carry mode."""
+    if rng.next_below(8) == 0:
+        return GroupElement.zero(params)
+    num = rng.next_below(params.p ** rng.next_below(9))
+    if params.mode == CARRY and rng.next_below(2):
+        num = -num
+    return GroupElement.from_rational(params, num, rng.next_below(15) - 6)
+
+
+def _no_elements(monkeypatch):
+    def made(*args):
+        raise AssertionError("the pairing made a GroupElement")
+
+    monkeypatch.setattr(GroupElement, "__mul__", made)
+    monkeypatch.setattr(GroupElement, "from_rational", staticmethod(made))
+
+
+@pytest.mark.parametrize("mode", [CARRY, MODULAR])
+@pytest.mark.parametrize("p", [2, 3, 5, 11])
+def test_pairing_matches_the_product_route(monkeypatch, p, mode):
+    params = GroupParams(p, mode)
+    rng = SplitMix64(p * 2 + (mode == MODULAR))
+    pairs = [(pairing_operand(params, rng), pairing_operand(params, rng)) for _ in range(600)]
+    expected = [product_route_phase(x, xi) for x, xi in pairs]
+    # zero operands, negative carry nums and e <= 0 all occur
+    assert any(x.is_zero() or xi.is_zero() for x, xi in pairs)
+    assert any(x.vexp + xi.vexp <= 0 and not (x.is_zero() or xi.is_zero()) for x, xi in pairs)
+    assert mode == MODULAR or any(x.num < 0 for x, _ in pairs)
+    _no_elements(monkeypatch)
+    assert [pairing_phase(x, xi) for x, xi in pairs] == expected
+
+
+@pytest.mark.parametrize("mode", [CARRY, MODULAR])
+@pytest.mark.parametrize("p", [2, 3, 5, 11])
+def test_pairing_reads_only_the_digits_that_meet(monkeypatch, p, mode):
+    # x = p^-100000 + (p - 1): a valuation gap of 10^5 inside one operand
+    params = GroupParams(p, mode)
+    gap = 10**5
+    x = GroupElement.from_rational(params, 1 + (p - 1) * p**gap, gap)
+    far, near = (GroupElement.from_rational(params, 1, v) for v in (1 - gap, 1))
+    _no_elements(monkeypatch)
+    start = time.perf_counter()
+    got = pairing_phase(x, far), pairing_phase(x, near)  # x * p^(gap-1), x * p^-1
+    assert time.perf_counter() - start < 0.5
+    if mode == CARRY:  # p^-1 + (p-1) p^(gap-1), and p^(-gap-1) + (p-1) p^-1
+        assert got == (Phase(p, 1, 1), Phase(p, 1 + (p - 1) * p**gap, gap + 1))
+    else:  # the t^-1 digit of each product
+        assert got == (Phase(p, 1, 1), Phase(p, p - 1, 1))
+
+
+def test_pairing_mismatch_message_is_the_product_route_s():
+    for x, xi in ((GroupElement.one(P2), GroupElement.one(M2)),
+                  (GroupElement.zero(P3), GroupElement.one(P2)),
+                  (GroupElement.one(GroupParams(5, MODULAR)), GroupElement.zero(M3))):
+        with pytest.raises(ParamMismatchError) as new:
+            pairing_phase(x, xi)
+        with pytest.raises(ParamMismatchError) as old:
+            product_route_phase(x, xi)
+        assert str(new.value) == str(old.value)
 
 
 def test_param_mismatch_errors():

@@ -40,7 +40,7 @@ from padicgabor.model import (
     wiener_norm,
 )
 from padicgabor.rng import SplitMix64
-from padicgabor.verify import _keyed_wiener_norm
+from padicgabor.verify import _cell_keys, _keyed_wiener_norm
 
 P2 = GroupParams(2, CARRY)
 P3 = GroupParams(3, CARRY)
@@ -269,8 +269,9 @@ def test_wiener_two_routes_identical():
     for params, m, k in SPACES + ((P3, 2, 1), (M2, 1, 2), (M3, 2, 1)):
         space = ModelSpace(params, m, k)
         grid = stft(rand_fn(space, rng), rand_fn(space, rng))
+        keys = _cell_keys(space)
         for p_exp in (1, 1.5, 2, 3, math.inf):
-            assert wiener_norm(grid, p_exp) == _keyed_wiener_norm(grid, p_exp)
+            assert wiener_norm(grid, p_exp) == _keyed_wiener_norm(grid, keys, p_exp)
 
 
 def test_wiener_dominates_modulation_at_two():
