@@ -8,9 +8,11 @@ exponents before anything is built (MAX_ENTRIES, MAX_FRAME_DIM, MAX_POINTS,
 MAX_P, MAX_SCALE below).  All structured output is JSON with sorted keys,
 exact rationals as "a/b" strings and complex numbers as [re, im] pairs, so
 a fixed config and seed reproduce byte-identical bytes; `--out` is opened
-before the command runs.  `_dumps` writes it: json.dumps(indent=2), and the
+before the command runs.  `_dump` writes it: json.dumps(indent=2), and the
 same bytes without that pure-Python encoder for complex arrays (the stft
-grid) and for the decomposition's point texts, made from the keys.
+grid) and for the decomposition's point texts, made from the keys, which go
+to `--out` CHUNK items at a time.  `norms` reads only |V_g f| and never holds
+the complex grid (model.stft_magnitudes).
 Exit codes: 0 success, 1 failed verification or violated internal identity,
 2 configuration or usage errors (every ValueError, TypeError or
 OverflowError, the library's input checks included, and a result that
@@ -23,11 +25,12 @@ import argparse
 import cmath
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
 import sys
-from itertools import product, repeat
+from itertools import islice, product, repeat
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .model import (
     indicator,
     modulation_norm,
     stft,
+    stft_magnitudes,
     wiener_norm,
 )
 from .verify import DEFAULT_SEED, run_suite
@@ -58,6 +62,8 @@ MAX_FRAME_DIM = 2**8  # dim of a frame model: S costs O(dim^2 count), its eigenv
 MAX_POINTS = 2**20  # points a lambda lists or generates
 MAX_P = 2**16  # the prime
 MAX_SCALE = 64  # density scales and powers, |valuation| of a config element
+
+CHUNK = 4096  # list items per write: [re, im] pairs of a complex array, texts of a map
 
 _MISSING = object()
 _JSON_NAMES = {int: "an integer", (int, float): "a number", str: "a string", list: "a list",
@@ -226,12 +232,14 @@ def _not_finite(why) -> ConfigError:
     return ConfigError(f"result is not finite ({why}); the inputs are too large")
 
 
-def _dumps(doc) -> str:
-    """Strict JSON: a NaN or infinity in a result (say, from overflow) is an input error.
+def _dump(doc, out) -> None:
+    """Write doc to out as strict JSON: a NaN or infinity in a result (say, from overflow) is an
+    input error, and a refused result writes nothing.
 
-    A complex ndarray in doc (its [re, im] pairs: one np.isfinite test, one %r
-    template per pair) and a map of strings (one join of their JSON texts) get
-    the bytes json.dumps gives them as lists, without its pure-Python encoder.
+    A complex ndarray in doc (its [re, im] pairs) and a map of strings (their JSON texts) get the
+    bytes json.dumps gives them as lists, without its pure-Python encoder: json.dumps writes the
+    rest with a hole for each, every array passes one np.isfinite test before the first write, and
+    then each hole's items go out CHUNK at a time, an array's through one %r template per pair.
     """
     holes = []
 
@@ -245,22 +253,39 @@ def _dumps(doc) -> str:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=hole)
     except ValueError as exc:
         raise _not_finite(exc)
-    # the whole text is built before the caller writes any of it
+    if not all(np.isfinite(_floats(value)).all() for value in holes if isinstance(value, np.ndarray)):
+        raise _not_finite("the array holds NaN or infinity")
     for i, value in enumerate(holes):
-        head, _, tail = text.partition(f'"\\u0000{i}"')
+        head, _, text = text.partition(f'"\\u0000{i}"')
+        out.write(head)
         line = head[head.rfind("\n") + 1:]
         i0 = line[:len(line) - len(line.lstrip(" "))]
-        i1, i2 = i0 + "  ", i0 + "    "
-        if isinstance(value, map):
-            body = (",\n" + i1).join(map(json.encoder.encode_basestring_ascii, value))
-        else:
-            fl = value.reshape(-1).view(np.float64)
-            if not np.isfinite(fl).all():
-                raise _not_finite("the array holds NaN or infinity")
-            pair = f"[\n{i2}%r,\n{i2}%r\n{i1}]"
-            body = (",\n" + i1).join([pair] * (fl.size // 2)) % tuple(fl.tolist())
-        text = f"{head}[\n{i1}{body}\n{i0}]{tail}" if body else f"{head}[]{tail}"
-    return text + "\n"
+        i1 = i0 + "  "
+        sep = ",\n" + i1
+        lead, close = f"[\n{i1}", "[]"
+        for chunk in _chunks(value, sep, f"[\n{i1}  %r,\n{i1}  %r\n{i1}]"):
+            out.write(lead + chunk)
+            lead, close = sep, f"\n{i0}]"
+        out.write(close)
+    out.write(text + "\n")
+
+
+def _floats(value: np.ndarray) -> np.ndarray:
+    """The re, im, re, im, ... floats of a complex array."""
+    return value.reshape(-1).view(np.float64)
+
+
+def _chunks(value, sep: str, pair: str):
+    """The items of a hole's list as texts of up to CHUNK items joined by sep; pair is the
+    template of one [re, im] item."""
+    if isinstance(value, map):
+        texts = map(json.encoder.encode_basestring_ascii, value)
+        yield from iter(lambda: sep.join(islice(texts, CHUNK)), "")  # no item text is empty
+        return
+    fl = _floats(value)
+    for start in range(0, fl.size, 2 * CHUNK):
+        part = fl[start:start + 2 * CHUNK].tolist()
+        yield sep.join([pair] * (len(part) // 2)) % tuple(part)
 
 
 def cmd_density(args, out) -> int:
@@ -338,7 +363,10 @@ def cmd_density(args, out) -> int:
             ],
         }
     del lam  # its keys and last count are not needed to write the result
-    out.write(prof.table() + "\n" if args.table else _dumps(doc))
+    if args.table:
+        out.write(prof.table() + "\n")
+    else:
+        _dump(doc, out)
     return 0
 
 
@@ -350,7 +378,7 @@ def cmd_frame(args, out) -> int:
     # the system's dim x count vector matrix holds at most MAX_ENTRIES entries
     budget = min(MAX_POINTS, MAX_ENTRIES // space.dim)
     lam = _parse_points(_get(config, "lambda", "config"), params, budget)
-    out.write(_dumps(frame_bounds(build(window, lam)).to_json_dict()))
+    _dump(frame_bounds(build(window, lam)).to_json_dict(), out)
     return 0
 
 
@@ -368,7 +396,7 @@ def cmd_stft(args, out) -> int:
     params = _parse_group(config)
     space = _parse_model(config, params)
     f, window = _function_pair(config, space)
-    out.write(_dumps(stft(f, window).to_json_dict()))
+    _dump(stft(f, window).to_json_dict(), out)
     return 0
 
 
@@ -380,7 +408,7 @@ def cmd_norms(args, out) -> int:
     task = _get(config, "task", "config", dict, default={})
     p_exp = _get(task, "p_exp", "task", default=2)
     p_exp = math.inf if p_exp == "inf" else _get(task, "p_exp", "task", (int, float), default=2)
-    grid = stft(f, window)
+    grid = stft_magnitudes(f, window)
     mod2, wie2 = modulation_norm(grid, 2), wiener_norm(grid, 2)
     mod, wie = mod2, wie2
     if p_exp != 2:
@@ -408,7 +436,7 @@ def cmd_norms(args, out) -> int:
             "ratio": (wie2 / mod2) if mod2 else None,
         },
     }
-    out.write(_dumps(doc))
+    _dump(doc, out)
     return 0
 
 
@@ -427,11 +455,13 @@ def cmd_verify(args, out) -> int:
         sys.stdout.write(result.line() + "\n")
     passed = sum(r.passed for r in results)
     sys.stdout.write(f"{passed}/{len(results)} checks passed\n")
-    out.write(_dumps([dataclasses.asdict(r) for r in results]))
+    _dump([dataclasses.asdict(r) for r in results], out)
     return 0 if passed == len(results) else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main call and shared by the later ones."""
     parser = argparse.ArgumentParser(
         prog="padicgabor",
         description="Exact desk-scale Gabor analysis on p-adic and Laurent-series groups",
@@ -487,8 +517,7 @@ def _open_out(args):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # a float overflow or NaN in a result raises instead of warning on stderr
         with _open_out(args) as out, np.errstate(over="raise", invalid="raise"):

@@ -133,6 +133,12 @@ class GroupElement:
     num: int = 0
     vexp: int = 0
 
+    def __post_init__(self):
+        num, p = self.num, self.params.p
+        if num % p == 0 and (num or self.vexp) or num < 0 and self.params.mode == MODULAR:
+            raise ValueError(f"({num}, {self.vexp}) is not a normal form over {self.params}; "
+                             f"GroupElement.from_rational normalizes")
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod

@@ -30,10 +30,12 @@ a is XOR with a, since digit-wise subtraction mod 2 is XOR.
 Short-time Fourier transforms take a stack of (f, g) pairs and run their
 translation rows f * conj(T_x g) through one batched transform per
 STFT_BLOCK rows, several small pairs to a call, and hand out the grids one by
-one; stft takes the grid of one pair.  Each grid carries every nonzero value
-of V_g f on the whole plane, since V_g f vanishes for x outside A^m H or xi
-outside the dual window and is constant on cosets of A^-k H x A^-m(dual) at
-model resolution.
+one; stft takes the grid of one pair.  stft_magnitudes keeps only |V_g f| of
+one pair, which is all the norms read: it takes np.abs of each block of the
+same loop, so it never holds the complex grid and its magnitudes are those of
+stft bit for bit.  Each grid carries every nonzero value of V_g f on the whole
+plane, since V_g f vanishes for x outside A^m H or xi outside the dual window
+and is constant on cosets of A^-k H x A^-m(dual) at model resolution.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ class ModelSpace:
 
     @cached_property
     def dual(self) -> "ModelSpace":
-        """Fourier-image space: support A^k H(dual), constant on A^-m cosets."""
+        """Fourier-image space: support A^k H(dual), constant on A^-m cosets; self when m == k."""
+        if self.m == self.k:
+            return self
         dual = ModelSpace(self.params, self.k, self.m)
         dual.__dict__["dual"] = self
         return dual
@@ -339,27 +343,36 @@ def fourier(f: ModelFunction) -> ModelFunction:
 
 
 @dataclass
-class StftGrid:
-    """Matrix of V_g f over index section x dual index section.
+class StftMagnitudes:
+    """|V_g f| over index section x dual index section: all that the norms of the grid read.
 
-    Entry (a, b) is <f, M_{xi_b} T_{x_a} g>.  One grid cell of the plane has
-    measure p**-(m+k), which makes ||V_g f||_2 = ||f||_2 ||g||_2.
+    One grid cell of the plane has measure p**-(m+k), which makes ||V_g f||_2 = ||f||_2 ||g||_2.
     """
 
     space: ModelSpace
-    values: np.ndarray
+    magnitudes: np.ndarray
 
     @property
     def cell_measure(self) -> float:
         return float(self.space.params.p) ** (-(self.space.m + self.space.k))
 
-    @cached_property
-    def magnitudes(self) -> np.ndarray:
-        """|V_g f| entrywise, taken once for every norm of the grid."""
-        return np.abs(self.values)
-
     def l2_norm(self) -> float:
         return math.sqrt(self.cell_measure * float(np.sum(self.magnitudes**2)))
+
+
+class StftGrid(StftMagnitudes):
+    """Matrix of V_g f over index section x dual index section.
+
+    Entry (a, b) is <f, M_{xi_b} T_{x_a} g>.  Its magnitudes are taken on first use.
+    """
+
+    def __init__(self, space: ModelSpace, values: np.ndarray):
+        self.space = space
+        self.values = values
+
+    @cached_property
+    def magnitudes(self) -> np.ndarray:
+        return np.abs(self.values)
 
     def to_json_dict(self) -> dict:
         return {
@@ -372,31 +385,53 @@ class StftGrid:
         }
 
 
-def stft_grids(space: ModelSpace, fs: np.ndarray, gs: np.ndarray):
-    """Yield V_g f, a dim x dim array, for each pair of rows of fs and gs (count x dim) in order.
+def _stft_blocks(space: ModelSpace, fs: np.ndarray, gs: np.ndarray):
+    """Yield (start, block) for each batched transform, pairs in order: block[i, r] is row
+    start + r of V_g f for the i-th pair of the call, over the dual index section.
 
-    One batched transform takes STFT_BLOCK translation rows f * conj(T_x g) of one pair, or
-    every row of the STFT_BLOCK // dim pairs that fit, so only those pairs' grids are held.
-    The product goes to the grid block, out of place: numpy rounds a length-1 product in
-    place as it would in pure Python.
+    One call takes STFT_BLOCK translation rows f * conj(T_x g) of one pair, or every row of
+    the STFT_BLOCK // dim pairs that fit.  The product goes to a fresh block, out of place:
+    numpy rounds a length-1 product in place as it would in pure Python.  Every consumer of
+    the STFT reads these blocks, so the complex grid and its magnitudes agree bit for bit.
     """
     n = space.dim
     per = max(1, STFT_BLOCK // n)
     for first in range(0, len(fs), per):
         f, g = fs[first:first + per, np.newaxis], gs[first:first + per]
-        values = np.empty((len(g), n, n), dtype=complex)
         for start in range(0, n, STFT_BLOCK):
-            block = values[:, start:start + STFT_BLOCK]
-            shifted = g[:, space.shift_table(np.arange(start, start + block.shape[1]))]
-            np.multiply(f, np.conjugate(shifted, out=shifted), out=block)
-            np.multiply(space.coset_measure, space.raw_dual_sums(block), out=block)
-        yield from values
+            shifted = g[:, space.shift_table(np.arange(start, min(n, start + STFT_BLOCK)))]
+            block = np.multiply(f, np.conjugate(shifted, out=shifted))
+            yield start, np.multiply(space.coset_measure, space.raw_dual_sums(block), out=block)
+
+
+def stft_grids(space: ModelSpace, fs: np.ndarray, gs: np.ndarray):
+    """Yield V_g f, a dim x dim array, for each pair of rows of fs and gs (count x dim) in order.
+
+    Only the grids of the pairs that share a transform call (_stft_blocks) are held.
+    """
+    n = space.dim
+    for start, block in _stft_blocks(space, fs, gs):
+        if start == 0:
+            values = np.empty((len(block), n, n), dtype=complex)
+        values[:, start:start + block.shape[1]] = block
+        if start + block.shape[1] == n:
+            yield from values
 
 
 def stft(f: ModelFunction, g: ModelFunction) -> StftGrid:
     """Short-time Fourier transform of f against window g: the stft_grids of one pair."""
     _same_space(f, g)
     return StftGrid(f.space, next(stft_grids(f.space, f.coeffs[np.newaxis], g.coeffs[np.newaxis])))
+
+
+def stft_magnitudes(f: ModelFunction, g: ModelFunction) -> StftMagnitudes:
+    """|V_g f| block by block, bit for bit np.abs(stft(f, g).values); no complex grid is held."""
+    _same_space(f, g)
+    n = f.space.dim
+    mags = np.empty((n, n))
+    for start, block in _stft_blocks(f.space, f.coeffs[np.newaxis], g.coeffs[np.newaxis]):
+        np.abs(block[0], out=mags[start:start + STFT_BLOCK])
+    return StftMagnitudes(f.space, mags)
 
 
 def _check_exponent(p_exp) -> float:
@@ -406,16 +441,18 @@ def _check_exponent(p_exp) -> float:
     return p_exp
 
 
-def modulation_norm(grid: StftGrid, p_exp) -> float:
+def modulation_norm(grid: StftMagnitudes, p_exp) -> float:
     """L^p norm of the grid with the plane's cell measure; sup norm at p = inf."""
     p_exp = _check_exponent(p_exp)
     mags = grid.magnitudes
     if math.isinf(p_exp):
         return float(np.max(mags))
-    return float(np.sum(mags**p_exp * grid.cell_measure) ** (1.0 / p_exp))
+    terms = mags**p_exp
+    terms *= grid.cell_measure  # in place: the one dim x dim temporary
+    return float(np.sum(terms) ** (1.0 / p_exp))
 
 
-def _cell_sups(grid: StftGrid) -> np.ndarray:
+def _cell_sups(grid: StftMagnitudes) -> np.ndarray:
     """Sup of |V| over each unit cell (c + H) x (d + dual unit ball).
 
     Rows split as a = q * p**m + r with r the H-coset of x_a, columns as
@@ -428,7 +465,7 @@ def _cell_sups(grid: StftGrid) -> np.ndarray:
     return blocks.max(axis=(0, 2))
 
 
-def wiener_norm(grid: StftGrid, p_exp) -> float:
+def wiener_norm(grid: StftMagnitudes, p_exp) -> float:
     """l^p sum over unit cells of local sups; cells have measure 1, so also the amalgam integral."""
     p_exp = _check_exponent(p_exp)
     sups = _cell_sups(grid)

@@ -84,18 +84,14 @@ class CheckResult:
         return f"{status}  {self.name}: {self.measured} (tol {self.tolerance}){extra}"
 
 
-def _space(p: int, mode: str, m: int, k: int) -> ModelSpace:
-    return ModelSpace(GroupParams(p, mode), m, k)
-
-
 def _kept(configs, p_list) -> list:
     """The configs (p, ...) whose prime p_list asks for, in order."""
     return [c for c in configs if c[0] in p_list]
 
 
-def _onb_spaces(p_list) -> list[tuple[ModelSpace, str]]:
+def _onb_spaces(p_list, systems) -> list[tuple[ModelSpace, str]]:
     """(space, config tag) of each ONB config whose prime p_list asks for."""
-    return [(_space(p, mode, m, k), f"p={p} {mode} ({m},{k})")
+    return [(systems.space(p, mode, m, k), f"p={p} {mode} ({m},{k})")
             for p, mode, m, k in _kept(ONB_CONFIGS, p_list)]
 
 
@@ -107,10 +103,16 @@ def _lattice(space: ModelSpace, x_inner: int, xi_inner: int) -> PointSet:
 
 
 class _Systems(dict):
-    """The Gabor systems of one run_suite call, each built and decomposed once.
+    """The model spaces and Gabor systems of one run_suite call, each space made once (its
+    tables built once) and each system built and decomposed once.
 
-    run_suite makes a fresh table per call, so no run sees another run's systems.
+    run_suite makes a fresh table per call, so no run sees another run's spaces or systems.
     """
+
+    def space(self, p: int, mode: str, m: int, k: int) -> ModelSpace:
+        if (p, mode, m, k) not in self:
+            self[p, mode, m, k] = ModelSpace(GroupParams(p, mode), m, k)
+        return self[p, mode, m, k]
 
     def ladder(self, space: ModelSpace, step: int) -> GaborSystem:
         """chi_H translated along H-cosets, modulations refined (step > 0), kept (the ONB) or
@@ -122,7 +124,7 @@ class _Systems(dict):
     def tight(self, p: int, mode: str) -> GaborSystem:
         """Unit-norm indicator of the refined ball, shifted over the full grid."""
         if (p, mode) not in self:
-            space = _space(p, mode, 1, 1)
+            space = self.space(p, mode, 1, 1)
             window = indicator(space, set_scale=-1).scaled(float(p) ** 0.5)
             self[p, mode] = build(window, _lattice(space, -1, -1))
         return self[p, mode]
@@ -204,7 +206,7 @@ def _group_corpus(p_list, size: str, rng: SplitMix64) -> list:
 
 
 def check_onb_gram_identity(p_list, size, rng, systems) -> CheckResult:
-    spaces = _onb_spaces(p_list)
+    spaces = _onb_spaces(p_list, systems)
     worst = 0.0
     square = True
     for space, _ in spaces:
@@ -232,7 +234,7 @@ def check_tight_frame_constant(p_list, size, rng, systems) -> CheckResult:
 
 
 def check_section_trichotomy(p_list, size, rng, systems) -> CheckResult:
-    spaces = _onb_spaces(p_list)
+    spaces = _onb_spaces(p_list, systems)
     ok = True
     notes = []
     for space, _ in spaces:
@@ -291,7 +293,7 @@ def check_product_lattice_density(p_list, size, rng, systems) -> CheckResult:
 
 def check_stft_energy_identity(p_list, size, rng, systems) -> CheckResult:
     pairs = 100 if size == "full" else 20
-    spaces = _onb_spaces(p_list)
+    spaces = _onb_spaces(p_list, systems)
     worst = 0.0
     for space, _ in spaces:
         # f, g of one pair after another, as per-pair draws would come
@@ -335,7 +337,7 @@ def check_wiener_two_route_equality(p_list, size, rng, systems) -> CheckResult:
     configs = _kept(((2, CARRY, 1, 1), (3, CARRY, 1, 1), (2, MODULAR, 2, 1)), p_list)
     if not configs:
         return CheckResult("wiener-two-route-equality", False, "no configs", "exact")
-    spaces = [_space(*configs[i % len(configs)]) for i in range(grids)]
+    spaces = [systems.space(*configs[i % len(configs)]) for i in range(grids)]
     # f, g of one grid after another, as per-grid draws would come, then each space's pairs
     stream = rng.complex_vector(sum(2 * space.dim for space in spaces))
     pairs: dict[ModelSpace, list] = {}
@@ -364,7 +366,7 @@ def check_transform_unitarity(p_list, size, rng, systems) -> CheckResult:
     configs = _kept(configs, p_list)
     worst = 0.0
     for config in configs:
-        space = _space(*config)
+        space = systems.space(*config)
         dev = float(np.max(np.abs(fourier(indicator(space)).coeffs - indicator(space.dual).coeffs)))
         f = ModelFunction(space, rng.complex_vector(space.dim))
         ff = fourier(f)
@@ -379,7 +381,7 @@ def check_transform_unitarity(p_list, size, rng, systems) -> CheckResult:
 
 def check_dual_reconstruction(p_list, size, rng, systems) -> CheckResult:
     draws = 50 if size == "full" else 10
-    spaces = _onb_spaces(p_list)
+    spaces = _onb_spaces(p_list, systems)
     worst_recon = 0.0
     worst_bounds = 0.0
     ok = True
@@ -419,7 +421,7 @@ def check_dual_reconstruction(p_list, size, rng, systems) -> CheckResult:
 
 def check_repeated_point_bound_growth(p_list, size, rng, systems) -> CheckResult:
     reps = [1, 2, 4, 8] if size == "full" else [1, 2, 4]
-    spaces = _onb_spaces(p_list)
+    spaces = _onb_spaces(p_list, systems)
     ok = True
     detail = []
     for space, _ in spaces:
@@ -496,7 +498,7 @@ def check_automorphism_invariance(p_list, size, rng, systems) -> CheckResult:
 def check_frame_density_necessity(p_list, size, rng, systems) -> CheckResult:
     used = []
     cases = []  # (system, expect a Riesz basis)
-    for space, tag in _onb_spaces(p_list):
+    for space, tag in _onb_spaces(p_list, systems):
         cases += [(systems.ladder(space, 0), True), (systems.ladder(space, 1), False)]
         used.append(tag)
     for p, mode in _kept(TIGHT_CONFIGS, p_list):

@@ -2,12 +2,14 @@
 
 import functools
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -190,6 +192,38 @@ def test_output_deterministic(tmp_path):
     assert main(["frame", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["frame", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    # not at import: a fresh process that imports the cli has built no parser
+    probe = "import padicgabor.cli as c; print(c._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    assert subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True).stdout == "0\n"
+    cfg = write_config(tmp_path, "n.json", NORMS_CHI)
+    assert main(["norms", "--config", cfg]) == 0
+    first = capsys.readouterr().out
+    assert cli._parser() is cli._parser()
+    for argv in (["norms"], ["nosuch"], ["stft", "--config", cfg, "--bad"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: padicgabor")
+    assert main(["norms", "--config", cfg]) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_stft_out_never_holds_the_grid_text(tmp_path):
+    # dim 256: the grid is 1 MiB and its text about 5.5 MB; the writer holds one chunk of text
+    # at a time, where building the whole text peaked at 13.6 MiB
+    cfg = write_config(tmp_path, "s.json", _pinned_grid(2, MODULAR, 4, 4, 2, 5))
+    tracemalloc.start()
+    try:
+        assert main(["stft", "--config", cfg, "--out", str(tmp_path / "s.out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * 256**2, peak
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -427,6 +461,13 @@ def _stdlib_dumps(doc) -> str:
     return json.dumps(lists(doc), indent=2, sort_keys=True) + "\n"
 
 
+def _dumps(doc) -> str:
+    """The text cli._dump writes for doc."""
+    out = io.StringIO()
+    cli._dump(doc, out)
+    return out.getvalue()
+
+
 EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, -1.7976931348623157e308,
                0.0, 1.0, -2.5, 1 / 3, 123456789.125, 2.0**-1074 * 3]
 
@@ -445,18 +486,18 @@ def test_emitted_grid_bytes_match_the_stdlib_encoder(mode, p):
         f = ModelFunction(space, rng.complex_vector(space.dim))
         g = ModelFunction(space, rng.complex_vector(space.dim))
         doc = stft(f, g).to_json_dict()
-        assert cli._dumps(doc) == _stdlib_dumps(doc)
+        assert _dumps(doc) == _stdlib_dumps(doc)
     edges = [complex(re, im) for re in EDGE_FLOATS for im in EDGE_FLOATS]
     doc = _grid_doc(params, 0, 4, np.resize(edges, (p**4, p**4)))  # every pair of edges
-    assert cli._dumps(doc) == _stdlib_dumps(doc)
+    assert _dumps(doc) == _stdlib_dumps(doc)
 
 
 def test_emitted_arrays_inside_a_document_match_the_stdlib_encoder():
     # arrays that are not the last key, nested at several indents, and empty
     doc = {"a": np.array([1 + 2j, complex(-0.0, -0.0)]), "b": [1.5, {"c": np.array([5e-324j])}],
            "d": np.zeros(0, dtype=complex), "z": {"y": [np.array([1e16 + 1e-5j]), "x"]}}
-    assert cli._dumps(doc) == _stdlib_dumps(doc)
-    assert cli._dumps(np.array([3j])) == _stdlib_dumps(np.array([3j]))
+    assert _dumps(doc) == _stdlib_dumps(doc)
+    assert _dumps(np.array([3j])) == _stdlib_dumps(np.array([3j]))
 
 
 def test_emitted_text_lists_match_the_stdlib_encoder():
@@ -471,7 +512,7 @@ def test_emitted_text_lists_match_the_stdlib_encoder():
         if isinstance(v, list) and all(isinstance(x, str) for x in v):
             return map(str, v)
         return [holes(x) for x in v] if isinstance(v, list) else v
-    assert cli._dumps(holes(doc)) == _stdlib_dumps(doc)
+    assert _dumps(holes(doc)) == _stdlib_dumps(doc)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -479,8 +520,44 @@ def test_emitted_text_lists_match_the_stdlib_encoder():
 def test_non_finite_grid_is_refused(bad, part):
     values = np.ones((2, 2), dtype=complex)
     values[1, 0] = complex(bad, 0) if part == "re" else complex(0, bad)
+    out = io.StringIO()
     with pytest.raises(cli.ConfigError, match=r"^result is not finite \(.*the inputs are too large$"):
-        cli._dumps(_grid_doc(GroupParams(2, CARRY), 1, 0, values))
+        cli._dump(_grid_doc(GroupParams(2, CARRY), 1, 0, values), out)
+    assert out.getvalue() == ""
+    # a finite array and a long text list ahead of the bad one: still nothing written
+    doc = {"a": np.ones(cli.CHUNK + 1, dtype=complex), "b": map(str, range(cli.CHUNK + 1)),
+           "c": values.reshape(-1)}
+    with pytest.raises(cli.ConfigError, match=r"^result is not finite \(.*the inputs are too large$"):
+        cli._dump(doc, out)
+    assert out.getvalue() == ""
+
+
+class _Writes(io.StringIO):
+    """A stream that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("count", [0, 1, cli.CHUNK - 1, cli.CHUNK, cli.CHUNK + 1, 2 * cli.CHUNK + 1])
+def test_lists_are_written_a_chunk_at_a_time(count):
+    # an array and a map of texts at the chunk edges, nested, with the stdlib's bytes; no write
+    # holds more than one chunk of items
+    texts = [f"{i}/2^{i % 7}" for i in range(count)]
+    values = np.array([complex(i / 3, -i * 1e-5) for i in range(count)], dtype=complex)
+    doc = {"a": {"grid": values, "points": texts}, "z": [values[:2], 1.5]}
+    out = _Writes()
+    cli._dump({"a": {"grid": values, "points": map(str, texts)}, "z": [values[:2], 1.5]}, out)
+    assert out.getvalue() == _stdlib_dumps(doc)
+    # an item is at most two floats, the brackets and indents of depth 4, and its separator
+    item = 2 * max(map(len, map(repr, values.view(np.float64).tolist())), default=0) + 40
+    assert max(out.lengths) <= cli.CHUNK * item + 200  # 200: the longest skeleton piece
+    assert len(out.lengths) >= 2 * (count // cli.CHUNK)
 
 
 EXPLICIT_TIGHT = {**FRAME_TIGHT, "lambda": {"ambient": "phase", "type": "explicit",
@@ -945,6 +1022,24 @@ def test_each_run_decomposes_its_own_systems(monkeypatch):
     run_suite(size="small")
     assert first > 0 and len(asked) == 2 * first
     assert not {id(sys) for sys in first_onbs} & {id(sys) for sys in onbs[len(first_onbs):]}
+
+
+def test_each_run_makes_each_model_space_once(monkeypatch):
+    # one ModelSpace per (p, mode, m, k) per run, duals included (m == k is its own dual):
+    # 11 at --sizes full, where each check made its own, 64 in all; the next run makes its own
+    made = []
+    post_init = verify.ModelSpace.__post_init__
+
+    def counted(space):
+        post_init(space)
+        made.append(space)
+
+    monkeypatch.setattr(verify.ModelSpace, "__post_init__", counted)
+    for _ in range(2):
+        del made[:]
+        run_suite(size="full", seed=1)
+        assert len(made) == len(set(made)) == 11
+        assert all(space.dual in made for space in made)
 
 
 PINNED_VERIFY_SMALL = (  # (stdout, --out)

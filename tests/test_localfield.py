@@ -50,6 +50,30 @@ def test_params_validation():
     assert GroupParams(7).mode == CARRY
 
 
+@pytest.mark.parametrize("params,num,vexp", [
+    (P2, 4, 1),  # p divides num: 2, whose normal form is (1, -1)
+    (P3, -6, 0),
+    (M2, 2, 0),
+    (P2, 0, 3),  # zero with vexp != 0
+    (M3, 0, -1),
+    (M2, -1, 0),  # a negative num in modular mode
+    (M3, -5, 2),
+])
+def test_only_normal_forms_construct(params, num, vexp):
+    with pytest.raises(ValueError, match="is not a normal form.*from_rational"):
+        GroupElement(params, num, vexp)
+    if num >= 0 or params.mode == CARRY:
+        x = GroupElement.from_rational(params, num, vexp)
+        assert GroupElement(params, x.num, x.vexp) == x
+
+
+def test_normal_forms_construct():
+    for params, num, vexp in ((P2, 0, 0), (P2, -3, 2), (P3, 5, -4), (M2, 1, 0), (M3, 7, 3)):
+        x = GroupElement(params, num, vexp)
+        assert (x.num, x.vexp) == (num, vexp)
+        assert x == GroupElement.from_rational(params, num, vexp)
+
+
 def test_carry_addition_carries():
     # (p-1)*p + 1*p = p^2, not 0
     for params in (P2, P3):

@@ -36,6 +36,7 @@ from padicgabor.model import (
     row_norms,
     stft,
     stft_grids,
+    stft_magnitudes,
     translate,
     wiener_norm,
 )
@@ -550,6 +551,30 @@ def test_stft_grids_match_per_pair_stft(p, mode):
             assert same_bits(window_values, stft(f, ModelFunction(space, gs[0])).values), space
         assert same_bits(next(stft_grids(space, fs[1:], gs[1:])), grids[1]), space
     assert list(stft_grids(space, fs[:0], gs[:0])) == []
+
+
+@pytest.mark.parametrize("mode", (CARRY, MODULAR))
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_stft_magnitudes_are_the_grid_magnitudes(p, mode):
+    # dim 1, dims below STFT_BLOCK, at it (p = 2) and above it (several blocks)
+    rng = SplitMix64(27 + p)
+    widths = {2: ((0, 0), (2, 2), (3, 3), (4, 3)), 3: ((0, 0), (1, 1), (2, 2)),
+              5: ((0, 0), (1, 1), (2, 1))}[p]
+    for m, k in widths:
+        space = ModelSpace(GroupParams(p, mode), m, k)
+        f, g = rand_fn(space, rng), rand_fn(space, rng)
+        grid, mags = stft(f, g), stft_magnitudes(f, g)
+        assert mags.space == space
+        assert same_bits(mags.magnitudes, np.abs(grid.values)), space
+        assert mags.l2_norm() == grid.l2_norm()
+        for p_exp in (1, 2, 3.5, math.inf):
+            assert modulation_norm(mags, p_exp) == modulation_norm(grid, p_exp), (space, p_exp)
+            assert wiener_norm(mags, p_exp) == wiener_norm(grid, p_exp), (space, p_exp)
+            if not math.isinf(p_exp):  # the in-place sum, against the two-temporary one
+                old = float(np.sum(grid.magnitudes**p_exp * grid.cell_measure) ** (1.0 / p_exp))
+                assert modulation_norm(mags, p_exp) == old
+    with pytest.raises(ValueError, match="model spaces differ"):
+        stft_magnitudes(f, ModelFunction(ModelSpace(GroupParams(p, mode), 0, 0), [1.0]))
 
 
 def test_row_norms_match_one_row_at_a_time():
