@@ -10,9 +10,9 @@ exact rationals as "a/b" strings and complex numbers as [re, im] pairs, so
 a fixed config and seed reproduce byte-identical bytes; `--out` is opened
 before the command runs.  `_dump` writes it: json.dumps(indent=2), and the
 same bytes without that pure-Python encoder for complex arrays (the stft
-grid) and for the decomposition's point texts, made from the keys, which go
-to `--out` CHUNK items at a time.  `norms` reads only |V_g f| and never holds
-the complex grid (model.stft_magnitudes).
+grid, its floats written by orjson) and for the decomposition's point texts,
+made from the keys, which go to `--out` CHUNK items at a time.  `norms` reads
+only |V_g f| and never holds the complex grid (model.stft_magnitudes).
 Exit codes: 0 success, 1 failed verification or violated internal identity,
 2 configuration or usage errors (every ValueError, TypeError or
 OverflowError, the library's input checks included, and a result that
@@ -239,7 +239,7 @@ def _dump(doc, out) -> None:
     A complex ndarray in doc (its [re, im] pairs) and a map of strings (their JSON texts) get the
     bytes json.dumps gives them as lists, without its pure-Python encoder: json.dumps writes the
     rest with a hole for each, every array passes one np.isfinite test before the first write, and
-    then each hole's items go out CHUNK at a time, an array's through one %r template per pair.
+    then each hole's items go out CHUNK at a time, an array's through one %s template per pair.
     """
     holes = []
 
@@ -263,7 +263,7 @@ def _dump(doc, out) -> None:
         i1 = i0 + "  "
         sep = ",\n" + i1
         lead, close = f"[\n{i1}", "[]"
-        for chunk in _chunks(value, sep, f"[\n{i1}  %r,\n{i1}  %r\n{i1}]"):
+        for chunk in _chunks(value, sep, f"[\n{i1}  %s,\n{i1}  %s\n{i1}]"):
             out.write(lead + chunk)
             lead, close = sep, f"\n{i0}]"
         out.write(close)
@@ -277,15 +277,22 @@ def _floats(value: np.ndarray) -> np.ndarray:
 
 def _chunks(value, sep: str, pair: str):
     """The items of a hole's list as texts of up to CHUNK items joined by sep; pair is the
-    template of one [re, im] item."""
+    template of one [re, im] item.  An array's floats are orjson's texts, whose shortest
+    round-trip digits (Ryu) are repr's, but where repr writes an exponent (0 < |x| < 1e-4,
+    |x| >= 1e16) orjson writes 0.00001 for 1e-05 and 1e16 for 1e+16: those are repr's own."""
     if isinstance(value, map):
         texts = map(json.encoder.encode_basestring_ascii, value)
         yield from iter(lambda: sep.join(islice(texts, CHUNK)), "")  # no item text is empty
         return
+    import orjson  # here, not with the cli: only a command that writes an array loads it
     fl = _floats(value)
     for start in range(0, fl.size, 2 * CHUNK):
-        part = fl[start:start + 2 * CHUNK].tolist()
-        yield sep.join([pair] * (len(part) // 2)) % tuple(part)
+        part = fl[start:start + 2 * CHUNK]
+        texts = orjson.dumps(part, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        mag = np.abs(part)
+        for i in np.flatnonzero((0 < mag) & (mag < 1e-4) | (mag >= 1e16)).tolist():
+            texts[i] = repr(part[i].item())
+        yield sep.join([pair] * (len(texts) // 2)) % tuple(texts)
 
 
 def cmd_density(args, out) -> int:
@@ -409,11 +416,17 @@ def cmd_norms(args, out) -> int:
     p_exp = _get(task, "p_exp", "task", default=2)
     p_exp = math.inf if p_exp == "inf" else _get(task, "p_exp", "task", (int, float), default=2)
     grid = stft_magnitudes(f, window)
-    mod2, wie2 = modulation_norm(grid, 2), wiener_norm(grid, 2)
-    mod, wie = mod2, wie2
+    wie2 = wiener_norm(grid, 2)
     if p_exp != 2:
         mod, wie = modulation_norm(grid, p_exp), wiener_norm(grid, p_exp)
-    lhs = grid.l2_norm()
+    # |V| is read no more: square it once, in place, and sum the squares as grid.l2_norm
+    # and, after the cell measure, as modulation_norm(grid, 2) would
+    squares = np.square(grid.magnitudes, out=grid.magnitudes)
+    lhs = math.sqrt(grid.cell_measure * float(np.sum(squares)))
+    squares *= grid.cell_measure
+    mod2 = float(np.sum(squares) ** 0.5)
+    if p_exp == 2:
+        mod, wie = mod2, wie2
     rhs = f.norm() * window.norm()
     cells = space.dim
     doc = {

@@ -468,6 +468,14 @@ def _dumps(doc) -> str:
     return out.getvalue()
 
 
+def _assert_written_as_the_stdlib(doc) -> None:
+    """cli._dump writes _stdlib_dumps's text of doc; a failure names the first differing line
+    (pytest's own diff of two texts of megabytes would take minutes)."""
+    got, want = _dumps(doc).split("\n"), _stdlib_dumps(doc).split("\n")
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    assert i == len(got) == len(want), f"line {i}: {got[i:i + 1]} != {want[i:i + 1]}"
+
+
 EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, -1.7976931348623157e308,
                0.0, 1.0, -2.5, 1 / 3, 123456789.125, 2.0**-1074 * 3]
 
@@ -558,6 +566,78 @@ def test_lists_are_written_a_chunk_at_a_time(count):
     item = 2 * max(map(len, map(repr, values.view(np.float64).tolist())), default=0) + 40
     assert max(out.lengths) <= cli.CHUNK * item + 200  # 200: the longest skeleton piece
     assert len(out.lengths) >= 2 * (count // cli.CHUNK)
+
+
+def _random_floats(seed: int, count: int, exponents=(0, 2047)) -> np.ndarray:
+    """Floats from uniform random bit patterns whose exponent field lies in [lo, hi); hi <= 2047
+    keeps out infinities and NaNs."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=count, dtype=np.uint64)
+    lo, hi = exponents
+    field = np.uint64(lo) + (bits >> np.uint64(52)) % np.uint64(hi - lo)
+    return ((bits & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (field << np.uint64(52))).view(np.float64)
+
+
+@pytest.mark.parametrize("exponents", [(0, 2047), (1009, 1080)], ids=["all", "plain-range"])
+def test_random_floats_are_written_as_the_stdlib_writes_them(exponents):
+    # the float texts are orjson's and, where repr writes an exponent, repr's: the same bytes as
+    # json.dumps on 2**17 bit patterns, across the whole range and where repr writes no exponent
+    # (binary exponents -14 to 56, around 1e-4 <= |x| < 1e16)
+    values = _random_floats(sum(exponents), 2**17, exponents).view(complex)
+    _assert_written_as_the_stdlib({"values": values})
+
+
+def _neighbours(x: float, count: int = 8) -> list[float]:
+    """x and the count floats on either side of it."""
+    out = [x]
+    for target in (-math.inf, math.inf):
+        y = x
+        for _ in range(count):
+            y = math.nextafter(y, target)
+            out.append(y)
+    return out
+
+
+def test_floats_at_the_edges_of_repr_notation_are_written_as_the_stdlib_writes_them():
+    # the floats around the two thresholds of repr's exponent notation, subnormals, zeros and
+    # the largest floats, each as re and as im
+    edges = [y for x in (1e-4, -1e-4, 1e16, -1e16) for y in _neighbours(x)]
+    edges += [5e-324, -5e-324, 2.0**-1074 * 12345, 2.2250738585072009e-308,
+              2.2250738585072014e-308, -2.2250738585072009e-308, 0.0, -0.0,
+              1.7976931348623157e308, -1.7976931348623157e308]
+    edges += list(_random_floats(7, 64, (0, 1)))  # random subnormals
+    values = np.array([complex(re, im) for re in edges for im in (0.5, re)] +
+                      [complex(1.25, im) for im in edges])
+    _assert_written_as_the_stdlib({"values": values})
+
+
+@pytest.mark.parametrize("at", [0, 2 * cli.CHUNK - 2, 2 * cli.CHUNK - 1, 2 * cli.CHUNK, -1])
+def test_written_floats_at_the_chunk_edges(at):
+    # a float that repr writes with an exponent as the first, last-but-one or last float of a
+    # chunk, or the last of the array: first among plain floats, then among floats all below 1e-4
+    floats = np.linspace(-3.0, 3.0, 4 * cli.CHUNK + 2)
+    floats[at] = 1.5e-7
+    _assert_written_as_the_stdlib(floats.view(complex))
+    floats[:] = 1e-9 * np.arange(1, floats.size + 1)
+    floats[at] = -2e16
+    _assert_written_as_the_stdlib(floats.view(complex))
+
+
+def test_importing_the_cli_leaves_orjson_unloaded(tmp_path):
+    # orjson loads with the first array written (stft), not with the import, frame or norms
+    frame = write_config(tmp_path, "f.json", FRAME_ONB)
+    norms = write_config(tmp_path, "n.json", NORMS_CHI)
+    probe = ("import io, sys, contextlib, padicgabor.cli as c\n"
+             "loaded = ['orjson' in sys.modules]\n"
+             "for argv in (['frame', '--config', sys.argv[1]], ['norms', '--config', sys.argv[2]],"
+             " ['stft', '--config', sys.argv[2]]):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert c.main(argv) == 0\n"
+             "    loaded.append('orjson' in sys.modules)\n"
+             "print(loaded)")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    assert subprocess.run([sys.executable, "-c", probe, frame, norms], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout == "[False, False, False, True]\n"
 
 
 EXPLICIT_TIGHT = {**FRAME_TIGHT, "lambda": {"ambient": "phase", "type": "explicit",
