@@ -240,6 +240,8 @@ def _dump(doc, out) -> None:
     bytes json.dumps gives them as lists, without its pure-Python encoder: json.dumps writes the
     rest with a hole for each, every array passes one np.isfinite test before the first write, and
     then each hole's items go out CHUNK at a time, an array's through one %s template per pair.
+    orjson, which writes an array's floats, is loaded then too: a command that writes no array
+    never loads it, and a missing orjson fails before anything is written.
     """
     holes = []
 
@@ -253,8 +255,11 @@ def _dump(doc, out) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=hole)
     except ValueError as exc:
         raise _not_finite(exc)
-    if not all(np.isfinite(_floats(value)).all() for value in holes if isinstance(value, np.ndarray)):
+    arrays = [value for value in holes if isinstance(value, np.ndarray)]
+    if not all(np.isfinite(_floats(value)).all() for value in arrays):
         raise _not_finite("the array holds NaN or infinity")
+    if arrays:
+        import orjson  # noqa: F401  not with the cli, but before the first write: see _chunks
     for i, value in enumerate(holes):
         head, _, text = text.partition(f'"\\u0000{i}"')
         out.write(head)
@@ -278,20 +283,22 @@ def _floats(value: np.ndarray) -> np.ndarray:
 def _chunks(value, sep: str, pair: str):
     """The items of a hole's list as texts of up to CHUNK items joined by sep; pair is the
     template of one [re, im] item.  An array's floats are orjson's texts, whose shortest
-    round-trip digits (Ryu) are repr's, but where repr writes an exponent (0 < |x| < 1e-4,
-    |x| >= 1e16) orjson writes 0.00001 for 1e-05 and 1e16 for 1e+16: those are repr's own."""
+    round-trip digits (Ryu) are repr's, and so is their notation but for a decimal exponent
+    of -9 to -5 or of 16 up (1e-9 <= |x| < 1e-4, |x| >= 1e16): there orjson writes 1e-9,
+    0.00001 and 1e16 for 1e-09, 1e-05 and 1e+16, and those floats are written with repr."""
     if isinstance(value, map):
         texts = map(json.encoder.encode_basestring_ascii, value)
         yield from iter(lambda: sep.join(islice(texts, CHUNK)), "")  # no item text is empty
         return
-    import orjson  # here, not with the cli: only a command that writes an array loads it
+    import orjson  # loaded by _dump before its first write
     fl = _floats(value)
     for start in range(0, fl.size, 2 * CHUNK):
         part = fl[start:start + 2 * CHUNK]
         texts = orjson.dumps(part, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
         mag = np.abs(part)
-        for i in np.flatnonzero((0 < mag) & (mag < 1e-4) | (mag >= 1e16)).tolist():
-            texts[i] = repr(part[i].item())
+        at = np.flatnonzero((1e-9 <= mag) & (mag < 1e-4) | (mag >= 1e16))
+        for i, x in zip(at.tolist(), part[at].tolist()):
+            texts[i] = repr(x)
         yield sep.join([pair] * (len(texts) // 2)) % tuple(texts)
 
 
@@ -419,12 +426,7 @@ def cmd_norms(args, out) -> int:
     wie2 = wiener_norm(grid, 2)
     if p_exp != 2:
         mod, wie = modulation_norm(grid, p_exp), wiener_norm(grid, p_exp)
-    # |V| is read no more: square it once, in place, and sum the squares as grid.l2_norm
-    # and, after the cell measure, as modulation_norm(grid, 2) would
-    squares = np.square(grid.magnitudes, out=grid.magnitudes)
-    lhs = math.sqrt(grid.cell_measure * float(np.sum(squares)))
-    squares *= grid.cell_measure
-    mod2 = float(np.sum(squares) ** 0.5)
+    lhs, mod2 = grid.l2_norms()  # the last: it squares |V| in place
     if p_exp == 2:
         mod, wie = mod2, wie2
     rhs = f.norm() * window.norm()

@@ -357,7 +357,17 @@ class StftMagnitudes:
         return float(self.space.params.p) ** (-(self.space.m + self.space.k))
 
     def l2_norm(self) -> float:
-        return math.sqrt(self.cell_measure * float(np.sum(self.magnitudes**2)))
+        return self._l2_norm(self.magnitudes**2)
+
+    def _l2_norm(self, squares: np.ndarray) -> float:
+        return math.sqrt(self.cell_measure * float(np.sum(squares)))
+
+    def l2_norms(self) -> tuple[float, float]:
+        """(l2_norm(), modulation_norm(self, 2)) from one square of |V|, made in place: this
+        uses up the magnitudes, so take every other norm of the grid first."""
+        squares = np.square(self.magnitudes, out=self.magnitudes)
+        del self.magnitudes  # a StftGrid takes them afresh from its values
+        return self._l2_norm(squares), _lp_norm(squares, self.cell_measure, 2.0)
 
 
 class StftGrid(StftMagnitudes):
@@ -447,8 +457,12 @@ def modulation_norm(grid: StftMagnitudes, p_exp) -> float:
     mags = grid.magnitudes
     if math.isinf(p_exp):
         return float(np.max(mags))
-    terms = mags**p_exp
-    terms *= grid.cell_measure  # in place: the one dim x dim temporary
+    return _lp_norm(mags**p_exp, grid.cell_measure, p_exp)
+
+
+def _lp_norm(terms: np.ndarray, cell_measure: float, p_exp: float) -> float:
+    """(sum of terms * cell_measure) ** (1 / p_exp) for terms = |V|**p_exp, scaled in place."""
+    terms *= cell_measure  # in place: no second dim x dim temporary
     return float(np.sum(terms) ** (1.0 / p_exp))
 
 

@@ -21,7 +21,8 @@ from padicgabor.density import PointSet
 from padicgabor.geometry import anchored_int, section
 from padicgabor.linalg import ConvergenceError
 from padicgabor.localfield import CARRY, MAX_BODY_DIGITS, MODULAR, GroupParams, parse_element
-from padicgabor.model import ModelFunction, ModelSpace, StftGrid, stft
+from padicgabor.model import (ModelFunction, ModelSpace, StftGrid, modulation_norm, stft,
+                              stft_magnitudes, wiener_norm)
 from padicgabor.rng import SplitMix64
 from padicgabor.verify import run_suite
 
@@ -170,6 +171,17 @@ def test_stft_grid_output(tmp_path, capsys):
     assert doc["dim"] == 4
     assert len(doc["values"]) == 16
     assert doc["values"][0] == [1.0, 0.0]
+    # a point window, so the grid keeps the function's magnitudes, 1e-30 to 1e17: the bytes
+    # json.dumps writes for the same floats
+    spread = [[(i % 7 - 3) / 7 * 10.0 ** (i % 29 - 9), (i % 5 - 2) / 3 * 10.0 ** (i % 31 - 13)]
+              for i in range(81)]
+    cfg = write_config(tmp_path, "spread.json", {
+        "group": {"p": 3, "mode": "modular"}, "model": {"m": 2, "k": 2},
+        "window": {"type": "coeffs", "values": [[1, 0]] + [[0, 0]] * 80},
+        "function": {"type": "coeffs", "values": spread}})
+    assert main(["stft", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_readme_frame_example(tmp_path, capsys):
@@ -577,11 +589,12 @@ def _random_floats(seed: int, count: int, exponents=(0, 2047)) -> np.ndarray:
     return ((bits & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (field << np.uint64(52))).view(np.float64)
 
 
-@pytest.mark.parametrize("exponents", [(0, 2047), (1009, 1080)], ids=["all", "plain-range"])
+@pytest.mark.parametrize("exponents", [(0, 2047), (1009, 1080), (980, 1012)],
+                         ids=["all", "plain-range", "small"])
 def test_random_floats_are_written_as_the_stdlib_writes_them(exponents):
-    # the float texts are orjson's and, where repr writes an exponent, repr's: the same bytes as
-    # json.dumps on 2**17 bit patterns, across the whole range and where repr writes no exponent
-    # (binary exponents -14 to 56, around 1e-4 <= |x| < 1e16)
+    # the float texts are orjson's and, where its notation is not repr's, repr's: the same bytes
+    # as json.dumps on 2**17 bit patterns, across the whole range, where repr writes no exponent
+    # (binary exponents -14 to 56, around 1e-4 <= |x| < 1e16) and around 1e-9 (-43 to -12)
     values = _random_floats(sum(exponents), 2**17, exponents).view(complex)
     _assert_written_as_the_stdlib({"values": values})
 
@@ -598,9 +611,10 @@ def _neighbours(x: float, count: int = 8) -> list[float]:
 
 
 def test_floats_at_the_edges_of_repr_notation_are_written_as_the_stdlib_writes_them():
-    # the floats around the two thresholds of repr's exponent notation, subnormals, zeros and
-    # the largest floats, each as re and as im
-    edges = [y for x in (1e-4, -1e-4, 1e16, -1e16) for y in _neighbours(x)]
+    # the floats around the two thresholds of repr's exponent notation and around 1e-9, below
+    # which orjson writes repr's notation too, subnormals, zeros and the largest floats, each
+    # as re and as im
+    edges = [y for x in (1e-4, -1e-4, 1e16, -1e16, 1e-9, -1e-9) for y in _neighbours(x)]
     edges += [5e-324, -5e-324, 2.0**-1074 * 12345, 2.2250738585072009e-308,
               2.2250738585072014e-308, -2.2250738585072009e-308, 0.0, -0.0,
               1.7976931348623157e308, -1.7976931348623157e308]
@@ -620,6 +634,18 @@ def test_written_floats_at_the_chunk_edges(at):
     floats[:] = 1e-9 * np.arange(1, floats.size + 1)
     floats[at] = -2e16
     _assert_written_as_the_stdlib(floats.view(complex))
+
+
+def test_a_missing_orjson_writes_nothing(monkeypatch):
+    # orjson is imported before the first write: without it an array's document fails whole,
+    # and a document without an array is written as before
+    monkeypatch.setitem(sys.modules, "orjson", None)  # import orjson raises ImportError
+    out = io.StringIO()
+    with pytest.raises(ImportError):
+        cli._dump({"a": "head", "b": np.array([1j]), "c": map(str, range(3))}, out)
+    assert out.getvalue() == ""
+    assert _dumps({"a": [1.5], "b": map(str, range(3))}) == _stdlib_dumps(
+        {"a": [1.5], "b": ["0", "1", "2"]})
 
 
 def test_importing_the_cli_leaves_orjson_unloaded(tmp_path):
@@ -992,6 +1018,26 @@ PINNED_GRIDS = {
                       "862d3b1ec7ddffe27d57ed954ba4e550edaa2e183cd55b3a714eb166745cccb9",
                       "8b90ddd52122811701c466136b5004a356c43ad2c0f25a37ebaff628881025a4"),
 }
+
+
+@pytest.mark.parametrize("p_exp", [2, 3])
+@pytest.mark.parametrize("mode", [CARRY, MODULAR])
+@pytest.mark.parametrize("p", [2, 3])
+def test_norms_are_the_library_norms(tmp_path, capsys, p, mode, p_exp):
+    # norms takes both L^2 sums from one in-place square of |V| (StftMagnitudes.l2_norms):
+    # exactly the library's l2_norm and modulation_norm(grid, 2) of a fresh grid; dims 16, 81
+    doc = _pinned_grid(p, mode, 2, 2, p_exp, 40 + p)
+    assert main(["norms", "--config", write_config(tmp_path, "c.json", doc)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    space = ModelSpace(GroupParams(p, mode), 2, 2)
+    f, g = (ModelFunction(space, [complex(re, im) for re, im in doc[role]["values"]])
+            for role in ("function", "window"))
+    grid = stft_magnitudes(f, g)
+    assert out["orthogonality_check"]["lhs"] == grid.l2_norm()
+    assert out["wiener_vs_modulation"]["modulation_2"] == modulation_norm(grid, 2)
+    assert out["wiener_vs_modulation"]["wiener_2"] == wiener_norm(grid, 2)
+    assert out["modulation_p"] == modulation_norm(grid, p_exp)
+    assert out["wiener_p"] == wiener_norm(grid, p_exp)
 
 
 @pytest.mark.parametrize("case", list(PINNED_GRIDS))

@@ -573,6 +573,12 @@ def test_stft_magnitudes_are_the_grid_magnitudes(p, mode):
             if not math.isinf(p_exp):  # the in-place sum, against the two-temporary one
                 old = float(np.sum(grid.magnitudes**p_exp * grid.cell_measure) ** (1.0 / p_exp))
                 assert modulation_norm(mags, p_exp) == old
+        # both L^2 sums from one in-place square, which uses the magnitudes up; a StftGrid
+        # takes them afresh from its values
+        want = mags.l2_norm(), modulation_norm(mags, 2)
+        assert mags.l2_norms() == want == grid.l2_norms()
+        assert not hasattr(mags, "magnitudes")
+        assert same_bits(grid.magnitudes, np.abs(grid.values))
     with pytest.raises(ValueError, match="model spaces differ"):
         stft_magnitudes(f, ModelFunction(ModelSpace(GroupParams(p, mode), 0, 0), [1.0]))
 
