@@ -1,0 +1,22 @@
+"""numpy on first use: `np` is numpy once something has loaded it, and until then a module in
+sys.modules whose first attribute access runs numpy's import (importlib.util.LazyLoader).  A
+plain `import numpy` of that module runs it at once, so the package takes `np` from here."""
+
+import importlib.util
+import sys
+
+
+def _lazy(name: str):
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy("numpy")

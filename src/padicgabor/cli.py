@@ -13,10 +13,14 @@ same bytes without that pure-Python encoder for complex arrays (the stft
 grid, its floats written by orjson) and for the decomposition's point texts,
 made from the keys, which go to `--out` CHUNK items at a time.  `norms` reads
 only |V_g f| and never holds the complex grid (model.stft_magnitudes).
+numpy loads on first use (padicgabor._lazy): the numeric commands load it, and
+density, which counts exactly, never does.
 Exit codes: 0 success, 1 failed verification or violated internal identity,
 2 configuration or usage errors (every ValueError, TypeError or
 OverflowError, the library's input checks included, and a result that
-overflows or turns NaN, which numpy raises under the command's errstate).
+overflows or turns NaN, which numpy raises under the errstate main sets for
+the numeric commands) and output that cannot be written (one stderr line;
+none when the reader closed the pipe).
 """
 
 from __future__ import annotations
@@ -29,11 +33,11 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from itertools import islice, product, repeat
 
-import numpy as np
-
+from ._lazy import np
 from .density import (
     InvariantViolation,
     PointSet,
@@ -255,7 +259,7 @@ def _dump(doc, out) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=hole)
     except ValueError as exc:
         raise _not_finite(exc)
-    arrays = [value for value in holes if isinstance(value, np.ndarray)]
+    arrays = [value for value in holes if not isinstance(value, map)]  # no numpy for texts
     if not all(np.isfinite(_floats(value)).all() for value in arrays):
         raise _not_finite("the array holds NaN or infinity")
     if arrays:
@@ -533,10 +537,24 @@ def _open_out(args):
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # in a numeric command a float overflow or NaN in a result raises instead of warning on
+    # stderr; density counts exactly and never loads numpy
+    guard = (contextlib.nullcontext() if args.command == "density" else
+             np.errstate(over="raise", invalid="raise"))
     try:
-        # a float overflow or NaN in a result raises instead of warning on stderr
-        with _open_out(args) as out, np.errstate(over="raise", invalid="raise"):
-            return COMMANDS[args.command](args, out)
+        with _open_out(args) as out, guard:
+            code = COMMANDS[args.command](args, out)
+        sys.stdout.flush()  # a failed write to stdout fails here, not at exit
+        return code
+    except OSError as exc:  # a failed write: reading a config and opening --out raise ConfigError
+        if not isinstance(exc, BrokenPipeError):  # a reader that left ends the command quietly
+            sys.stderr.write(f"output error: {exc}\n")
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout failed: what it holds goes to devnull, so that the flush at
+            # exit cannot fail again (Python's note on SIGPIPE)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except FloatingPointError as exc:
         sys.stderr.write(f"config error: {_not_finite(exc)}\n")
         return 2

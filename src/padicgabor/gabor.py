@@ -31,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
+from ._lazy import np
 from .density import PHASE, PointSet, finite_density_check
 from .linalg import RANK_TOL, HermitianMatrix, RankDeficiencyError, hermitian_eigs, solve_hermitian
 from .model import ModelFunction, StftGrid, _same_space, row_norms, stft_grids, wiener_norm

@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import np
 
 HERMITICITY_TOL = 1e-12
 RANK_TOL = 1e-9
 EXIT_TOL = 1e-30  # the Jacobi stops once ||off-diagonal||_F <= EXIT_TOL * ||A||_F * n
-EPS = float(np.finfo(float).eps)
+EPS = sys.float_info.epsilon
 
 
 class RankDeficiencyError(RuntimeError):

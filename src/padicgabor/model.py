@@ -44,8 +44,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
+from ._lazy import np
 from .geometry import section
 from .localfield import CARRY, GroupElement, GroupParams, Phase
 

@@ -13,7 +13,7 @@ reproduces byte-identical output anywhere.
 
 from __future__ import annotations
 
-import numpy as np
+from ._lazy import np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

@@ -24,8 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._lazy import np
 from .density import (
     PointSet,
     automorphism_invariance_check,

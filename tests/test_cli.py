@@ -480,12 +480,17 @@ def _dumps(doc) -> str:
     return out.getvalue()
 
 
-def _assert_written_as_the_stdlib(doc) -> None:
-    """cli._dump writes _stdlib_dumps's text of doc; a failure names the first differing line
-    (pytest's own diff of two texts of megabytes would take minutes)."""
-    got, want = _dumps(doc).split("\n"), _stdlib_dumps(doc).split("\n")
+def _assert_same_text(got: str, want: str) -> None:
+    """got == want; a failure names the first differing line (pytest's own diff of two texts
+    of megabytes would take minutes)."""
+    got, want = got.split("\n"), want.split("\n")
     i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
     assert i == len(got) == len(want), f"line {i}: {got[i:i + 1]} != {want[i:i + 1]}"
+
+
+def _assert_written_as_the_stdlib(doc) -> None:
+    """cli._dump writes _stdlib_dumps's text of doc."""
+    _assert_same_text(_dumps(doc), _stdlib_dumps(doc))
 
 
 EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, -1.7976931348623157e308,
@@ -505,11 +510,10 @@ def test_emitted_grid_bytes_match_the_stdlib_encoder(mode, p):
         space = ModelSpace(params, m, k)
         f = ModelFunction(space, rng.complex_vector(space.dim))
         g = ModelFunction(space, rng.complex_vector(space.dim))
-        doc = stft(f, g).to_json_dict()
-        assert _dumps(doc) == _stdlib_dumps(doc)
+        _assert_written_as_the_stdlib(stft(f, g).to_json_dict())
     edges = [complex(re, im) for re in EDGE_FLOATS for im in EDGE_FLOATS]
-    doc = _grid_doc(params, 0, 4, np.resize(edges, (p**4, p**4)))  # every pair of edges
-    assert _dumps(doc) == _stdlib_dumps(doc)
+    # every pair of edges
+    _assert_written_as_the_stdlib(_grid_doc(params, 0, 4, np.resize(edges, (p**4, p**4))))
 
 
 def test_emitted_arrays_inside_a_document_match_the_stdlib_encoder():
@@ -573,7 +577,7 @@ def test_lists_are_written_a_chunk_at_a_time(count):
     doc = {"a": {"grid": values, "points": texts}, "z": [values[:2], 1.5]}
     out = _Writes()
     cli._dump({"a": {"grid": values, "points": map(str, texts)}, "z": [values[:2], 1.5]}, out)
-    assert out.getvalue() == _stdlib_dumps(doc)
+    _assert_same_text(out.getvalue(), _stdlib_dumps(doc))
     # an item is at most two floats, the brackets and indents of depth 4, and its separator
     item = 2 * max(map(len, map(repr, values.view(np.float64).tolist())), default=0) + 40
     assert max(out.lengths) <= cli.CHUNK * item + 200  # 200: the longest skeleton piece
@@ -664,6 +668,27 @@ def test_importing_the_cli_leaves_orjson_unloaded(tmp_path):
     assert subprocess.run([sys.executable, "-c", probe, frame, norms], env=env,
                           capture_output=True, text=True,
                           check=True).stdout == "[False, False, False, True]\n"
+
+
+def test_numpy_loads_with_the_first_numeric_command(tmp_path):
+    # neither the import nor a density run (its decomposition's texts written too) executes
+    # numpy; frame does
+    density = write_config(tmp_path, "d.json", {**DENSITY_SECTION, "task": CHECKED_TASK})
+    frame = write_config(tmp_path, "f.json", FRAME_ONB)
+    probe = ("import io, sys, contextlib, padicgabor.cli as c\n"
+             "def loaded():\n"
+             "    return any(name in sys.modules for name in ('numpy._core', 'numpy.core'))\n"
+             "seen = [loaded()]\n"
+             "for argv in (['density', '--config', sys.argv[1]],\n"
+             "             ['frame', '--config', sys.argv[2]]):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert c.main(argv) == 0\n"
+             "    seen.append(loaded())\n"
+             "print(seen)")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    assert subprocess.run([sys.executable, "-c", probe, density, frame], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout == "[False, False, True]\n"
 
 
 EXPLICIT_TIGHT = {**FRAME_TIGHT, "lambda": {"ambient": "phase", "type": "explicit",

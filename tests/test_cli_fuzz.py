@@ -9,10 +9,14 @@ reproduces on every run.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import zlib
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -232,3 +236,79 @@ def test_nested_unions_keep_the_exit_contract(command, depth):
     text = ('{"group": {"p": 2}, "model": {"m": 1, "k": 1}, "window": {"type": "indicator"}, '
             f'"task": {{"region": 1}}, "lambda": {lam}}}')
     _check(command, text)
+
+
+# Output that cannot be written: a full disk exits 2 with one stderr line, a reader that
+# closes the pipe ends the command quietly with exit 2; neither prints a traceback.
+
+README_CONFIG = {
+    "group": {"p": 2, "mode": "carry"},
+    "model": {"m": 1, "k": 1},
+    "window": {"type": "scaled-indicator", "set_scale": -1},
+    "lambda": {"ambient": "phase", "type": "product-sections",
+               "x": {"outer": 1, "inner": -1}, "xi": {"outer": 1, "inner": -1}},
+    "task": {"region": 1, "n_range": [-1, 1], "p_exp": 2},
+}
+# stdout buffered, as by default: a small result then fails at the flush, not at its write
+ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+       "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
+def _cli(argv, **kwargs) -> subprocess.CompletedProcess:
+    """A padicgabor process run on argv; its stderr is captured as text."""
+    return subprocess.run([sys.executable, "-m", "padicgabor.cli", *argv], stderr=subprocess.PIPE,
+                          env=ENV, text=True, timeout=120, **kwargs)
+
+
+def _argv(command: str, tmp_path: Path) -> list[str]:
+    if command == "verify":
+        return ["verify", "--sizes", "small"]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    return [command, "--config", str(cfg)]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("target", ["--out", "stdout"])
+@pytest.mark.parametrize("command", ["density", "frame", "stft", "norms", "verify"])
+def test_a_full_disk_exits_2_with_one_line(command, target, tmp_path):
+    argv = _argv(command, tmp_path)
+    if target == "--out":
+        proc = _cli(argv + ["--out", "/dev/full"], stdout=subprocess.DEVNULL)
+    else:
+        with open("/dev/full", "w") as full:
+            proc = _cli(argv, stdout=full)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("output error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="sets a file size limit in the child")
+def test_a_write_that_fails_midway_exits_2_with_one_line(tmp_path):
+    # a 16 KiB file size limit stops the dim-64 grid's --out text (about 145 kB) after some
+    # chunks have gone out; what was written stays
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (16384, resource.RLIM_INFINITY))
+
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**README_CONFIG, "model": {"m": 3, "k": 3}}))
+    out = tmp_path / "grid.json"
+    proc = _cli(["stft", "--config", str(cfg), "--out", str(out)], stdout=subprocess.PIPE,
+                preexec_fn=limit)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("output error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert out.stat().st_size == 16384
+
+
+def test_a_reader_that_leaves_early_ends_the_command_quietly(tmp_path):
+    # a dim-128 grid's text (about 600 kB) outgrows the pipe's buffer, so writes fail after
+    # the reader has gone
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**README_CONFIG, "model": {"m": 4, "k": 3}}))
+    proc = subprocess.Popen([sys.executable, "-m", "padicgabor.cli", "stft", "--config", str(cfg)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (2, b"")
