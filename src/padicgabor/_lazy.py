@@ -1,6 +1,7 @@
-"""numpy on first use: `np` is numpy once something has loaded it, and until then a module in
-sys.modules whose first attribute access runs numpy's import (importlib.util.LazyLoader).  A
-plain `import numpy` of that module runs it at once, so the package takes `np` from here."""
+"""Modules on first use: _lazy(name) is the module once something has loaded it, and until then a
+module in sys.modules, bound on its parent package as an import binds it, whose first attribute
+access runs it (importlib.util.LazyLoader).  A plain `import numpy` of that module runs it at
+once, so the package takes `np` from here; the cli takes the layers some command never uses."""
 
 import importlib.util
 import sys
@@ -16,6 +17,9 @@ def _lazy(name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
     return module
 
 

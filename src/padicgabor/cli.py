@@ -14,7 +14,10 @@ grid, its floats written by orjson) and for the decomposition's point texts,
 made from the keys, which go to `--out` CHUNK items at a time.  `norms` reads
 only |V_g f| and never holds the complex grid (model.stft_magnitudes).
 numpy loads on first use (padicgabor._lazy): the numeric commands load it, and
-density, which counts exactly, never does.
+density, which counts exactly, never does.  So do the layers below the cli:
+the import runs localfield alone, and each command the layers it uses
+(density: density; stft and norms: model; frame: gabor, model, density and
+linalg; verify: all of them).
 Exit codes: 0 success, 1 failed verification or violated internal identity,
 2 configuration or usage errors (every ValueError, TypeError or
 OverflowError, the library's input checks included, and a result that
@@ -29,6 +32,7 @@ import argparse
 import cmath
 import contextlib
 import dataclasses
+import errno
 import functools
 import io
 import json
@@ -37,29 +41,15 @@ import os
 import sys
 from itertools import islice, product, repeat
 
-from ._lazy import np
-from .density import (
-    InvariantViolation,
-    PointSet,
-    automorphism_invariance_check,
-    density_profile,
-    finite_density_check,
-    is_uniformly_separated,
-    separated_decomposition,
-)
-from .gabor import build, frame_bounds
-from .linalg import ConvergenceError
+from ._lazy import _lazy, np
 from .localfield import CARRY, GroupElement, GroupParams, parse_rational, rational_text
-from .model import (
-    ModelFunction,
-    ModelSpace,
-    indicator,
-    modulation_norm,
-    stft,
-    stft_magnitudes,
-    wiener_norm,
-)
-from .verify import DEFAULT_SEED, run_suite
+
+# the layers some command never uses run on first use, as numpy does (_lazy)
+density = _lazy("padicgabor.density")
+gabor = _lazy("padicgabor.gabor")
+linalg = _lazy("padicgabor.linalg")
+model = _lazy("padicgabor.model")
+verify = _lazy("padicgabor.verify")
 
 MAX_ENTRIES = 2**22  # complex entries of any array a command builds: 64 MiB, dim <= 2048
 MAX_FRAME_DIM = 2**8  # dim of a frame model: S costs O(dim^2 count), its eigenvalues O(dim^3)
@@ -137,25 +127,25 @@ def _parse_group(doc: dict) -> GroupParams:
                        _get(group, "mode", "group", default=CARRY))
 
 
-def _parse_model(doc: dict, params: GroupParams, max_dim: int | None = None) -> ModelSpace:
-    model = _get(doc, "model", "config")
-    m = _get(model, "m", "model", int, lo=0)
-    k = _get(model, "k", "model", int, lo=0)
+def _parse_model(doc: dict, params: GroupParams, max_dim: int | None = None) -> model.ModelSpace:
+    sizes = _get(doc, "model", "config")
+    m = _get(sizes, "m", "model", int, lo=0)
+    k = _get(sizes, "k", "model", int, lo=0)
     # the stft grid, the norms and the frame operator hold dim**2 entries
     _power_at_most(params.p, 2 * (m + k), MAX_ENTRIES, "model entries dim^2 =")
     if max_dim is not None:
         _power_at_most(params.p, m + k, max_dim, "frame model dim =")
-    return ModelSpace(params, m, k)
+    return model.ModelSpace(params, m, k)
 
 
-def _parse_function(doc: dict, space: ModelSpace, role: str) -> ModelFunction:
+def _parse_function(doc: dict, space: model.ModelSpace, role: str) -> model.ModelFunction:
     kind = _get(doc, "type", role)
     if kind in ("indicator", "scaled-indicator"):
         set_scale = _get(doc, "set_scale", role, int, default=0)
         shift = _get(doc, "shift", role, default=None)
         if shift is not None:
             shift = GroupElement(space.params, *_rational(space.params, shift, f"{role} shift"))
-        fn = indicator(space, set_scale=set_scale, shift=shift)
+        fn = model.indicator(space, set_scale=set_scale, shift=shift)
         if kind == "scaled-indicator":
             fn = fn.scaled(float(space.params.p) ** (-set_scale / 2.0))
         return fn
@@ -172,14 +162,14 @@ def _parse_function(doc: dict, space: ModelSpace, role: str) -> ModelFunction:
             raise ConfigError(f"{role} values must be [re, im] pairs of numbers")
         if not all(map(cmath.isfinite, values)):
             raise ConfigError(f"{role} values must be finite (no NaN or Infinity)")
-        fn = ModelFunction(space, values)
+        fn = model.ModelFunction(space, values)
         if fn.is_zero():
             raise ConfigError(f"{role} must be nonzero")
         return fn
     raise ConfigError(f"unknown {role} type {kind!r:.80}")
 
 
-def _parse_points(doc: dict, params: GroupParams, budget: int = MAX_POINTS) -> PointSet:
+def _parse_points(doc: dict, params: GroupParams, budget: int = MAX_POINTS) -> density.PointSet:
     """The lambda of a config, with at most budget points, counted before any is built."""
     kind = _get(doc, "type", "lambda")
     if kind == "union":
@@ -193,7 +183,8 @@ def _parse_points(doc: dict, params: GroupParams, budget: int = MAX_POINTS) -> P
         if any(p.ambient != ambient for p in parts):
             raise ConfigError("union lambda mixes group and phase parts")
         anchor = max(p.anchor for p in parts)
-        return PointSet(ambient, params, anchor, tuple(k for p in parts for k in p.keys_at(anchor)))
+        return density.PointSet(ambient, params, anchor,
+                                tuple(k for p in parts for k in p.keys_at(anchor)))
     ambient = _get(doc, "ambient", "lambda", default="phase")
     if ambient not in ("group", "phase"):
         raise ConfigError(f"lambda ambient must be 'group' or 'phase', got {ambient!r:.80}")
@@ -202,27 +193,28 @@ def _parse_points(doc: dict, params: GroupParams, budget: int = MAX_POINTS) -> P
         if len(points) > budget:
             raise ConfigError(f"lambda lists {len(points)} points, more than the {budget} allowed")
         if ambient == "group":
-            return PointSet.rationals(ambient, [_rational(params, text, "lambda point")
-                                                for text in points], params)
+            return density.PointSet.rationals(ambient, [_rational(params, text, "lambda point")
+                                                        for text in points], params)
         coords = []
         for pair in points:
             if not (isinstance(pair, list) and len(pair) == 2):  # a 2-char text would unpack
                 raise ConfigError(f"a phase lambda point must be a pair [x, xi], got {pair!r:.80}")
             coords += [_rational(params, text, "lambda point") for text in pair]
-        return PointSet.rationals(ambient, coords, params)
+        return density.PointSet.rationals(ambient, coords, params)
     if kind == "product-sections":
         x = _section_scales(_get(doc, "x", "lambda"), "lambda.x")
         xi = (0, 0)  # a group lambda has no xi axis
         if ambient == "phase":
             xi = _section_scales(_get(doc, "xi", "lambda"), "lambda.xi")
         _power_at_most(params.p, x[0] - x[1] + xi[0] - xi[1], budget, "lambda points")
-        xs, xis = (PointSet("group", params, outer, tuple(range(params.p ** (outer - inner))))
+        xs, xis = (density.PointSet("group", params, outer,
+                                    tuple(range(params.p ** (outer - inner))))
                    for outer, inner in (x, xi))  # member a is a * p^-outer, as in geometry.section
         if ambient == "group":
             return xs
         anchor = max(x[0], xi[0])
-        return PointSet(ambient, params, anchor, tuple(product(xs.keys_at(anchor),
-                                                               xis.keys_at(anchor))))
+        return density.PointSet(ambient, params, anchor, tuple(product(xs.keys_at(anchor),
+                                                                       xis.keys_at(anchor))))
     raise ConfigError(f"unknown lambda type {kind!r:.80}")
 
 
@@ -334,13 +326,14 @@ def cmd_density(args, out) -> int:
         power = _get(task, "automorphism_power", "task", int, default=2, lo=1,
                      hi=MAX_SCALE // max(1, -n_lo))
     lam = _parse_points(_get(config, "lambda", "config"), params)
-    prof = density_profile(lam, (n_lo, n_hi), region)
+    prof = density.density_profile(lam, (n_lo, n_hi), region)
     doc = {"profile": prof.to_json_dict()}
     if "separation" in checks:
-        parts = separated_decomposition(lam, sep_scale, region) if lam.ambient == "group" else None
+        parts = (density.separated_decomposition(lam, sep_scale, region)
+                 if lam.ambient == "group" else None)
         doc["uniformly_separated"] = {
             "scale": sep_scale,
-            "separated": is_uniformly_separated(lam, sep_scale),
+            "separated": density.is_uniformly_separated(lam, sep_scale),
         }
         if parts is not None:
             doc["decomposition"] = {
@@ -356,7 +349,7 @@ def cmd_density(args, out) -> int:
                 ],
             }
     if "finite" in checks:
-        rep = finite_density_check(lam, fin_scale, region)
+        rep = density.finite_density_check(lam, fin_scale, region)
         doc["finite_density"] = {
             "scale": rep.n,
             "max_per_ball": rep.max_per_ball,
@@ -366,7 +359,8 @@ def cmd_density(args, out) -> int:
             ],
         }
     if "automorphism" in checks:
-        rep = automorphism_invariance_check(lam, power, (n_lo, min(n_hi, region // power)), region)
+        rep = density.automorphism_invariance_check(lam, power,
+                                                    (n_lo, min(n_hi, region // power)), region)
         doc["automorphism_invariance"] = {
             "power": rep.r,
             "all_equal": rep.all_equal,
@@ -396,11 +390,12 @@ def cmd_frame(args, out) -> int:
     # the system's dim x count vector matrix holds at most MAX_ENTRIES entries
     budget = min(MAX_POINTS, MAX_ENTRIES // space.dim)
     lam = _parse_points(_get(config, "lambda", "config"), params, budget)
-    _dump(frame_bounds(build(window, lam)).to_json_dict(), out)
+    _dump(gabor.frame_bounds(gabor.build(window, lam)).to_json_dict(), out)
     return 0
 
 
-def _function_pair(config: dict, space: ModelSpace) -> tuple[ModelFunction, ModelFunction]:
+def _function_pair(config: dict,
+                   space: model.ModelSpace) -> tuple[model.ModelFunction, model.ModelFunction]:
     window = _parse_function(_get(config, "window", "config"), space, "window")
     if "function" in config:
         f = _parse_function(config["function"], space, "function")
@@ -414,7 +409,7 @@ def cmd_stft(args, out) -> int:
     params = _parse_group(config)
     space = _parse_model(config, params)
     f, window = _function_pair(config, space)
-    _dump(stft(f, window).to_json_dict(), out)
+    _dump(model.stft(f, window).to_json_dict(), out)
     return 0
 
 
@@ -426,10 +421,10 @@ def cmd_norms(args, out) -> int:
     task = _get(config, "task", "config", dict, default={})
     p_exp = _get(task, "p_exp", "task", default=2)
     p_exp = math.inf if p_exp == "inf" else _get(task, "p_exp", "task", (int, float), default=2)
-    grid = stft_magnitudes(f, window)
-    wie2 = wiener_norm(grid, 2)
+    grid = model.stft_magnitudes(f, window)
+    wie2 = model.wiener_norm(grid, 2)
     if p_exp != 2:
-        mod, wie = modulation_norm(grid, p_exp), wiener_norm(grid, p_exp)
+        mod, wie = model.modulation_norm(grid, p_exp), model.wiener_norm(grid, p_exp)
     lhs, mod2 = grid.l2_norms()  # the last: it squares |V| in place
     if p_exp == 2:
         mod, wie = mod2, wie2
@@ -469,7 +464,9 @@ def cmd_verify(args, out) -> int:
     unsupported = sorted(set(p_list) - {2, 3})
     if unsupported:
         raise ConfigError(f"suite configurations cover p in {{2, 3}}; got {unsupported}")
-    results = run_suite(p_list=p_list, size=args.sizes, seed=args.seed)
+    # read here, not as the parser's default, which would run verify for every command
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    results = verify.run_suite(p_list=p_list, size=args.sizes, seed=seed)
     for result in results:
         sys.stdout.write(result.line() + "\n")
     passed = sum(r.passed for r in results)
@@ -510,7 +507,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", default="paper")
     sp.add_argument("--p", default="2,3", help="comma-separated primes")
     sp.add_argument("--sizes", default="full", choices=("small", "full"))
-    sp.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=lambda s: int(s, 0))  # None: verify.DEFAULT_SEED
     sp.add_argument("--out", help="also write JSON results to this path")
     return parser
 
@@ -526,13 +523,20 @@ COMMANDS = {
 
 def _open_out(args):
     """The stream a command writes its result to, opened before anything is computed."""
+    # verify prints its report lines either way; its JSON goes to --out only
+    if sys.stdout is None and (args.command == "verify" or not args.out):  # started with >&-
+        raise OSError(errno.EBADF, "stdout is closed")
     if args.out:
         try:
             return open(args.out, "w", encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot write --out {args.out}: {exc}")
-    # verify prints its report lines either way; its JSON goes to --out only
     return contextlib.nullcontext(io.StringIO() if args.command == "verify" else sys.stdout)
+
+
+def _flush_stdout() -> None:
+    if sys.stdout is not None:  # None when started with stdout closed: see _open_out
+        sys.stdout.flush()
 
 
 def main(argv=None) -> int:
@@ -544,13 +548,13 @@ def main(argv=None) -> int:
     try:
         with _open_out(args) as out, guard:
             code = COMMANDS[args.command](args, out)
-        sys.stdout.flush()  # a failed write to stdout fails here, not at exit
+        _flush_stdout()  # a failed write to stdout fails here, not at exit
         return code
     except OSError as exc:  # a failed write: reading a config and opening --out raise ConfigError
         if not isinstance(exc, BrokenPipeError):  # a reader that left ends the command quietly
             sys.stderr.write(f"output error: {exc}\n")
         try:
-            sys.stdout.flush()
+            _flush_stdout()
         except OSError:  # stdout failed: what it holds goes to devnull, so that the flush at
             # exit cannot fail again (Python's note on SIGPIPE)
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -563,10 +567,10 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OverflowError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    except InvariantViolation as exc:
+    except density.InvariantViolation as exc:
         sys.stderr.write(f"internal invariant violated: {exc}\n")
         return 1
-    except ConvergenceError as exc:
+    except linalg.ConvergenceError as exc:
         sys.stderr.write(f"eigensolver failed: {exc}\n")
         return 1
 

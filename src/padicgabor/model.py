@@ -28,14 +28,15 @@ rounds exactly as the per-digit einsum does, and modular translation by index
 a is XOR with a, since digit-wise subtraction mod 2 is XOR.
 
 Short-time Fourier transforms take a stack of (f, g) pairs and run their
-translation rows f * conj(T_x g) through one batched transform per
-STFT_BLOCK rows, several small pairs to a call, and hand out the grids one by
-one; stft takes the grid of one pair.  stft_magnitudes keeps only |V_g f| of
-one pair, which is all the norms read: it takes np.abs of each block of the
-same loop, so it never holds the complex grid and its magnitudes are those of
-stft bit for bit.  Each grid carries every nonzero value of V_g f on the whole
-plane, since V_g f vanishes for x outside A^m H or xi outside the dual window
-and is constant on cosets of A^-k H x A^-m(dual) at model resolution.
+translation rows f * conj(T_x g) through one batched transform per block
+of rows (STFT_BLOCK rows, fewer above dim 512), several small pairs to a
+call, and hand out the grids one by one; stft takes the grid of one pair.
+stft_magnitudes keeps only |V_g f| of one pair, which is all the norms read:
+it takes np.abs of each block of the same loop, so it never holds the
+complex grid and its magnitudes are those of stft bit for bit.  Each grid
+carries every nonzero value of V_g f on the whole plane, since V_g f
+vanishes for x outside A^m H or xi outside the dual window and is constant
+on cosets of A^-k H x A^-m(dual) at model resolution.
 """
 
 from __future__ import annotations
@@ -49,9 +50,11 @@ from .geometry import section
 from .localfield import CARRY, GroupElement, GroupParams, Phase
 
 
-# translation rows per batched transform in stft_grids: bounds the working set
-# to a few STFT_BLOCK x dim arrays next to the grids of the pairs in the call
+# translation rows per batched transform in stft_grids, and at most STFT_BLOCK_ENTRIES
+# entries per block: bounds the working set to a few such blocks next to the grids of the
+# pairs in the call (32 rows at dim 1024, 16 at dim 2048)
 STFT_BLOCK = 64
+STFT_BLOCK_ENTRIES = 2**15
 
 
 class ResolutionError(ValueError):
@@ -398,17 +401,19 @@ def _stft_blocks(space: ModelSpace, fs: np.ndarray, gs: np.ndarray):
     """Yield (start, block) for each batched transform, pairs in order: block[i, r] is row
     start + r of V_g f for the i-th pair of the call, over the dual index section.
 
-    One call takes STFT_BLOCK translation rows f * conj(T_x g) of one pair, or every row of
-    the STFT_BLOCK // dim pairs that fit.  The product goes to a fresh block, out of place:
-    numpy rounds a length-1 product in place as it would in pure Python.  Every consumer of
-    the STFT reads these blocks, so the complex grid and its magnitudes agree bit for bit.
+    One call takes STFT_BLOCK translation rows f * conj(T_x g) of one pair, fewer where a block
+    would pass STFT_BLOCK_ENTRIES entries, or every row of the STFT_BLOCK // dim pairs that
+    fit.  The product goes to a fresh block, out of place: numpy rounds a length-1 product in
+    place as it would in pure Python.  Every consumer of the STFT reads these blocks, so the
+    complex grid and its magnitudes agree bit for bit.
     """
     n = space.dim
     per = max(1, STFT_BLOCK // n)
+    rows = min(STFT_BLOCK, max(1, STFT_BLOCK_ENTRIES // n))
     for first in range(0, len(fs), per):
         f, g = fs[first:first + per, np.newaxis], gs[first:first + per]
-        for start in range(0, n, STFT_BLOCK):
-            shifted = g[:, space.shift_table(np.arange(start, min(n, start + STFT_BLOCK)))]
+        for start in range(0, n, rows):
+            shifted = g[:, space.shift_table(np.arange(start, min(n, start + rows)))]
             block = np.multiply(f, np.conjugate(shifted, out=shifted))
             yield start, np.multiply(space.coset_measure, space.raw_dual_sums(block), out=block)
 
@@ -439,7 +444,7 @@ def stft_magnitudes(f: ModelFunction, g: ModelFunction) -> StftMagnitudes:
     n = f.space.dim
     mags = np.empty((n, n))
     for start, block in _stft_blocks(f.space, f.coeffs[np.newaxis], g.coeffs[np.newaxis]):
-        np.abs(block[0], out=mags[start:start + STFT_BLOCK])
+        np.abs(block[0], out=mags[start:start + block.shape[1]])
     return StftMagnitudes(f.space, mags)
 
 

@@ -691,6 +691,39 @@ def test_numpy_loads_with_the_first_numeric_command(tmp_path):
                           check=True).stdout == "[False, False, True]\n"
 
 
+# the padicgabor modules a process has executed after the import and one command: a layer
+# that command does not use stays an unexecuted lazy module (padicgabor._lazy)
+EXECUTED_LAYERS = {
+    "import": "_lazy cli localfield",
+    "density": "_lazy cli density localfield",
+    "stft": "_lazy cli geometry localfield model",
+    "norms": "_lazy cli geometry localfield model",
+    "frame": "_lazy cli density gabor geometry linalg localfield model",
+    "verify": "_lazy cli density gabor geometry linalg localfield model rng verify",
+}
+
+
+@pytest.mark.parametrize("command", list(EXECUTED_LAYERS))
+def test_each_command_executes_only_the_layers_it_uses(tmp_path, command):
+    argv = {"import": [], "verify": ["verify", "--sizes", "small"]}.get(command)
+    if argv is None:
+        doc = {**DENSITY_SECTION, "task": CHECKED_TASK} if command == "density" else FRAME_ONB
+        argv = [command, "--config", write_config(tmp_path, "c.json", doc)]
+    # the lazy layers are bound on the package, as an import binds them
+    probe = ("import contextlib, importlib.util, io, sys, padicgabor, padicgabor.cli as c\n"
+             "for name in ('density', 'gabor', 'linalg', 'model', 'verify'):\n"
+             "    assert getattr(padicgabor, name) is sys.modules['padicgabor.' + name], name\n"
+             "if sys.argv[1:]:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert c.main(sys.argv[1:]) == 0\n"
+             "print(*sorted(n.removeprefix('padicgabor.') for n, m in sys.modules.items()\n"
+             "              if n.startswith('padicgabor.')\n"
+             "              and type(m) is not importlib.util._LazyModule))")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    assert subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
+                          text=True, check=True).stdout == EXECUTED_LAYERS[command] + "\n"
+
+
 EXPLICIT_TIGHT = {**FRAME_TIGHT, "lambda": {"ambient": "phase", "type": "explicit",
                                             "points": [["0", "0"], ["1/2", "1/2"]]}}
 
@@ -910,7 +943,7 @@ def test_sizes_beyond_the_bounds_exit_2(tmp_path, capsys, monkeypatch, case):
     def built(*args):
         raise AssertionError("a point set was built before the bounds were checked")
 
-    monkeypatch.setattr(cli.PointSet, "__post_init__", built)
+    monkeypatch.setattr(PointSet, "__post_init__", built)
     command, doc = BOUND_CASES[case]
     cfg = tmp_path / "c.json"
     cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))

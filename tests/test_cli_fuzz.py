@@ -282,6 +282,25 @@ def test_a_full_disk_exits_2_with_one_line(command, target, tmp_path):
     assert proc.stderr.startswith("output error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="closes stdout in the child")
+@pytest.mark.parametrize("target", ["--out", "stdout"])
+@pytest.mark.parametrize("command", ["density", "frame", "stft", "norms", "verify"])
+def test_a_closed_stdout_exits_2_with_one_line(command, target, tmp_path):
+    # started with stdout closed (>&-), Python's sys.stdout is None; a result for --out needs
+    # no stdout, but verify prints its report lines there either way
+    argv = _argv(command, tmp_path)
+    out = tmp_path / "result.json"
+    if target == "--out":
+        argv += ["--out", str(out)]
+    proc = _cli(argv, preexec_fn=lambda: os.close(1))
+    if target == "--out" and command != "verify":
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(out.read_text())
+        return
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("output error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="sets a file size limit in the child")
 def test_a_write_that_fails_midway_exits_2_with_one_line(tmp_path):
     # a 16 KiB file size limit stops the dim-64 grid's --out text (about 145 kB) after some

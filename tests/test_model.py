@@ -32,6 +32,8 @@ from padicgabor.model import (
     inner,
     modulate,
     STFT_BLOCK,
+    STFT_BLOCK_ENTRIES,
+    _stft_blocks,
     modulation_norm,
     row_norms,
     stft,
@@ -581,6 +583,25 @@ def test_stft_magnitudes_are_the_grid_magnitudes(p, mode):
         assert same_bits(grid.magnitudes, np.abs(grid.values))
     with pytest.raises(ValueError, match="model spaces differ"):
         stft_magnitudes(f, ModelFunction(ModelSpace(GroupParams(p, mode), 0, 0), [1.0]))
+
+
+@pytest.mark.parametrize("mode", (CARRY, MODULAR))
+@pytest.mark.parametrize("m, k", ((5, 5), (6, 5)))
+def test_stft_magnitudes_in_short_blocks_are_the_rows_transformed_one_at_a_time(m, k, mode):
+    # dims 1024 and 2048 take blocks of 32 and 16 rows (STFT_BLOCK_ENTRIES), not STFT_BLOCK;
+    # a row of |V_g f| has the bits of that row transformed by itself
+    space = ModelSpace(GroupParams(2, mode), m, k)
+    rng = SplitMix64(28 + m)
+    f, g = rand_fn(space, rng), rand_fn(space, rng)
+    rows = STFT_BLOCK_ENTRIES // space.dim
+    assert rows == {1024: 32, 2048: 16}[space.dim]
+    assert {block.shape[1] for _, block in _stft_blocks(space, f.coeffs[np.newaxis],
+                                                        g.coeffs[np.newaxis])} == {rows}
+    mags = stft_magnitudes(f, g).magnitudes
+    for x in range(space.dim):
+        row = f.coeffs * np.conjugate(g.coeffs[space.shift_table(np.array([x]))])
+        want = np.abs(np.multiply(space.coset_measure, space.raw_dual_sums(row)))[0]
+        assert same_bits(mags[x], want), (space, x)
 
 
 def test_row_norms_match_one_row_at_a_time():
