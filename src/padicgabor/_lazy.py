@@ -23,4 +23,9 @@ def _lazy(name: str):
     return module
 
 
+def ran(module) -> bool:
+    """Whether a module has run; asking does not run a lazy one, as any attribute access would."""
+    return type(module) is not importlib.util._LazyModule
+
+
 np = _lazy("numpy")

@@ -23,7 +23,8 @@ Exit codes: 0 success, 1 failed verification or violated internal identity,
 OverflowError, the library's input checks included, and a result that
 overflows or turns NaN, which numpy raises under the errstate main sets for
 the numeric commands) and output that cannot be written (one stderr line;
-none when the reader closed the pipe).
+none when the reader closed the pipe).  A process started with stderr closed
+exits with the same codes, without that line.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import os
 import sys
 from itertools import islice, product, repeat
 
-from ._lazy import _lazy, np
+from ._lazy import _lazy, np, ran
 from .localfield import CARRY, GroupElement, GroupParams, parse_rational, rational_text
 
 # the layers some command never uses run on first use, as numpy does (_lazy)
@@ -52,7 +53,7 @@ model = _lazy("padicgabor.model")
 verify = _lazy("padicgabor.verify")
 
 MAX_ENTRIES = 2**22  # complex entries of any array a command builds: 64 MiB, dim <= 2048
-MAX_FRAME_DIM = 2**8  # dim of a frame model: S costs O(dim^2 count), its eigenvalues O(dim^3)
+MAX_FRAME_DIM = 2**9  # dim of a frame model: its eigenvalues cost O(dim^3); S at most as much
 MAX_POINTS = 2**20  # points a lambda lists or generates
 MAX_P = 2**16  # the prime
 MAX_SCALE = 64  # density scales and powers, |valuation| of a config element
@@ -387,7 +388,8 @@ def cmd_frame(args, out) -> int:
     params = _parse_group(config)
     space = _parse_model(config, params, MAX_FRAME_DIM)
     window = _parse_function(_get(config, "window", "config"), space, "window")
-    # the system's dim x count vector matrix holds at most MAX_ENTRIES entries
+    # as many points as a dim x count vector matrix of MAX_ENTRIES entries has columns, although
+    # only the einsum route for small counts forms it (gabor.frame_operator)
     budget = min(MAX_POINTS, MAX_ENTRIES // space.dim)
     lam = _parse_points(_get(config, "lambda", "config"), params, budget)
     _dump(gabor.frame_bounds(gabor.build(window, lam)).to_json_dict(), out)
@@ -539,6 +541,17 @@ def _flush_stdout() -> None:
         sys.stdout.flush()
 
 
+def _complain(line: str) -> None:
+    """One line on stderr, which a process started with it closed (2>&-) may lack: sys.stderr
+    is then None, or a stream whose writes fail."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(line + "\n")
+    except OSError:  # what it holds goes to devnull, so that the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # in a numeric command a float overflow or NaN in a result raises instead of warning on
@@ -552,7 +565,7 @@ def main(argv=None) -> int:
         return code
     except OSError as exc:  # a failed write: reading a config and opening --out raise ConfigError
         if not isinstance(exc, BrokenPipeError):  # a reader that left ends the command quietly
-            sys.stderr.write(f"output error: {exc}\n")
+            _complain(f"output error: {exc}")
         try:
             _flush_stdout()
         except OSError:  # stdout failed: what it holds goes to devnull, so that the flush at
@@ -560,18 +573,22 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except FloatingPointError as exc:
-        sys.stderr.write(f"config error: {_not_finite(exc)}\n")
+        _complain(f"config error: {_not_finite(exc)}")
         return 2
     # ConfigError, ResolutionError and the library's input checks; OverflowError is
     # a config number too large for a float
     except (ValueError, TypeError, OverflowError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
+        _complain(f"config error: {exc}")
         return 2
-    except density.InvariantViolation as exc:
-        sys.stderr.write(f"internal invariant violated: {exc}\n")
-        return 1
-    except linalg.ConvergenceError as exc:
-        sys.stderr.write(f"eigensolver failed: {exc}\n")
+    # an instance of these classes exists only once its layer has run, so a layer that has
+    # not run is not asked, which would run it
+    except Exception as exc:
+        if ran(density) and isinstance(exc, density.InvariantViolation):
+            _complain(f"internal invariant violated: {exc}")
+        elif ran(linalg) and isinstance(exc, linalg.ConvergenceError):
+            _complain(f"eigensolver failed: {exc}")
+        else:
+            raise
         return 1
 
 

@@ -1,19 +1,28 @@
 """Gabor systems on model spaces: Gram/frame operators and diagnostics.
 
 A system is the family M_xi T_x phi over a finite multiset of plane points
-(x, xi), stored once as the dim x count matrix of its vectors.  build reads
-two index arrays from the point keys, the space's indices of the x and its
-dual's of the xi, so the space's indices is the one window test.  The frame
-operator S f = sum <f, v> v is assembled as a dim x dim Hermitian matrix
-acting on coefficient vectors with the coset measure folded in; its
-extreme eigenvalues are the frame bounds of the system for the model
-space, the natural desk-scale reading of "frame for L^2".  Each system
-diagonalizes S at most once.  Bounds, rank, the ONB test and the Riesz
-test need only eigenvalues (GaborSystem.values_spectrum); only the canonical
-dual needs vectors (GaborSystem.spectrum), and a dual taken first leaves its
-full decomposition for the bounds to read.  No count x count Gram is formed
-for them.  A Riesz basis is a spanning square system: in finite dimension
-its Gram is invertible and its canonical dual biorthogonal.  Classification:
+(x, xi).  build reads two index arrays from the point keys, the space's
+indices of the x and its dual's of the xi, so the space's indices is the one
+window test; the dim x count matrix of the vectors is made on first use
+(duals, analysis, the Gram).  The frame operator S f = sum <f, v> v is
+assembled as a dim x dim Hermitian matrix acting on coefficient vectors with
+the coset measure folded in; its extreme eigenvalues are the frame bounds of
+the system for the model space, the natural desk-scale reading of "frame
+for L^2".  frame_operator takes one of two routes, chosen from dim and count
+alone (takes_transforms): an einsum over the vectors, O(dim^2 count), for
+systems made from an explicit matrix and for small ones, and four batched
+transforms that never form the vectors (_transform_frame_operator),
+O(dim^2 p (m + k)) whatever the count.  The crossover, measured on 2 cores
+for p from 2 to 509, both modes and dims 4 to 512, lies at 5 to 19 points
+per p (m + k) from dim 64 up and at 1.5e4 to 2.4e5 MACs below.
+
+Each system diagonalizes S at most once.  Bounds, rank, the ONB test and the
+Riesz test need only eigenvalues (GaborSystem.values_spectrum); only the
+canonical dual needs vectors (GaborSystem.spectrum), and a dual taken first
+leaves its full decomposition for the bounds to read.  No count x count Gram
+is formed for them.  A Riesz basis is a spanning square system: in finite
+dimension its Gram is invertible and its canonical dual biorthogonal.
+Classification:
 
 * ONB         -- count == dim and S = I: for square W, mu W W* = I iff
   mu W* W = I, and ||G - I||_2 = ||S - I||_2 = max |lambda - 1|;
@@ -47,12 +56,23 @@ INCOMPLETE = "Incomplete"
 ONB_TOL = 1e-12
 TIGHT_TOL = 1e-9
 
+# takes_transforms: the einsum's dim^2 count MACs against the transforms' dim rows through
+# m + k size-p digit steps each, p^(m+k) = dim
+TRANSFORM_MIN_MACS = 2**17
+TRANSFORM_COUNT_PER_DIGIT = 12
 
-@dataclass(frozen=True)  # frozen: spectrum is cached from these fields
+
 class GaborSystem:
-    window: ModelFunction
-    lam: PointSet
-    matrix: np.ndarray  # dim x count, column c is the vector of point c
+    """The vectors M_xi T_x window over lam: made by build from the points' index arrays, or
+    given as an explicit dim x count matrix (column c is the vector of point c)."""
+
+    def __init__(self, window: ModelFunction, lam: PointSet, matrix: np.ndarray | None = None,
+                 indices: tuple[np.ndarray, np.ndarray] | None = None):
+        self.window = window
+        self.lam = lam
+        self.indices = indices  # (index of each x, dual index of each xi), from build
+        if matrix is not None:
+            self.matrix = matrix  # shadows the cached property
 
     @property
     def dim(self) -> int:
@@ -60,7 +80,16 @@ class GaborSystem:
 
     @property
     def count(self) -> int:
-        return self.matrix.shape[1]
+        return len(self.indices[0]) if self.indices is not None else self.matrix.shape[1]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """dim x count: one gather-multiply over the index arrays.  Row c of the shift table
+        gathers T_{x_c} window, which the character row of xi_c then modulates."""
+        space = self.window.space
+        ax, bx = self.indices
+        rows = space.char_rows(bx) * self.window.coeffs[space.shift_table(ax)]
+        return np.ascontiguousarray(rows.T)
 
     def vector_matrix(self) -> np.ndarray:
         """dim x count matrix whose columns are the system vectors."""
@@ -79,20 +108,16 @@ class GaborSystem:
 
 
 def build(window: ModelFunction, lam: PointSet) -> GaborSystem:
-    """Materialize M_xi T_x window over lam, preserving order and multiplicity.
-
-    One gather-multiply over two index arrays: row c of the shift table gathers
-    T_{x_c} window, which the character row of xi_c then modulates.
-    """
+    """M_xi T_x window over lam, preserving order and multiplicity, as the two index arrays
+    of its points; the vectors are made on first use (GaborSystem.matrix)."""
     if window.is_zero():
         raise ValueError("window must be nonzero")
     if lam.ambient != PHASE:
         raise ValueError("a Gabor system needs phase-space points (x, xi)")
     space = window.space
     xs, xis = zip(*lam.keys) if lam.keys else ((), ())
-    shifts = space.shift_table(space.indices(xs, lam.anchor))
-    rows = space.char_rows(space.dual.indices(xis, lam.anchor)) * window.coeffs[shifts]
-    return GaborSystem(window, lam, np.ascontiguousarray(rows.T))
+    indices = space.indices(xs, lam.anchor), space.dual.indices(xis, lam.anchor)
+    return GaborSystem(window, lam, indices=indices)
 
 
 def gram(sys: GaborSystem) -> np.ndarray:
@@ -102,11 +127,57 @@ def gram(sys: GaborSystem) -> np.ndarray:
     return measure * np.einsum("ai,aj->ij", np.conj(w), w)
 
 
+def takes_transforms(dim: int, count: int) -> bool:
+    """Whether frame_operator takes a built system of this size through transforms."""
+    digits, rest, q = 0, dim, 2  # digits = p (m + k): the sum of dim's prime factors
+    while rest > 1:
+        while rest % q == 0:
+            rest //= q
+            digits += q
+        q += 1
+    return dim * dim * count >= TRANSFORM_MIN_MACS and count >= TRANSFORM_COUNT_PER_DIGIT * digits
+
+
 def frame_operator(sys: GaborSystem) -> np.ndarray:
     """dim x dim matrix of S f = sum <f, v> v in the coefficient basis."""
+    if sys.indices is not None and takes_transforms(sys.dim, sys.count):
+        return _transform_frame_operator(sys.window, *sys.indices)
     w = sys.vector_matrix()
     measure = sys.window.space.coset_measure
     return measure * np.einsum("ac,bc->ab", w, np.conj(w))
+
+
+def _transform_frame_operator(window: ModelFunction, ax: np.ndarray, bx: np.ndarray) -> np.ndarray:
+    """S of the system with index arrays (ax, bx), by four batched transforms.
+
+    Since chi_xi(a) conj chi_xi(a') = chi_xi(a - a'), S[a, a - d] = mu sum_x K[x, d] H[d, a - x]
+    with K[x, d] = sum_b h[x, b] chi_b(d) for h[x, b] the multiplicity of the point (x_x, xi_b),
+    and H[d, c] = g(c) conj g(c - d) (Walnut 1992; Groechenig 2001, 6.3).  For each d that is a
+    convolution over x, so row d of R[d, a] = S[a, a - d] / mu is the inverse transform of the
+    product of the transforms of K[., d] and H[d].  The pairing is symmetric in both modes and
+    raw_dual_sums depends only on p, mode and m + k, so every transform, the one over the dual
+    index b included, is the space's raw_dual_sums, and the inverse is conj . raw . conj / dim.
+    S is Hermitian, S[a - d, a] = conj S[a, a - d], so only one d of each pair d, -d is taken.
+    g is taken at an exact power-of-two scale near 1 / max|g| and S scaled back: the transform
+    of H reaches dim max|g|^2 and the inverse's sums count dim^2 max|g|^2, which can overflow
+    where S does not.
+    """
+    space = window.space
+    n = space.dim
+    e = int(np.frexp(np.max(np.abs(window.coeffs)))[1])
+    g = np.ldexp(window.coeffs.view(float), -e).view(complex)
+    shifts = space.shift_table(np.arange(n))  # [d, a]: the index of a - d; column 0 holds -d
+    half = np.flatnonzero(np.arange(n) <= shifts[:, 0])
+    shifts = shifts[half]
+    hist = np.bincount(ax * n + bx, minlength=n * n).reshape(n, n)
+    k = np.conj(space.raw_dual_sums(hist))  # K[x, d]: h is real
+    product = space.raw_dual_sums(k[:, half].T) * space.raw_dual_sums(g * np.conj(g[shifts]))
+    rows = np.conj(space.raw_dual_sums(np.conj(product)))  # dim R[d, a] for the d in half
+    rows *= space.coset_measure / n
+    s = np.empty((n, n), dtype=complex)
+    s[shifts, np.arange(n)] = np.conj(rows)
+    s[np.arange(n), shifts] = rows  # last: where d = -d the two writes differ by rounding
+    return np.ldexp(s.view(float), 2 * e).view(complex)
 
 
 def _analysis(sys: GaborSystem, f: ModelFunction) -> np.ndarray:

@@ -724,6 +724,27 @@ def test_each_command_executes_only_the_layers_it_uses(tmp_path, command):
                           text=True, check=True).stdout == EXECUTED_LAYERS[command] + "\n"
 
 
+def test_an_unexpected_exception_runs_no_further_layer(tmp_path):
+    # main matches its exit-1 failures (density.InvariantViolation, linalg.ConvergenceError)
+    # without running those layers, so a stft that fails unexpectedly runs model alone
+    probe = ("import importlib.util, sys, padicgabor.cli as c\n"
+             "def fail(*args):\n"
+             "    raise KeyError('unexpected')\n"
+             "c.model.stft = fail\n"
+             "try:\n"
+             "    c.main(sys.argv[1:])\n"
+             "except KeyError:\n"
+             "    print('KeyError')\n"
+             "print(*sorted(n.removeprefix('padicgabor.') for n, m in sys.modules.items()\n"
+             "              if n.startswith('padicgabor.')\n"
+             "              and type(m) is not importlib.util._LazyModule))")
+    cfg = write_config(tmp_path, "c.json", FRAME_TIGHT)
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", probe, "stft", "--config", cfg], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "KeyError\n" + EXECUTED_LAYERS["stft"] + "\n"
+
+
 EXPLICIT_TIGHT = {**FRAME_TIGHT, "lambda": {"ambient": "phase", "type": "explicit",
                                             "points": [["0", "0"], ["1/2", "1/2"]]}}
 
@@ -777,8 +798,9 @@ def test_eigensolver_failure_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_frame_dim_at_the_cap_is_accepted(tmp_path, capsys, monkeypatch):
-    # dim 256 = MAX_FRAME_DIM reaches the real eigensolver: the ONB's operator carries rounding
-    # off the diagonal, so it takes the tridiagonal path
+    # dim 512 = MAX_FRAME_DIM reaches the real eigensolver: the ONB's 512 points take the
+    # transform route, whose operator carries rounding off the diagonal, so it takes the
+    # tridiagonal path
     dims = []
     eigs = gabor.hermitian_eigs
 
@@ -787,16 +809,53 @@ def test_frame_dim_at_the_cap_is_accepted(tmp_path, capsys, monkeypatch):
         return eigs(matrix, vectors)
 
     monkeypatch.setattr(gabor, "hermitian_eigs", recorded)
-    side = {"outer": 4, "inner": 0}
-    doc = {**FRAME_ONB, "model": {"m": 4, "k": 4},
-           "lambda": {"ambient": "phase", "type": "product-sections", "x": side, "xi": side}}
+    doc = {**FRAME_ONB, "model": {"m": 5, "k": 4},
+           "lambda": {"ambient": "phase", "type": "product-sections",
+                      "x": {"outer": 5, "inner": 0}, "xi": {"outer": 4, "inner": 0}}}
     cfg = write_config(tmp_path, "f.json", doc)
+    assert gabor.takes_transforms(cli.MAX_FRAME_DIM, cli.MAX_FRAME_DIM)
     assert main(["frame", "--config", cfg]) == 0
     assert dims == [cli.MAX_FRAME_DIM]
     report = json.loads(capsys.readouterr().out)
     assert report["dim"] == report["count"] == report["rank"] == cli.MAX_FRAME_DIM
     assert (report["classification"], report["sweeps"]) == ("ONB", 0)
     assert abs(report["lower"] - 1.0) <= 1e-12 and abs(report["upper"] - 1.0) <= 1e-12
+
+
+def _full_budget_frame(mode, m, k):
+    """A frame config at the point budget of dim p^(m+k), p = 2: all x times the finest xi
+    section that fits, with a window of varied entries."""
+    dim = 2 ** (m + k)
+    budget = min(cli.MAX_POINTS, cli.MAX_ENTRIES // dim)
+    xi_width = budget.bit_length() - 1 - (m + k)
+    values = [[(i % 7 - 3) / 7, (i % 5 - 2) / 5] for i in range(dim)]
+    return {"group": {"p": 2, "mode": mode}, "model": {"m": m, "k": k},
+            "window": {"type": "coeffs", "values": values},
+            "lambda": {"ambient": "phase", "type": "product-sections",
+                       "x": {"outer": m, "inner": -k}, "xi": {"outer": k, "inner": k - xi_width}}}
+
+
+@pytest.mark.parametrize("mode", [CARRY, MODULAR])
+def test_a_full_budget_frame_makes_no_vector_matrix(tmp_path, capsys, monkeypatch, mode):
+    # 16384 points at dim 256: the dense route's dim x count matrix and count x dim shift table
+    # took 3.2 s and 193 MB; the transform route makes one dim x dim shift table
+    tables = []
+    shift_table = ModelSpace.shift_table
+
+    def recorded(space, ax):
+        tables.append(len(ax))
+        return shift_table(space, ax)
+
+    def no_matrix(sys):
+        raise AssertionError("the vector matrix was made")
+
+    monkeypatch.setattr(ModelSpace, "shift_table", recorded)
+    monkeypatch.setattr(gabor.GaborSystem, "matrix", property(no_matrix))
+    cfg = write_config(tmp_path, "f.json", _full_budget_frame(mode, 4, 4))
+    assert main(["frame", "--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["dim"], report["count"], report["rank"]) == (256, 16384, 256)
+    assert tables == [256]
 
 
 def test_ql_step_cap_exits_1(tmp_path, capsys, monkeypatch):
@@ -913,7 +972,7 @@ BOUND_CASES = {
     "model-extent": ("frame", {**FRAME_ONB, "model": {"m": 40, "k": 0}}),
     # dim^2 fits MAX_ENTRIES, but the frame operator and its O(dim^3) eigenvalues would not
     "frame-dim-1331": ("frame", {**FRAME_ONB, "group": {"p": 11}, "model": {"m": 2, "k": 1}}),
-    "frame-dim-512": ("frame", {**FRAME_ONB, "model": {"m": 5, "k": 4}}),
+    "frame-dim-1024": ("frame", {**FRAME_ONB, "model": {"m": 5, "k": 5}}),
     "prime": ("density", {**DENSITY_SECTION, "group": {"p": 1000000000000000003}}),
     "section-points": ("density", {**DENSITY_SECTION, "task": {"region": 22},
                                    "lambda": {"ambient": "group", "type": "product-sections",
@@ -1170,6 +1229,32 @@ def test_frame_never_asks_for_vectors(tmp_path, capsys, monkeypatch, case):
     assert asked == [False] and jacobi_runs == []
 
 
+def test_verify_and_the_pinned_frames_take_the_einsum(tmp_path, capsys, monkeypatch):
+    # their bytes are the einsum's: verify's systems have dim^2 count <= 8192 and the pinned
+    # frames at most 27^2 40, below the transform route's crossover
+    def no_transforms(*args):
+        raise AssertionError("a system took the transform route")
+
+    sizes = []
+    frame_operator = gabor.frame_operator
+
+    def recorded(sys):
+        sizes.append((sys.dim, sys.count))
+        return frame_operator(sys)
+
+    monkeypatch.setattr(gabor, "frame_operator", recorded)
+    monkeypatch.setattr(gabor, "_transform_frame_operator", no_transforms)
+    for case, (doc, digest) in PINNED_FRAMES.items():
+        cfg = write_config(tmp_path, f"{case}.json", doc)
+        assert main(["frame", "--config", cfg]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert max(dim * dim * count for dim, count in sizes) == 27 * 27 * 40
+    del sizes[:]
+    assert main(["verify", "--suite", "paper", "--sizes", "full"]) == 0
+    assert 0 < len(sizes) <= 30 and max(dim * dim * count for dim, count in sizes) <= 8192
+    assert not any(gabor.takes_transforms(dim, count) for dim, count in sizes)
+
+
 def test_verify_runs_one_jacobi_per_system(capsys, monkeypatch):
     # every decomposition starts from frame_operator; the list keeps each system alive, so
     # distinct ids mean no system was decomposed twice.  Only check 10's canonical duals take
@@ -1301,6 +1386,28 @@ def test_frame_of_a_huge_window_is_finite(tmp_path, capsys):
     assert main(["frame", "--config", cfg]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["classification"] == "TightFrame" and 2.29e300 < out["lower"] <= out["upper"]
+
+
+def test_frame_of_a_huge_window_on_the_transform_route_is_finite(tmp_path, capsys):
+    # entries near 2e152 on a system that takes transforms: the product of the transforms
+    # overflows (the exit was 2) though S stays below 1e307, so the route takes g at a
+    # power-of-two scale; its bounds are the einsum route's, from an explicit matrix
+    values = [[2e152 * (i % 7 - 3) / 3, 2e152 * (i % 5 - 2) / 2] for i in range(32)]
+    doc = {"group": {"p": 2, "mode": "carry"}, "model": {"m": 3, "k": 2},
+           "window": {"type": "coeffs", "values": values},
+           "lambda": {"ambient": "phase", "type": "product-sections",
+                      "x": {"outer": 3, "inner": -2}, "xi": {"outer": 2, "inner": -1}}}
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["frame", "--config", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    params = cli._parse_group(doc)
+    window = cli._parse_function(doc["window"], cli._parse_model(doc, params), "window")
+    built = gabor.build(window, cli._parse_points(doc["lambda"], params))
+    assert gabor.takes_transforms(built.dim, built.count) and built.count == 256
+    dense = gabor.frame_bounds(gabor.GaborSystem(window, built.lam, built.vector_matrix()))
+    assert out["classification"] == dense.classification and out["lower"] > 9e305
+    assert abs(out["lower"] - dense.lower) <= 1e-13 * dense.lower
+    assert abs(out["upper"] - dense.upper) <= 1e-13 * dense.upper
 
 
 # -- points as integer keys, against the GroupElement path ----------------------------

@@ -301,6 +301,56 @@ def test_a_closed_stdout_exits_2_with_one_line(command, target, tmp_path):
     assert proc.stderr.startswith("output error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+# failures that exit 1 only under a patch: a QL capped at one step, a density that breaks
+QL_CAP_1 = ("import functools\nfrom padicgabor import linalg\n"
+            "linalg._ql = functools.partial(linalg._ql, cap=1)\n")
+BROKEN_DENSITY = ("from padicgabor import density\n"
+                  "def broken(*args):\n"
+                  "    raise density.InvariantViolation('broken')\n"
+                  "density.density_profile = broken\n")
+# a frame whose operator is not diagonal, so the eigenvalues take the QL
+QL_FRAME = {**README_CONFIG,
+            "window": {"type": "coeffs", "values": [[1, 0], [0.5, 0.25], [0, 1], [-0.5, 0]]},
+            "lambda": {"ambient": "phase", "type": "explicit",
+                       "points": [["0", "0"], ["1/2", "1/2"], ["1", "0"], ["3/2", "1"]]}}
+# (command, failure): the exit code; every numeric command but verify reads a window
+CLOSED_STDERR = {
+    **{(command, "config"): 2 for command in ("density", "frame", "stft", "norms", "verify")},
+    **{(command, "output"): 2 for command in ("density", "frame", "stft", "norms", "verify")},
+    **{(command, "not-finite"): 2 for command in ("frame", "stft", "norms")},
+    **{(command, "failed-check"): 1 for command in ("density", "frame", "verify")},
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="closes stderr in the child")
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command,failure", list(CLOSED_STDERR))
+def test_a_closed_stderr_keeps_the_exit_code(command, failure, tmp_path):
+    # started with stderr closed (2>&-), Python's sys.stderr is None, or a stream whose writes
+    # fail: the error has no line to print but keeps its exit code
+    argv, patch = _argv(command, tmp_path), ""
+    cfg = tmp_path / "c.json"
+    if failure == "config":
+        argv = (["verify", "--p", "7"] if command == "verify" else
+                [command, "--config", str(tmp_path / "missing.json")])
+    elif failure == "output":
+        argv += ["--out", "/dev/full"]
+    elif failure == "not-finite":
+        cfg.write_text(json.dumps({**README_CONFIG, "window": {
+            "type": "coeffs", "values": [[1e200, 0], [0, 1e200], [1e200, 1e200], [1, 0]]}}))
+    elif command == "density":
+        patch = BROKEN_DENSITY
+    else:
+        patch = QL_CAP_1
+        if command == "frame":
+            cfg.write_text(json.dumps(QL_FRAME))
+    script = f"import sys\n{patch}from padicgabor.cli import main\nsys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=ENV, timeout=120,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stderr) == (CLOSED_STDERR[command, failure], "")
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="sets a file size limit in the child")
 def test_a_write_that_fails_midway_exits_2_with_one_line(tmp_path):
     # a 16 KiB file size limit stops the dim-64 grid's --out text (about 145 kB) after some

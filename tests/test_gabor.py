@@ -1,5 +1,7 @@
 """Gabor systems: construction, frame bounds, duals, and stress checks."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -467,3 +469,85 @@ def test_square_non_onb_classification_and_defect():
     assert abs(rep.gram_identity_defect - (1 + 5 ** 0.5) / 2) <= 1e-12
     g_minus_i = gram(sheared) - np.eye(space.dim)
     assert abs(rep.gram_identity_defect - np.linalg.norm(g_minus_i, 2)) <= 1e-12
+
+
+# -- the frame operator from transforms, against the einsum ------------------------------
+
+EPS = np.finfo(float).eps
+# on these multisets the transform route lies within 3 eps (m + k) max|S| of a long-double
+# einsum, and the einsum within 13 (the lattices, with the most points); their difference is
+# held to TRANSFORM_TOL of that unit
+TRANSFORM_TOL = 16
+# (params, m, k): each p with m != k, both modes
+TRANSFORM_SPACES = [(P2, 3, 2), (M2, 2, 3), (P3, 2, 1), (GroupParams(3, MODULAR), 1, 2),
+                    (GroupParams(5, CARRY), 0, 2), (GroupParams(5, MODULAR), 2, 0)]
+
+
+def _draw_indices(dim, kind, rng):
+    """(x indices, xi dual indices) of a seeded multiset of the named kind."""
+    draw = [rng.next_below(dim) for _ in range(6 * dim)]
+    if kind == "lattice":
+        return [a for a in range(dim) for _ in range(dim)], list(range(dim)) * dim
+    if kind == "one-x":  # a single x with repeated xi
+        return [draw[0]] * (2 * dim), [b % (dim // 2 + 1) for b in draw[1:2 * dim + 1]]
+    count = {"random": dim, "tripled": 3 * dim, "single": 1, "empty": 0}[kind]
+    # a pool of dim // 2 + 1 values per axis forces repeated points
+    pool = dim // 2 + 1
+    return [a % pool for a in draw[:count]], [b % pool for b in draw[3 * dim:3 * dim + count]]
+
+
+KINDS = ["random", "tripled", "one-x", "lattice", "single", "empty"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("params,m,k", TRANSFORM_SPACES, ids=lambda v: str(v))
+def test_transform_frame_operator_matches_the_einsum(params, m, k, kind):
+    space = ModelSpace(params, m, k)
+    rng = SplitMix64(48 + 8 * TRANSFORM_SPACES.index((params, m, k)) + KINDS.index(kind))
+    window = rand_fn(space, rng)
+    ax, bx = _draw_indices(space.dim, kind, rng)
+    points = tuple((space.index_section[a], space.dual.index_section[b]) for a, b in zip(ax, bx))
+    sys = build(window, PointSet.phase(points, params))
+    assert sys.indices[0].tolist() == ax and sys.indices[1].tolist() == bx
+    dense = frame_operator(GaborSystem(window, sys.lam, sys.vector_matrix()))
+    fast = gabor._transform_frame_operator(window, *sys.indices)
+    unit = EPS * max(1, m + k) * np.max(np.abs(dense))
+    assert np.max(np.abs(fast - dense)) <= TRANSFORM_TOL * unit
+    if kind == "empty":
+        assert not np.any(fast)
+
+
+def test_the_route_reads_only_dim_and_count(monkeypatch):
+    assert list(inspect.signature(gabor.takes_transforms).parameters) == ["dim", "count"]
+    # the four frame-diagnostics systems of perfbench/workloads.py: a dim-32 lattice of 1024
+    # points and random multisets of 256 points at dim 64 (both modes) and 243 at dim 81
+    assert all(gabor.takes_transforms(dim, count)
+               for dim, count in [(32, 1024), (64, 256), (81, 243)])
+    # the einsum below the crossover: few MACs, or few points per p (m + k)
+    assert not gabor.takes_transforms(4, 8191) and gabor.takes_transforms(4, 8192)
+    assert not gabor.takes_transforms(509, 6107) and gabor.takes_transforms(509, 6108)
+    assert not gabor.takes_transforms(256, 191) and gabor.takes_transforms(256, 192)
+    # frame_operator asks the rule of built systems only, with their dim and count
+    asked = []
+    monkeypatch.setattr(gabor, "takes_transforms", lambda dim, count: asked.append((dim, count)))
+    space = ModelSpace(P2, 2, 2)
+    onb = build(indicator(space), onb_points(space))
+    frame_operator(onb)
+    frame_operator(GaborSystem(onb.window, onb.lam, onb.vector_matrix()))
+    assert asked == [(16, 16)]
+
+
+def test_the_transform_route_gives_the_bounds_of_the_einsum():
+    rng = SplitMix64(47)
+    space = ModelSpace(M2, 3, 3)
+    window = rand_fn(space, rng)
+    points = tuple((space.index_section[rng.next_below(64)],
+                    space.dual.index_section[rng.next_below(64)]) for _ in range(256))
+    sys = build(window, PointSet.phase(points, M2))
+    assert gabor.takes_transforms(sys.dim, sys.count)
+    fast = frame_bounds(sys)
+    assert "matrix" not in sys.__dict__  # the route never made the vectors
+    dense = frame_bounds(GaborSystem(window, sys.lam, sys.vector_matrix()))
+    assert (fast.rank, fast.classification) == (dense.rank, dense.classification)
+    assert abs(fast.lower - dense.lower) <= 1e-12 * dense.upper
+    assert abs(fast.upper - dense.upper) <= 1e-12 * dense.upper
