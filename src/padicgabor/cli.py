@@ -8,10 +8,11 @@ exponents before anything is built (MAX_ENTRIES, MAX_FRAME_DIM, MAX_POINTS,
 MAX_P, MAX_SCALE below).  All structured output is JSON with sorted keys,
 exact rationals as "a/b" strings and complex numbers as [re, im] pairs, so
 a fixed config and seed reproduce byte-identical bytes; `--out` is opened
-before the command runs.  `_dump` writes it: json.dumps(indent=2), and the
-same bytes without that pure-Python encoder for complex arrays (the stft
-grid, its floats written by orjson) and for the decomposition's point texts,
-made from the keys, which go to `--out` CHUNK items at a time.  `norms` reads
+before the command runs, and a file there is replaced only by a whole
+result.  `_dump` writes it: json.dumps(indent=2), and the same bytes
+without that pure-Python encoder for complex arrays (the stft grid, its
+floats written by orjson) and for the decomposition's point texts, made
+from the keys, which go to `--out` CHUNK items at a time.  `norms` reads
 only |V_g f| and never holds the complex grid (model.stft_magnitudes).
 numpy loads on first use (padicgabor._lazy): the numeric commands load it, and
 density, which counts exactly, never does.  So do the layers below the cli:
@@ -39,7 +40,9 @@ import io
 import json
 import math
 import os
+import stat
 import sys
+import tempfile
 from itertools import islice, product, repeat
 
 from ._lazy import _lazy, np, ran
@@ -524,16 +527,39 @@ COMMANDS = {
 
 
 def _open_out(args):
-    """The stream a command writes its result to, opened before anything is computed."""
+    """The stream a command writes its result to, opened before anything is computed.  A file
+    this process may replace, or a missing one, is written through _replacing; anything else
+    (/dev/full, a FIFO, a symlink such as /dev/stdout, a read-only file) is opened in place."""
     # verify prints its report lines either way; its JSON goes to --out only
     if sys.stdout is None and (args.command == "verify" or not args.out):  # started with >&-
         raise OSError(errno.EBADF, "stdout is closed")
-    if args.out:
-        try:
+    if not args.out:
+        return contextlib.nullcontext(io.StringIO() if args.command == "verify" else sys.stdout)
+    try:
+        old = os.lstat(args.out) if os.path.lexists(args.out) else None
+        folder = os.path.dirname(args.out) or "."
+        if old is not None and not (stat.S_ISREG(old.st_mode) and os.access(args.out, os.W_OK)
+                                    and os.access(folder, os.W_OK)):
             return open(args.out, "w", encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot write --out {args.out}: {exc}")
-    return contextlib.nullcontext(io.StringIO() if args.command == "verify" else sys.stdout)
+        fd, tmp = tempfile.mkstemp(dir=folder)
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.fchmod(fd, stat.S_IMODE(old.st_mode) if old is not None else 0o666 & ~umask)
+    except OSError as exc:  # a temporary file's name would only confuse
+        raise ConfigError(f"cannot write --out {args.out}: {exc.strerror or exc}")
+    return _replacing(os.fdopen(fd, "w", encoding="utf-8"), tmp, args.out)
+
+
+@contextlib.contextmanager
+def _replacing(fh, tmp: str, path: str):
+    """Yield fh, open on tmp beside path; then replace path by tmp, or remove tmp on any failure."""
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _flush_stdout() -> None:

@@ -16,12 +16,12 @@ O(dim^2 p (m + k)) whatever the count.  The crossover, measured on 2 cores
 for p from 2 to 509, both modes and dims 4 to 512, lies at 5 to 19 points
 per p (m + k) from dim 64 up and at 1.5e4 to 2.4e5 MACs below.
 
-Each system diagonalizes S at most once.  Bounds, rank, the ONB test and the
-Riesz test need only eigenvalues (GaborSystem.values_spectrum); only the
-canonical dual needs vectors (GaborSystem.spectrum), and a dual taken first
-leaves its full decomposition for the bounds to read.  No count x count Gram
-is formed for them.  A Riesz basis is a spanning square system: in finite
-dimension its Gram is invertible and its canonical dual biorthogonal.
+Each system takes the eigenvalues of S at most once (GaborSystem.spectrum):
+bounds, rank, the ONB test and the Riesz test need nothing else, and no
+count x count Gram is formed for them.  The canonical dual S^-1 v
+(Groechenig 2001, 5.1) is one Cholesky solve with S, formed again for it.
+A Riesz basis is a spanning square system: in finite dimension its Gram is
+invertible and its canonical dual biorthogonal.
 Classification:
 
 * ONB         -- count == dim and S = I: for square W, mu W W* = I iff
@@ -97,14 +97,8 @@ class GaborSystem:
 
     @cached_property
     def spectrum(self):
-        """hermitian_eigs of the frame operator: (values, error bound, sweeps, vectors)."""
+        """hermitian_eigs of the frame operator: (values ascending, error bound)."""
         return hermitian_eigs(HermitianMatrix(frame_operator(self)))
-
-    @cached_property
-    def values_spectrum(self):
-        """spectrum if it is already cached, else a values-only one (vectors None)."""
-        full = self.__dict__.get("spectrum")
-        return full or hermitian_eigs(HermitianMatrix(frame_operator(self)), vectors=False)
 
 
 def build(window: ModelFunction, lam: PointSet) -> GaborSystem:
@@ -197,7 +191,6 @@ class GaborReport:
     classification: str
     tight_constant: float | None = None
     gram_identity_defect: float | None = None  # max |lambda - 1| = ||G - I||_2 if square
-    sweeps: int = 0
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -207,7 +200,7 @@ class GaborReport:
             "upper": self.upper,
             "rank": self.rank,
             "classification": self.classification,
-            "sweeps": self.sweeps,
+            "sweeps": 0,  # QL runs no sweeps; the key stays so that frame bytes hold
             "tol": {"rank": RANK_TOL, "onb": ONB_TOL, "tight": TIGHT_TOL},
         }
         if self.tight_constant is not None:
@@ -217,7 +210,7 @@ class GaborReport:
 
 def frame_bounds(sys: GaborSystem) -> GaborReport:
     """Extreme eigenvalues of the frame operator plus the classification."""
-    vals, _, sweeps, _ = sys.values_spectrum
+    vals, _ = sys.spectrum
     upper = float(vals[-1])
     lower = max(float(vals[0]), 0.0)
     cutoff = RANK_TOL * max(1.0, upper)
@@ -243,13 +236,13 @@ def frame_bounds(sys: GaborSystem) -> GaborReport:
         classification=classification,
         tight_constant=tight_constant,
         gram_identity_defect=gram_defect,
-        sweeps=sweeps,
     )
 
 
 def canonical_dual(sys: GaborSystem) -> np.ndarray:
     """dim x count matrix of the dual vectors S^-1 v; requires the system to span."""
-    return solve_hermitian(sys.spectrum, sys.vector_matrix())
+    riesz_check(sys)  # raises RankDeficiencyError if it does not span
+    return solve_hermitian(HermitianMatrix(frame_operator(sys)), sys.vector_matrix())
 
 
 def reconstruct(sys: GaborSystem, duals: np.ndarray, f: ModelFunction) -> ModelFunction:

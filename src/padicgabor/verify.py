@@ -223,7 +223,7 @@ def check_tight_frame_constant(p_list, size, rng, systems) -> CheckResult:
     configs = _kept(TIGHT_CONFIGS, p_list)
     worst = 0.0
     for p, mode in configs:
-        vals = systems.tight(p, mode).values_spectrum[0]
+        vals = systems.tight(p, mode).spectrum[0]
         worst = _worse(worst, float(np.max(np.abs(vals - float(p * p)))))
     return CheckResult(
         "tight-frame-constant", bool(configs) and worst <= 1e-9,
@@ -396,7 +396,7 @@ def check_dual_reconstruction(p_list, size, rng, systems) -> CheckResult:
         lam = PointSet.phase(onb.lam.points + extra, space.params)
         sys = build(onb.window, lam)
         try:
-            duals = canonical_dual(sys)  # before frame_bounds: both read the one full spectrum
+            duals = canonical_dual(sys)  # its rank test and frame_bounds below share one spectrum
         except RankDeficiencyError:  # a system that does not span has no dual
             ok = False
             continue

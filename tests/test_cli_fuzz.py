@@ -7,6 +7,7 @@ reproduces on every run.
 """
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -354,7 +355,7 @@ def test_a_closed_stderr_keeps_the_exit_code(command, failure, tmp_path):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="sets a file size limit in the child")
 def test_a_write_that_fails_midway_exits_2_with_one_line(tmp_path):
     # a 16 KiB file size limit stops the dim-64 grid's --out text (about 145 kB) after some
-    # chunks have gone out; what was written stays
+    # chunks have gone out to the temporary file, which is removed: no target, partial or not
     import resource
 
     def limit():
@@ -367,7 +368,51 @@ def test_a_write_that_fails_midway_exits_2_with_one_line(tmp_path):
                 preexec_fn=limit)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("output error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert out.stat().st_size == 16384
+    assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
+
+
+def _filling(n, writes):
+    """os.fdopen whose files record each write's length in writes and raise ENOSPC at the n-th,
+    as a disk that fills up (never for n = 0)."""
+    fdopen = os.fdopen
+
+    def opened(*args, **kwargs):
+        fh = fdopen(*args, **kwargs)
+        write = fh.write
+
+        def filling(text):
+            writes.append(len(text))
+            if len(writes) == n:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(text)
+
+        fh.write = filling
+        return fh
+
+    return opened
+
+
+@pytest.mark.parametrize("command", ["density", "frame", "stft", "norms", "verify"])
+def test_a_disk_that_fills_at_any_write_leaves_the_target_whole(command, tmp_path, monkeypatch,
+                                                                   capsys):
+    # --out goes to a temporary file beside the target; whichever write fails, the target
+    # keeps its bytes and the temporary file is removed
+    out = tmp_path / "result.json"
+    argv = _argv(command, tmp_path) + ["--out", str(out)]
+    out.write_text("kept\n")
+    names = sorted(path.name for path in tmp_path.iterdir())
+    writes = []
+    monkeypatch.setattr(os, "fdopen", _filling(0, writes))
+    assert main(argv) == 0 and json.loads(out.read_text())
+    capsys.readouterr()
+    for n in sorted({1, (len(writes) + 1) // 2, len(writes)}):
+        out.write_text("kept\n")
+        monkeypatch.setattr(os, "fdopen", _filling(n, []))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"output error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert out.read_text() == "kept\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == names
 
 
 def test_a_reader_that_leaves_early_ends_the_command_quietly(tmp_path):

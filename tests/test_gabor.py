@@ -19,7 +19,7 @@ from padicgabor.gabor import (
     riesz_check,
 )
 from padicgabor.geometry import section
-from padicgabor.linalg import RankDeficiencyError
+from padicgabor.linalg import HermitianMatrix, RankDeficiencyError
 from padicgabor.localfield import CARRY, MODULAR, GroupElement, GroupParams
 from padicgabor import gabor
 from padicgabor.model import (
@@ -416,41 +416,62 @@ def test_analysis_products_match_inner_loops():
         reconstruct(frame, duals, rand_fn(ModelSpace(P3, 1, 1), rng))
 
 
-def test_one_decomposition_per_system(monkeypatch):
-    # a dual taken first is the one full decomposition, and later bounds and Riesz tests read
-    # it; the bounds or a Riesz test alone take one values-only decomposition; no call forms
-    # the Gram
-    asked, grams = [], []
-    eigs = gabor.hermitian_eigs
+def test_one_spectrum_per_system(monkeypatch):
+    # the bounds, a Riesz test and a dual's rank test read one cached values spectrum, in any
+    # order; each dual adds one solve with S, formed again for it; no call forms the Gram
+    eigs_dims, solve_dims, grams = [], [], []
+    eigs, solve = gabor.hermitian_eigs, gabor.solve_hermitian
 
-    def recorded(matrix, vectors=True):
-        asked.append(vectors)
-        return eigs(matrix, vectors)
+    def recorded_eigs(matrix):
+        eigs_dims.append(matrix.dim)
+        return eigs(matrix)
 
-    monkeypatch.setattr(gabor, "hermitian_eigs", recorded)
+    def recorded_solve(matrix, rhs):
+        solve_dims.append(matrix.dim)
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(gabor, "hermitian_eigs", recorded_eigs)
+    monkeypatch.setattr(gabor, "solve_hermitian", recorded_solve)
     monkeypatch.setattr(gabor, "gram", lambda sys: grams.append(sys))
     space = ModelSpace(P2, 2, 2)
     chi = indicator(space)
     extra = ((space.index_section[3], space.dual.index_section[5]),)
     for points, riesz in ((onb_points(space), True),
                           (PointSet.phase(onb_points(space).points + extra, P2), False)):
-        sys = build(chi, points)
-        asked.clear()
-        canonical_dual(sys)
-        frame_bounds(sys)
-        assert riesz_check(sys) is riesz
-        canonical_dual(sys)
-        assert asked == [True]
-        for first in (frame_bounds, riesz_check):
+        for first in (canonical_dual, frame_bounds, riesz_check):
             sys = build(chi, points)
-            asked.clear()
+            eigs_dims.clear(), solve_dims.clear()
             first(sys)
             frame_bounds(sys)
             assert riesz_check(sys) is riesz
-            assert asked == [False]
+            canonical_dual(sys)
+            assert eigs_dims == [16]
+            assert solve_dims == [16] * (1 + (first is canonical_dual))
     assert grams == []
 
 
+@pytest.mark.parametrize("mode", [CARRY, MODULAR])
+@pytest.mark.parametrize("p,m,k", [(2, 2, 2), (2, 3, 1), (3, 1, 1), (3, 1, 2)])
+def test_canonical_dual_against_a_dense_solve(p, m, k, mode):
+    # a random window over the unit-cell lattice plus seeded extra points, one of them three
+    # times: a spanning system whose S is far from diagonal.  Cholesky is backward stable, so
+    # the residual of S D = W stays within a small multiple of n EPS ||S|| ||D||, and D within
+    # that times the condition number of the LAPACK solve
+    params = GroupParams(p, mode)
+    space = ModelSpace(params, m, k)
+    rng = SplitMix64(1000 * p + 10 * m + k)
+    window = ModelFunction(space, rng.complex_vector(space.dim))
+    extra = tuple((space.index_section[rng.next_below(space.dim)],
+                   space.dual.index_section[rng.next_below(space.dim)]) for _ in range(4))
+    points = onb_points(space).points + extra + extra[:1] * 2
+    sys = build(window, PointSet.phase(points, params))
+    assert frame_bounds(sys).rank == space.dim
+    duals = canonical_dual(sys)
+    s, w = HermitianMatrix(frame_operator(sys)).entries, sys.vector_matrix()
+    n, norm_s, norm_d = space.dim, np.linalg.norm(s), np.linalg.norm(duals)
+    assert np.linalg.norm(s @ duals - w) <= 4 * n * EPS * norm_s * norm_d
+    ref = np.linalg.solve(s, w)
+    assert np.linalg.norm(duals - ref) <= 4 * n * EPS * np.linalg.cond(s) * norm_d
 def test_square_non_onb_classification_and_defect():
     space = ModelSpace(P2, 2, 2)
     doubled = build(indicator(space).scaled(2.0), onb_points(space))

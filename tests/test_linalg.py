@@ -12,9 +12,7 @@ from padicgabor.linalg import (
     ConvergenceError,
     HermitianMatrix,
     RankDeficiencyError,
-    _jacobi,
     _ql,
-    _rounds,
     _tridiagonal,
     hermitian_eigs,
     solve_hermitian,
@@ -45,10 +43,10 @@ def lu_determinant(m):
 
 
 def test_identity_and_diagonal():
-    vals, res, _, _ = hermitian_eigs(HermitianMatrix(np.eye(4)))
+    vals, res = hermitian_eigs(HermitianMatrix(np.eye(4)))
     assert np.array_equal(vals, np.ones(4)) or np.allclose(vals, 1)
     assert res <= 1e-12
-    vals, _, _, _ = hermitian_eigs(HermitianMatrix(np.diag([2.0, 1.0])))
+    vals, _ = hermitian_eigs(HermitianMatrix(np.diag([2.0, 1.0])))
     assert np.allclose(vals, [1.0, 2.0])
 
 
@@ -57,7 +55,7 @@ def test_rank_one_spectrum():
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     v /= np.linalg.norm(v)
     m = HermitianMatrix(np.outer(v, v.conj()))
-    vals, res, _, _ = hermitian_eigs(m)
+    vals, res = hermitian_eigs(m)
     assert np.allclose(vals[:7], 0.0, atol=1e-12)
     assert abs(vals[7] - 1.0) <= 1e-12
     assert res <= 1e-10
@@ -67,7 +65,7 @@ def test_residual_and_trace_random():
     rng = np.random.default_rng(1)
     for n in (2, 5, 9, 17, 33):
         m = random_hermitian(n, rng)
-        vals, res, _, _ = hermitian_eigs(m)
+        vals, res = hermitian_eigs(m)
         assert res <= 1e-10
         assert list(vals) == sorted(vals)
         assert abs(vals.sum() - np.trace(m.entries).real) <= 1e-10 * np.linalg.norm(m.entries)
@@ -77,7 +75,7 @@ def test_eigenvalue_product_matches_lu_determinant():
     rng = np.random.default_rng(2)
     for n in (2, 4, 8):
         m = random_hermitian(n, rng)
-        vals, _, _, _ = hermitian_eigs(m)
+        vals, _ = hermitian_eigs(m)
         det = lu_determinant(m.entries)
         assert abs(np.prod(vals) - det.real) <= 1e-8 * max(1.0, abs(det))
         assert abs(det.imag) <= 1e-8 * max(1.0, abs(det))
@@ -86,46 +84,47 @@ def test_eigenvalue_product_matches_lu_determinant():
 def test_solve_examples():
     rng = np.random.default_rng(3)
     b = rng.normal(size=6) + 1j * rng.normal(size=6)
-    assert np.allclose(solve_hermitian(hermitian_eigs(HermitianMatrix(np.eye(6))), b), b)
-    assert np.allclose(solve_hermitian(hermitian_eigs(HermitianMatrix(2 * np.eye(6))), b), b / 2)
+    assert np.allclose(solve_hermitian(HermitianMatrix(np.eye(6)), b), b)
+    assert np.allclose(solve_hermitian(HermitianMatrix(2 * np.eye(6)), b), b / 2)
 
 
 def test_solve_round_trip():
     rng = np.random.default_rng(4)
-    for n in (3, 8, 20):
+    for n in (1, 3, 8, 20):
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         m = HermitianMatrix(a @ a.conj().T + np.eye(n))
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        x = solve_hermitian(hermitian_eigs(m), b)
+        x = solve_hermitian(m, b)
         assert np.linalg.norm(m.entries @ x - b) <= 1e-10 * np.linalg.norm(b)
         stacked = rng.normal(size=(n, 3))
-        xs = solve_hermitian(hermitian_eigs(m), stacked)
+        xs = solve_hermitian(m, stacked)
         assert np.linalg.norm(m.entries @ xs - stacked) <= 1e-9
+        assert np.array_equal(solve_hermitian(m, stacked[:, 1]), xs[:, 1])  # column by column
 
 
-def test_singular_solve_reports_eigenvalue():
-    rng = np.random.default_rng(5)
-    v = rng.normal(size=5)
-    v /= np.linalg.norm(v)
-    m = HermitianMatrix(np.outer(v, v))
-    with pytest.raises(RankDeficiencyError) as exc:
-        solve_hermitian(hermitian_eigs(m), np.ones(5))
-    assert exc.value.eigenvalue <= exc.value.tol
+@pytest.mark.parametrize("scale", [1e-300, 2.0**-1000, 1e300])
+def test_solve_at_extreme_scales(scale):
+    # M's squares would under- or overflow at these scales, the factor's do not: X comes back
+    # finite, the unscaled solution divided by the scale
+    m = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0j], [0.0, -1.0j, 2.0]])
+    x = solve_hermitian(HermitianMatrix(m * scale), np.ones(3))
+    ref = np.linalg.solve(m, np.ones(3))
+    assert np.max(np.abs(x * scale - ref)) <= 16 * EPS * np.max(np.abs(ref))
 
 
-def test_values_only_decomposition(monkeypatch):
-    # no sweeps and no vectors: the Jacobi never runs, and the values agree with it within the
-    # two stated bounds
-    rng = np.random.default_rng(10)
-    m = random_hermitian(7, rng)
-    monkeypatch.setattr(linalg, "_jacobi", None)
-    vals, bound, sweeps, vecs = hermitian_eigs(m, vectors=False)
-    assert vecs is None and sweeps == 0 and isinstance(bound, float)
-    monkeypatch.undo()
-    full = hermitian_eigs(m)
-    assert np.max(np.abs(vals - full[0])) <= 2 * bound + full[1]
-    with pytest.raises(ValueError, match="eigenvectors"):
-        solve_hermitian((vals, bound, sweeps, vecs), np.ones(7))
+@pytest.mark.parametrize("m", [
+    np.zeros((3, 3)),
+    np.outer([1, 2j, 3 - 1j], np.conj([1, 2j, 3 - 1j])),  # rank one: the second pivot is 0
+    np.diag([1.0, 0.0, 2.0]),
+    [[1.0, 2.0], [2.0, 1.0]],  # eigenvalues -1 and 3
+    -np.eye(4),
+    np.diag([1.0, 1.0, -1e-300]),
+], ids=["zero", "rank-one", "zero-pivot", "indefinite", "negative", "tiny-negative"])
+def test_solve_refuses_a_matrix_that_is_not_positive_definite(m):
+    # a pivot <= 0 raises; the solve never returns NaN or infinity
+    with pytest.raises(RankDeficiencyError, match="not positive definite") as exc:
+        solve_hermitian(HermitianMatrix(m), np.ones(len(m)))
+    assert exc.value.value <= exc.value.tol == 0.0
 
 
 def test_construction_validation():
@@ -141,26 +140,24 @@ def test_construction_validation():
 
 
 def test_zero_matrix():
-    vals, bound, _, _ = hermitian_eigs(HermitianMatrix(np.zeros((3, 3))))
+    vals, bound = hermitian_eigs(HermitianMatrix(np.zeros((3, 3))))
     assert np.array_equal(vals, np.zeros(3))
     assert bound == 0.0
 
 
 def cyclic_jacobi(matrix, sweeps=60, tol=1e-30):
-    """Row-cyclic Jacobi, one rotation at a time: the reference for _jacobi."""
+    """Row-cyclic Jacobi, one rotation at a time: the eigenvalue oracle for hermitian_eigs.
+
+    Returns (eigenvalues in diagonal order, off-diagonal Frobenius norm at exit, sweeps run);
+    each eigenvalue lies within that norm of one of the final rotated matrix (Weyl).
+    """
     a = matrix.astype(complex).copy()
     n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return a.real.diagonal().copy(), v
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n), v
-    thresh = tol * norm
-    for _ in range(sweeps):
+    thresh = tol * np.linalg.norm(a)
+    for sweep in range(sweeps + 1):
         off = np.sqrt(np.sum(np.abs(a - np.diag(np.diagonal(a))) ** 2))
         if off <= thresh * n:
-            break
+            return np.diagonal(a).real.copy(), off, sweep
         for i in range(n - 1):
             for j in range(i + 1, n):
                 z = a[i, j]
@@ -189,50 +186,35 @@ def cyclic_jacobi(matrix, sweeps=60, tol=1e-30):
                 a[j, i] = 0.0
                 a[i, i] = a[i, i].real
                 a[j, j] = a[j, j].real
-                vec_i = v[:, i].copy()
-                vec_j = v[:, j].copy()
-                v[:, i] = c * vec_i - np.conj(s) * vec_j
-                v[:, j] = s * vec_i + c * vec_j
-    return np.diagonal(a).real.copy(), v
+    raise AssertionError(f"the reference Jacobi did not converge in {sweeps} sweeps")
 
 
 def assert_values_only_matches(m):
-    """The values-only path against _jacobi, never a sweep and never vectors: the Jacobi's bytes
-    and bound where it runs no sweep, else the bound 4 n EPS ||A||_F, and within the two bounds
-    of the Jacobi's eigenvalues, plus as much again for the Jacobi's rounding, which its bound
-    leaves out.  Returns both spectra, ascending."""
+    """hermitian_eigs against cyclic_jacobi: where the reference runs no sweep, the sorted
+    diagonal with its bytes and the reference's off-diagonal norm as the bound; else the bound
+    4 n EPS ||A||_F, within which, twice over, plus the reference's exit norm, the values lie of
+    the reference's, the second bound standing for the reference's own rounding.  Returns both
+    spectra, ascending."""
     m = HermitianMatrix(m).entries
-    vals, _, sweeps, off = _jacobi(m)
+    vals, off, sweeps = cyclic_jacobi(m)
     ref = np.sort(vals, kind="stable")
-    only, bound, only_sweeps, none = hermitian_eigs(HermitianMatrix(m), vectors=False)
-    assert none is None and only_sweeps == 0 and list(only) == sorted(only)
+    only, bound = hermitian_eigs(HermitianMatrix(m))
+    assert list(only) == sorted(only)
     if sweeps == 0:
-        assert only.tobytes() == ref.tobytes() and bound == off
+        assert only.tobytes() == ref.tobytes() and bound == pytest.approx(off, rel=1e-12)
     else:
         assert bound == pytest.approx(4 * len(m) * EPS * np.linalg.norm(m), rel=1e-12)
         assert np.max(np.abs(only - ref)) <= 2 * bound + off
     return only, ref
 
 
-def assert_matches_reference(m):
-    """Eigenvalues against the cyclic reference; residual and unitarity of V."""
-    assert_values_only_matches(m)
-    vals, vecs, _, _ = _jacobi(m)
-    ref, _ = cyclic_jacobi(m)
-    scale = max(1.0, float(np.max(np.abs(ref))))
-    assert np.max(np.abs(np.sort(vals) - np.sort(ref))) <= 1e-12 * scale
-    norm = max(np.linalg.norm(m), 1.0)
-    assert np.max(np.abs(m @ vecs - vecs * vals)) <= 1e-12 * norm
-    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(len(m)))) <= 1e-12
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 16, 27, 64, 81])
-def test_parallel_jacobi_matches_cyclic_reference(n):
-    assert_matches_reference(random_hermitian(n, np.random.default_rng(100 + n)).entries)
+def test_values_path_matches_cyclic_reference(n):
+    assert_values_only_matches(random_hermitian(n, np.random.default_rng(100 + n)).entries)
 
 
 @pytest.mark.parametrize("n", [3, 8, 9])
-def test_parallel_jacobi_degenerate_and_special_spectra(n):
+def test_values_path_degenerate_and_special_spectra(n):
     rng = np.random.default_rng(200 + n)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     # a tight frame's operator: n + 3 random vectors, orthonormalized jointly
@@ -246,65 +228,19 @@ def test_parallel_jacobi_degenerate_and_special_spectra(n):
         1j * np.triu(np.ones((n, n)), 1) - 1j * np.tril(np.ones((n, n)), -1),
     ]
     for m in cases:
-        assert_matches_reference(HermitianMatrix(m).entries)
+        assert_values_only_matches(HermitianMatrix(m).entries)
 
 
-def test_parallel_jacobi_extreme_scales():
-    # dead pairs sit next to live ones; nothing may overflow or divide by zero
+def test_values_path_extreme_scales():
+    # zero pairs sit next to nonzero ones; nothing may overflow or divide by zero
     rng = np.random.default_rng(7)
     for scale in (1e-150, 1e150):
         m = random_hermitian(6, rng).entries * scale
         m[0, 3] = m[3, 0] = 0.0
-        assert_matches_reference(m)
+        assert_values_only_matches(m)
 
 
-def test_dead_pairs_get_identity_rotations():
-    # with a coarse zeroing threshold, the small entries are zeroed, not rotated
-    rng = np.random.default_rng(8)
-    small = 1e-4 * random_hermitian(6, rng).entries
-    m = np.diag(np.arange(1.0, 7.0)) + small - np.diag(np.diagonal(small))
-    m[0, 1] = m[1, 0] = 0.5
-    vals, vecs, _, _ = _jacobi(m, tol=1e-3)
-    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(6))) <= 1e-12
-    assert np.max(np.abs(vecs[2:, 2:] - np.eye(4))) == 0.0  # only the (0, 1) pair rotated
-
-
-def test_rounds_cover_every_pair_once():
-    for n in (2, 3, 4, 7, 8, 9, 16):
-        seen = []
-        for pairs, *_ in _rounds(n):
-            flat = pairs.reshape(-1)
-            assert len(set(flat.tolist())) == len(flat) == 2 * (n // 2)  # disjoint
-            assert all(i < j for i, j in pairs)
-            seen += [tuple(pair) for pair in pairs.tolist()]
-        assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def test_sweep_cap_raises_convergence_error():
-    m = random_hermitian(8, np.random.default_rng(6)).entries
-    with pytest.raises(ConvergenceError, match="in 1 Jacobi sweeps") as exc:
-        _jacobi(m, sweeps=1)
-    assert exc.value.steps == 1
-    _, _, sweeps, _ = _jacobi(m)
-    assert 1 < sweeps < 60
-
-
-@pytest.mark.parametrize("tol", [1e-30, 1e-3])
-def test_error_bound_covers_the_eigenvalues(tol):
-    # Weyl: each eigenvalue lies within the exit off-diagonal norm of a true one;
-    # eps * ||M|| allows for rounding in the rotations, which the bound leaves out
-    rng = np.random.default_rng(9)
-    for n in (2, 5, 9, 16, 27):
-        m = random_hermitian(n, rng).entries
-        vals, _, _, off = _jacobi(m, tol=tol)
-        ref, _ = cyclic_jacobi(m)
-        allowance = 64 * n * np.finfo(float).eps * np.linalg.norm(m)
-        assert np.max(np.abs(np.sort(vals) - np.sort(ref))) <= off + allowance
-        assert off <= tol * np.linalg.norm(m) * n
-    assert hermitian_eigs(HermitianMatrix(m))[1] == _jacobi(m)[3]  # slot 1 is the bound
-
-
-# The values-only path against the Jacobi.  Entries are dyadic, k / 64 for |k| <= 2^16, times
+# The values path against the cyclic Jacobi.  Entries are dyadic, k / 64 for |k| <= 2^16, times
 # 2^j for |j| <= 64: squares and their sums stay normal floats, so both paths' Frobenius norms
 # are exact to rounding.  The stated bound is assert_values_only_matches's.
 ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -354,13 +290,12 @@ def test_values_path_rank_count_on_low_rank_psd(n, data, seed):
 @given(SIZES.flatmap(lambda n: st.lists(
     st.floats(-1e100, 1e100, allow_nan=False), min_size=n, max_size=n)))
 def test_values_path_keeps_a_diagonal_bit_for_bit(diagonal):
-    # the Jacobi's exit test comes first, so a diagonal (signed zeros, subnormals and all) is
-    # returned sorted with the Jacobi's bytes and bound
+    # the diagonal test comes first, so a diagonal (signed zeros, subnormals and all) is
+    # returned sorted bit for bit, with the bound 0
     m = np.diag(np.array(diagonal, dtype=complex))
-    vals, bound, sweeps, _ = hermitian_eigs(HermitianMatrix(m), vectors=False)
-    full = hermitian_eigs(HermitianMatrix(m))
-    assert vals.tobytes() == full[0].tobytes()
-    assert (bound, sweeps) == (full[1], full[2]) == (0.0, 0)
+    vals, bound = hermitian_eigs(HermitianMatrix(m))
+    assert vals.tobytes() == np.array(sorted(diagonal), dtype=float).tobytes()
+    assert bound == 0.0
 
 
 @ORACLE
@@ -380,9 +315,9 @@ def test_values_path_on_repeated_eigenvalues(n, data, seed):
 def test_values_path_small_and_zero():
     for m in ([[2.5]], [[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -3.0]], [[0.0, 1.0], [1.0, 0.0]]):
         assert_values_only_matches(np.array(m, dtype=complex))
-    vals, bound, sweeps, vecs = hermitian_eigs(HermitianMatrix(np.zeros((4, 4))), vectors=False)
-    assert vals.tobytes() == np.zeros(4).tobytes() and (bound, sweeps, vecs) == (0.0, 0, None)
-    vals, bound, _, _ = hermitian_eigs(HermitianMatrix([[0.0, 1.0], [1.0, 0.0]]), vectors=False)
+    vals, bound = hermitian_eigs(HermitianMatrix(np.zeros((4, 4))))
+    assert vals.tobytes() == np.zeros(4).tobytes() and bound == 0.0
+    vals, bound = hermitian_eigs(HermitianMatrix([[0.0, 1.0], [1.0, 0.0]]))
     assert np.max(np.abs(vals - [-1.0, 1.0])) <= bound
 
 
@@ -393,8 +328,8 @@ def test_tridiagonal_is_unitarily_similar():
     t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     assert len(d) == 9 and len(e) == 8 and min(e) >= 0.0
     assert abs(np.linalg.norm(t) - np.linalg.norm(m)) <= 64 * EPS * np.linalg.norm(m)
-    ref = np.sort(_jacobi(m)[0])
-    assert np.max(np.abs(np.sort(_jacobi(t)[0]) - ref)) <= 64 * EPS * np.linalg.norm(m)
+    ref = np.sort(cyclic_jacobi(m)[0])
+    assert np.max(np.abs(np.sort(cyclic_jacobi(t)[0]) - ref)) <= 64 * EPS * np.linalg.norm(m)
 
 
 def test_ql_step_cap_raises_convergence_error():
@@ -406,15 +341,13 @@ def test_ql_step_cap_raises_convergence_error():
     assert len(vals) == 8 and vals == sorted(vals)
 
 
-@pytest.mark.parametrize("vectors", [False, True])
 @pytest.mark.parametrize("scale", [1e-200, 2.0**-1000, 1e200, 1e300])
-def test_norms_and_eigenvalues_at_extreme_scales(vectors, scale):
-    # squares of the entries under- or overflow at these scales, the entries do not; the
-    # Jacobi's bound leaves out its rotation rounding (see assert_values_only_matches)
+def test_norms_and_eigenvalues_at_extreme_scales(scale):
+    # squares of the entries under- or overflow at these scales, the entries do not
     m = HermitianMatrix(np.array([[0.0, scale], [scale, 0.0]]))
-    vals, bound, _, _ = hermitian_eigs(m, vectors=vectors)
+    vals, bound = hermitian_eigs(m)
     assert np.all(np.isfinite(vals)) and bound < 1e-12 * scale
-    assert np.max(np.abs(vals - [-scale, scale])) <= bound + 4 * 2 * EPS * scale * vectors
+    assert np.max(np.abs(vals - [-scale, scale])) <= bound
     assert linalg._frobenius(m.entries) == pytest.approx(np.sqrt(2.0) * scale, rel=2 * EPS)
 
 
@@ -423,9 +356,9 @@ def test_values_path_commutes_with_power_of_two_scaling(e):
     # a power of two scales exactly, so the bits of the values and the bound scale with it
     rng = np.random.default_rng(abs(e))
     a = random_hermitian(7, rng).entries
-    vals, bound, _, _ = hermitian_eigs(HermitianMatrix(a), vectors=False)
+    vals, bound = hermitian_eigs(HermitianMatrix(a))
     scaled = np.ldexp(a.view(float), e).view(complex)
-    got, got_bound, _, _ = hermitian_eigs(HermitianMatrix(scaled), vectors=False)
+    got, got_bound = hermitian_eigs(HermitianMatrix(scaled))
     assert np.array_equal(got, np.ldexp(vals, e)) and got_bound == np.ldexp(bound, e)
 
 
