@@ -150,8 +150,6 @@ def _ql(d: list[float], e: list[float], cap: int = 30) -> list[float]:
     return sorted(d)
 
 
-
-
 def hermitian_eigs(matrix: HermitianMatrix):
     """(eigenvalues ascending, error bound); checked against the cyclic Jacobi in the tests.
 

@@ -19,10 +19,12 @@ package is represented exactly; floating point enters only when a character
 value is finally materialized as a complex number.
 
 The scaling automorphism x -> p**-n * x (resp. t**-n * x) is ``automorphism``;
-``pairing_phase`` evaluates the self-dual character pairing as an exact
-rational ``Phase`` with denominator a power of p, from the operands' integers
-and without forming x*xi: one product reduced mod p**e in carry mode, and in
-modular mode the digit products over only the digits that can meet at t**-1.
+``pairing_phases`` evaluates the self-dual character pairing of one xi with a
+sequence of elements as exact rational phases with denominator a power of p,
+from the operands' integers and without forming x*xi: one product reduced mod
+p**e in carry mode.  In modular mode xi's digits are read once a call, and the
+t**-1 digit is the parity of x's bits under them (p = 2) or one slot of a
+carry-free product of packed digits.  ``pairing_phase`` is its one-element case.
 """
 
 from __future__ import annotations
@@ -350,27 +352,51 @@ class Phase:
         return Phase.make(self.p, self.num * n, self.denom_exp)
 
 
-def pairing_phase(x: GroupElement, xi: GroupElement) -> Phase:
-    """Exact phase of the self-dual pairing <x, xi>.
+def pairing_phases(xs, xi: GroupElement) -> list[tuple[int, int]]:
+    """The exact phase (num, denom_exp) of the self-dual pairing <x, xi> for each x of xs.
 
     Carry mode: the fractional part {x*xi} reduced to [0,1).  Modular mode:
     (coefficient of t**-1 in x*xi) / p, the residue character.  Bilinear in
     both arguments, exactly.  Read from the operands' integers, as x*xi has
     vexp e = x.vexp + xi.vexp, without forming the product.
     """
-    if x.params is not xi.params and x.params != xi.params:
-        raise ParamMismatchError(f"mismatched params: {x.params} vs {xi.params}")
-    p, e = x.params.p, x.vexp + xi.vexp
-    if e <= 0 or not (x.num and xi.num):
-        return Phase(p)
-    if x.params.mode == CARRY:  # both nums are prime to p, so their product mod p**e is too
-        return Phase(p, x.num * xi.num % p**e, e)
-    # sum of the digit products a_i * b_j with i + j = e - 1, over only the digits that can
-    # meet (a bit length bounds a digit count): a_lo.. of x.num and b_(e-hi).. of xi.num
-    lo, hi = max(0, e - xi.num.bit_length()), min(e, x.num.bit_length())
-    if lo >= hi:
-        return Phase(p)
-    top, q = hi - lo - 1, p ** (hi - lo)
-    da, db = _digits(x.num // p**lo % q, p), _digits(xi.num // p ** (e - hi) % q, p)
-    residue = sum(a * db[top - i] for i, a in enumerate(da) if top - i < len(db)) % p
-    return Phase(p, residue, 1) if residue else Phase(p)
+    params, b = xi.params, xi.num
+    for x in xs:
+        if x.params is not params and x.params != params:
+            raise ParamMismatchError(f"mismatched params: {x.params} vs {params}")
+    p = params.p
+    es = [x.vexp + xi.vexp if x.num and b else 0 for x in xs]
+    if params.mode == CARRY:  # both nums are prime to p, so their product mod p**e is too
+        return [(x.num * b % p**e, e) if e > 0 else (0, 0) for x, e in zip(xs, es)]
+    # digit i of x.num meets digit e - 1 - i of b, and a bit length bounds a digit count,
+    # so only the digits lo..hi-1 of b can meet those of any x: they are read once a call
+    meet = [e - x.num.bit_length() for x, e in zip(xs, es) if e > 0]
+    lo, hi = max(0, min(meet, default=0)), min(b.bit_length(), max(es, default=0))
+    if hi <= lo:
+        return [(0, 0)] * len(es)
+    if p == 2:  # t**-1 digit: the parity of x.num's bits under b's, reversed at bit hi-1-j
+        rev = int(f"{b >> lo & (1 << hi - lo) - 1:0{hi - lo}b}"[::-1], 2)
+        odd = [(x.num >> e - hi & rev if e >= hi else x.num & rev >> hi - e).bit_count() & 1
+               for x, e in zip(xs, es)]
+        return [(o, o) for o in odd]  # (1, 1) is 1/2, (0, 0) is zero
+    # a slot of s bits holds hi - lo digit products with no carry out, so the t**-1
+    # coefficient is one slot of one product: slot e - 1 - a_lo - lo, as digit a_lo + i
+    # of x.num sits in slot i and digit lo + j of b in slot j (an empty window gives 0)
+    s = ((hi - lo) * (p - 1) ** 2).bit_length()
+    packed, out = _packed(b, p, lo, hi, s), []
+    for x, e in zip(xs, es):
+        a_lo, a_hi = max(0, e - hi), min(x.num.bit_length(), e - lo)
+        product = _packed(x.num, p, a_lo, a_hi, s) * packed if a_lo < a_hi else 0
+        residue = (product >> s * max(0, e - 1 - a_lo - lo) & (1 << s) - 1) % p
+        out.append((residue, 1) if residue else (0, 0))
+    return out
+
+
+def _packed(n: int, p: int, lo: int, hi: int, s: int) -> int:
+    """Base-p digits lo..hi-1 of n >= 0, digit lo + i in bits s*i onward."""
+    return sum(d << s * i for i, d in enumerate(_digits(n // p**lo % p ** (hi - lo), p)))
+
+
+def pairing_phase(x: GroupElement, xi: GroupElement) -> Phase:
+    """Exact phase of the self-dual pairing <x, xi>: pairing_phases of the one x."""
+    return Phase(xi.params.p, *pairing_phases((x,), xi)[0])

@@ -47,7 +47,7 @@ from .gabor import (
 )
 from .geometry import anchored_int, coset_rep, section
 from .linalg import RankDeficiencyError
-from .localfield import CARRY, MODULAR, GroupElement, GroupParams, pairing_phase
+from .localfield import CARRY, MODULAR, GroupElement, GroupParams, Phase, pairing_phases
 from .model import (
     ModelFunction,
     ModelSpace,
@@ -139,13 +139,20 @@ def _worse(worst: float, *values: float) -> float:
 
 
 def _naive_dual_sums(f: ModelFunction) -> np.ndarray:
-    """Quadratic-cost transform straight from the exact pairing; test oracle."""
+    """Quadratic-cost transform straight from the exact pairing, with no model table; test
+    oracle.  One batched pairing per dual element, a complex value per distinct phase, and a
+    Python complex sum over a = 0 .. dim-1, whose terms and partial sums keep their bits."""
     space = f.space
+    p, coeffs, xs = space.params.p, f.coeffs.tolist(), space.index_section
+    values = {}  # phase -> its conjugate complex value
     out = np.zeros(space.dual.dim, dtype=complex)
     for b, xi in enumerate(space.dual.index_section):
+        phases = pairing_phases(xs, xi)
+        for phase in set(phases) - values.keys():
+            values[phase] = Phase.make(p, *phase).complex_value().conjugate()
         acc = 0.0 + 0.0j
-        for a, x in enumerate(space.index_section):
-            acc += f.coeffs[a] * pairing_phase(x, xi).complex_value().conjugate()
+        for c, phase in zip(coeffs, phases):
+            acc += c * values[phase]
         out[b] = space.coset_measure * acc
     return out
 

@@ -69,16 +69,39 @@ def _product_route_dual_sums(f):
     return out
 
 
-# the transform-unitarity configs of --sizes full, then of --sizes small
+# the transform-unitarity configs of --sizes full, then of --sizes small, then spaces
+# with m != k and p > 3 that no suite config reaches
 ORACLE_CONFIGS = [(2, CARRY, 3, 3), (3, CARRY, 2, 2), (2, MODULAR, 3, 3), (3, MODULAR, 1, 1),
-                  (2, CARRY, 2, 2), (3, CARRY, 1, 1), (2, MODULAR, 2, 2)]
+                  (2, CARRY, 2, 2), (3, CARRY, 1, 1), (2, MODULAR, 2, 2),
+                  (5, MODULAR, 1, 2), (3, MODULAR, 2, 1), (2, CARRY, 1, 4)]
+
+
+def _oracle_input(config):
+    space = ModelSpace(GroupParams(*config[:2]), *config[2:])
+    return ModelFunction(space, SplitMix64(verify.DEFAULT_SEED).complex_vector(space.dim))
 
 
 @pytest.mark.parametrize("config", ORACLE_CONFIGS)
 def test_the_oracle_keeps_its_bytes(config):
-    space = ModelSpace(GroupParams(*config[:2]), *config[2:])
-    f = ModelFunction(space, SplitMix64(verify.DEFAULT_SEED).complex_vector(space.dim))
+    f = _oracle_input(config)
     assert verify._naive_dual_sums(f).tobytes() == _product_route_dual_sums(f).tobytes()
+
+
+def _kernel_table(*args):
+    raise AssertionError("the oracle read a table of the kernel it checks")
+
+
+@pytest.mark.parametrize("config", ORACLE_CONFIGS)
+def test_the_oracle_shares_no_table_with_the_kernel(monkeypatch, config):
+    expected = verify._naive_dual_sums(_oracle_input(config)).tobytes()
+    for name in ("raw_dual_sums", "char_rows"):
+        monkeypatch.setattr(ModelSpace, name, _kernel_table)
+    for name in ("_neg_root_table", "_unit_root_table"):
+        monkeypatch.setattr(ModelSpace, name, property(_kernel_table))
+    f = _oracle_input(config)  # a fresh space, with no table cached
+    with pytest.raises(AssertionError, match="kernel"):
+        model.fourier(f)
+    assert verify._naive_dual_sums(f).tobytes() == expected
 
 
 def _cells_over_wrong_axes(grid):
@@ -242,6 +265,23 @@ def test_each_check_fails_under_its_mutant(monkeypatch, check):
     _patch(monkeypatch, *MUTANTS[check])
     results = {r.name: r for r in run_suite(size="small")}
     assert not results[check].passed, results[check].line()
+
+
+_BINARY_DUAL_SUMS = ModelSpace._binary_dual_sums
+
+
+def _binary_dual_sums_without_reversal(space, rows):
+    # digit reversal is its own inverse, so gathering by it first undoes the kernel's gather
+    return _BINARY_DUAL_SUMS(space, rows[:, space._reversal])
+
+
+def test_transform_unitarity_sees_a_modular_kernel_defect(monkeypatch):
+    monkeypatch.setattr(ModelSpace, "_binary_dual_sums", _binary_dual_sums_without_reversal)
+    result = {r.name: r for r in run_suite(size="small")}["transform-unitarity"]
+    assert not result.passed, result.line()
+    # the oracle alone sees it, not only the unit-ball image
+    f = _oracle_input((2, MODULAR, 2, 2))
+    assert np.max(np.abs(model.fourier(f).coeffs - verify._naive_dual_sums(f))) > 1e-12
 
 
 def test_a_build_patched_between_runs_takes_effect(monkeypatch):

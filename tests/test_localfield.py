@@ -17,6 +17,7 @@ from padicgabor.localfield import (
     ParamMismatchError,
     Phase,
     pairing_phase,
+    pairing_phases,
     parse_element,
     parse_rational,
     rational_text,
@@ -326,6 +327,36 @@ def test_pairing_matches_the_product_route(monkeypatch, p, mode):
     assert mode == MODULAR or any(x.num < 0 for x, _ in pairs)
     _no_elements(monkeypatch)
     assert [pairing_phase(x, xi) for x, xi in pairs] == expected
+
+
+@pytest.mark.parametrize("mode", [CARRY, MODULAR])
+@pytest.mark.parametrize("p", [2, 3, 5, 11])
+def test_batched_pairing_matches_the_product_route(monkeypatch, p, mode):
+    # the x of the 600 seeded pairs as one batch against every 20th xi and zero: the digit
+    # window of xi spans x of many lengths and valuations, zeros, e <= 0, negative nums
+    params = GroupParams(p, mode)
+    rng = SplitMix64(p * 2 + (mode == MODULAR))
+    pairs = [(pairing_operand(params, rng), pairing_operand(params, rng)) for _ in range(600)]
+    xs = [x for x, _ in pairs]
+    xis = [xi for _, xi in pairs[::20]] + [GroupElement.zero(params)]
+    expected = [[(z.num, z.denom_exp) for z in map(product_route_phase, xs, [xi] * len(xs))]
+                for xi in xis]
+    _no_elements(monkeypatch)
+    assert [pairing_phases(xs, xi) for xi in xis] == expected
+    assert pairing_phases([], xis[0]) == []
+
+
+def test_a_mismatched_element_anywhere_in_a_batch_raises():
+    xi = GroupElement.from_rational(M2, 5, 2)
+    xs = [GroupElement.from_rational(GroupParams(2, MODULAR), n, 1) for n in range(5)]
+    assert len(pairing_phases(xs, xi)) == 5  # equal params need not be one object
+    for bad in (GroupElement.one(P2), GroupElement.zero(M3), GroupElement.one(P3)):
+        for at in (0, 2, len(xs)):
+            with pytest.raises(ParamMismatchError) as new:
+                pairing_phases(xs[:at] + [bad] + xs[at:], xi)
+            with pytest.raises(ParamMismatchError) as old:
+                product_route_phase(bad, xi)
+            assert str(new.value) == str(old.value)
 
 
 @pytest.mark.parametrize("mode", [CARRY, MODULAR])
