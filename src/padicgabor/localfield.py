@@ -22,9 +22,10 @@ The scaling automorphism x -> p**-n * x (resp. t**-n * x) is ``automorphism``;
 ``pairing_phases`` evaluates the self-dual character pairing of one xi with a
 sequence of elements as exact rational phases with denominator a power of p,
 from the operands' integers and without forming x*xi: one product reduced mod
-p**e in carry mode.  In modular mode xi's digits are read once a call, and the
-t**-1 digit is the parity of x's bits under them (p = 2) or one slot of a
-carry-free product of packed digits.  ``pairing_phase`` is its one-element case.
+p**e in carry mode.  In modular mode the digits that can meet are read once a
+call, over the union of the pairs' windows (``pairing_phase``, one pair, reads
+only its own), and the t**-1 digit is the parity of x's bits under xi's (p = 2)
+or one slot of a carry-free product of packed digits.
 """
 
 from __future__ import annotations
@@ -374,6 +375,7 @@ def pairing_phases(xs, xi: GroupElement) -> list[tuple[int, int]]:
     lo, hi = max(0, min(meet, default=0)), min(b.bit_length(), max(es, default=0))
     if hi <= lo:
         return [(0, 0)] * len(es)
+    # p = 2 has its own path: the packed one below serves it too, but about 5x slower
     if p == 2:  # t**-1 digit: the parity of x.num's bits under b's, reversed at bit hi-1-j
         rev = int(f"{b >> lo & (1 << hi - lo) - 1:0{hi - lo}b}"[::-1], 2)
         odd = [(x.num >> e - hi & rev if e >= hi else x.num & rev >> hi - e).bit_count() & 1
