@@ -51,12 +51,11 @@ from .localfield import CARRY, GroupElement, GroupParams, parse_rational, ration
 # the layers some command never uses run on first use, as numpy does (_lazy)
 density = _lazy("padicgabor.density")
 gabor = _lazy("padicgabor.gabor")
-linalg = _lazy("padicgabor.linalg")
 model = _lazy("padicgabor.model")
 verify = _lazy("padicgabor.verify")
 
 MAX_ENTRIES = 2**22  # complex entries of any array a command builds: 64 MiB, dim <= 2048
-MAX_FRAME_DIM = 2**9  # dim of a frame model: its eigenvalues cost O(dim^3); S at most as much
+MAX_FRAME_DIM = 2**9  # dim of a frame model: the spectrum's reduction costs O(dim^3); S no more
 MAX_POINTS = 2**20  # points a lambda lists or generates
 MAX_P = 2**16  # the prime
 MAX_SCALE = 64  # density scales and powers, |valuation| of a config element
@@ -606,15 +605,12 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OverflowError) as exc:
         _complain(f"config error: {exc}")
         return 2
-    # an instance of these classes exists only once its layer has run, so a layer that has
-    # not run is not asked, which would run it
+    # an InvariantViolation exists only once density has run, so a density that has not run is
+    # not asked, which would run it
     except Exception as exc:
-        if ran(density) and isinstance(exc, density.InvariantViolation):
-            _complain(f"internal invariant violated: {exc}")
-        elif ran(linalg) and isinstance(exc, linalg.ConvergenceError):
-            _complain(f"eigensolver failed: {exc}")
-        else:
+        if not (ran(density) and isinstance(exc, density.InvariantViolation)):
             raise
+        _complain(f"internal invariant violated: {exc}")
         return 1
 
 

@@ -1,12 +1,15 @@
-"""Dense complex Hermitian eigenvalues and positive definite solves, self-contained.
+"""Dense complex Hermitian spectra and positive definite solves, self-contained.
 
-Eigenvalues come from a Householder reduction to a real symmetric tridiagonal (Wilkinson
-1965) and implicit QL with Wilkinson shifts on it (Bowdler, Martin, Reinsch & Wilkinson
-1968, EISPACK tql1); a matrix already diagonal to EXIT_TOL skips both.  Solves come from a
-Cholesky factorization M = L L^H and substitution.  No external solver is called, and the
-array work is elementwise numpy arithmetic and einsum, not BLAS, so it does not depend on
-thread count.  QL raises ConvergenceError at its step cap, and a solve RankDeficiencyError
-at a pivot <= 0, so neither returns NaN.
+hermitian_eigs gives what every reader of a spectrum needs: the least and the largest
+eigenvalue and the rank, the count above RANK_TOL * max(1, largest).  A matrix already
+diagonal to EXIT_TOL reads them off its diagonal.  Any other is reduced to a real symmetric
+tridiagonal T by Householder (Wilkinson 1965), whose Sturm count, the negative pivots of the
+LDL^T factorization of T - sigma I, gives the extremes by bisection (Barth, Martin & Wilkinson
+1967, LAPACK dstebz) and the rank as one count (the inertia of a matrix within a few ulps of
+T, Kahan 1966).  Solves come from a Cholesky factorization M = L L^H and substitution.  No
+external solver is called, and the array work is elementwise numpy arithmetic and einsum, not
+BLAS, so it does not depend on thread count.  A solve raises RankDeficiencyError at a pivot
+<= 0, so it never returns NaN.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ HERMITICITY_TOL = 1e-12
 RANK_TOL = 1e-9
 EXIT_TOL = 1e-30  # a matrix is diagonal once ||off-diagonal||_F <= EXIT_TOL * ||A||_F * n
 EPS = sys.float_info.epsilon
+TINY = sys.float_info.min  # the least normal float
 
 
 class RankDeficiencyError(RuntimeError):
@@ -30,15 +34,6 @@ class RankDeficiencyError(RuntimeError):
         super().__init__(f"matrix is not positive definite: {value:.3e} <= tol {tol:.3e}")
         self.value = value
         self.tol = tol
-
-
-class ConvergenceError(RuntimeError):
-    """QL hit its step cap on one eigenvalue with off-diagonal mass left."""
-
-    def __init__(self, steps: int, off: float, target: float):
-        super().__init__(f"no convergence in {steps} QL steps on one eigenvalue: "
-                         f"off-diagonal norm {off:.3e} > {target:.3e}")
-        self.steps = steps
 
 
 @dataclass
@@ -75,7 +70,7 @@ def _frobenius(a: np.ndarray):
 
 
 def _tridiagonal(matrix: np.ndarray) -> tuple[list[float], list[float]]:
-    """(d, e): a real symmetric tridiagonal T unitarily similar to Hermitian A, n >= 2.
+    """(d, e): a real symmetric tridiagonal T unitarily similar to Hermitian A.
 
     d is the diagonal and e[i] couples d[i] and d[i + 1].  Step k reflects the
     column x below the diagonal onto -phase(x_0) ||x|| e_1 (Householder;
@@ -108,66 +103,71 @@ def _tridiagonal(matrix: np.ndarray) -> tuple[list[float], list[float]]:
     return d, e
 
 
-def _ql(d: list[float], e: list[float], cap: int = 30) -> list[float]:
-    """All eigenvalues of the symmetric tridiagonal (d, e), ascending, by implicit QL.
+def _sturm_count(d: list[float], e: list[float]):
+    """sigma -> #(lambda < sigma) of the symmetric tridiagonal (d, e): the negative pivots of
+    T - sigma I = L D L^T, q_i = d_i - sigma - e_(i-1)^2 / q_(i-1) (Sylvester's inertia).  A
+    pivot of modulus below pivmin = TINY max(1, max e_i^2) is taken as pivmin, so no division is
+    by zero and no quotient exceeds 1 / TINY: the guard of LAPACK dstebz, whose -pivmin would
+    count an eigenvalue at sigma in."""
+    squares = [0.0, *(x * x for x in e)]
+    pivmin = TINY * max(1.0, *squares)
 
-    The QL steps use Wilkinson shifts (Bowdler, Martin, Reinsch & Wilkinson
-    1968, EISPACK tql1).  An entry of e at most EPS * max(|d_i| + |e_i|) is
-    neglected, which splits T there; eigenvalue l is found when e[l] is.
-    Raises ConvergenceError after cap QL steps on one eigenvalue.
-    """
-    d, e = list(d), [*e, 0.0]
+    def count(sigma: float) -> int:
+        c, q = 0, 1.0
+        for di, sq in zip(d, squares):
+            q = di - sigma - sq / q
+            if -pivmin < q < pivmin:
+                q = pivmin
+            elif q < 0.0:
+                c += 1
+        return c
+
+    return count
+
+
+def _extremes(d: list[float], e: list[float], count, width: float) -> tuple[float, float]:
+    """(least, largest) eigenvalue of the tridiagonal (d, e), each to within width / 2 of the
+    eigenvalue of a matrix within a few ulps of T.  One loop bisects both Gershgorin brackets,
+    lambda_min in [min(d_i - r_i), min d_i] and lambda_max in [max d_i, max(d_i + r_i)] with
+    r_i = e_(i-1) + e_i, until each is at most width wide.  With width 2 EPS ||T||_F, every
+    step halves a wider bracket: its ends lie in the Gershgorin interval, within sqrt(3) ||T||_F
+    of 0, where one ulp is below width, so its midpoint rounds strictly inside it."""
     n = len(d)
-    small = EPS * max(abs(x) + abs(y) for x, y in zip(d, e))
-    for l in range(n):
-        for step in range(cap + 1):
-            m = l
-            while abs(e[m]) > small:  # e[n - 1] = 0 stops it
-                m += 1
-            if m == l:
-                break
-            if step == cap:
-                raise ConvergenceError(cap, abs(e[l]), small)
-            # the eigenvalue of the leading 2 x 2 block of T[l:m+1] nearer d[l], as the shift
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
-            s, c, p = 1.0, 1.0, 0.0
-            for i in range(m - 1, l - 1, -1):
-                f, b = s * e[i], c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:  # underflow: T splits at i + 1; restart the step
-                    d[i + 1], e[m] = d[i + 1] - p, 0.0
-                    break
-                s, c = f / r, g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            else:
-                d[l], e[l], e[m] = d[l] - p, g, 0.0
-    return sorted(d)
+    radii = [x + y for x, y in zip([0.0, *e], [*e, 0.0])]
+    low = [min(x - r for x, r in zip(d, radii)), min(d)]
+    high = [max(d), max(x + r for x, r in zip(d, radii))]
+    while low[1] - low[0] > width or high[1] - high[0] > width:
+        s, t = 0.5 * (low[0] + low[1]), 0.5 * (high[0] + high[1])
+        low[count(s) > 0] = s  # an eigenvalue below s: lambda_min is in [low[0], s]
+        high[count(t) == n] = t  # every eigenvalue below t: lambda_max is in [high[0], t]
+    return 0.5 * (low[0] + low[1]), 0.5 * (high[0] + high[1])
 
 
 def hermitian_eigs(matrix: HermitianMatrix):
-    """(eigenvalues ascending, error bound); checked against the cyclic Jacobi in the tests.
+    """((least eigenvalue, largest, rank), error bound); checked against the cyclic Jacobi in
+    the tests.  The rank counts the eigenvalues above RANK_TOL * max(1, largest).
 
-    A matrix diagonal to EXIT_TOL gives its sorted diagonal and its off-diagonal Frobenius norm
-    as the bound (Weyl).  Any other takes the tridiagonal and QL, and the bound 4 n EPS ||A||_F,
-    the usual c n EPS ||A||_F backward-error form of Householder reduction plus QL: it covers
-    rounding in the reflections and rotations and the neglected sub-diagonal entries (each at
-    most EPS ||T||).  The constant 4 is not proved.
+    A matrix diagonal to EXIT_TOL reads all three off its sorted diagonal, with its off-diagonal
+    Frobenius norm as the bound (Weyl).  Any other takes the tridiagonal, bisection to a width
+    of 2 EPS ||T||_F and one Sturm count, and the bound 4 n EPS ||A||_F, the usual c n EPS
+    ||A||_F backward-error form of Householder reduction: it covers rounding in the reflections,
+    in the counts (each exact for a matrix within a few ulps of T) and the bisection's half
+    width.  The constant 4 is not proved.
     """
     a, n = matrix.entries, matrix.dim
     if n < 1:
         raise ValueError("dimension must be >= 1")
     norm, off = _frobenius(a), _frobenius(a - np.diag(np.diagonal(a)))
     if off <= EXIT_TOL * norm * n:
-        return np.sort(np.diagonal(a).real, kind="stable"), float(off)
-    e = np.frexp(np.max(np.abs(a)))[1]  # the reduction squares too: scale a exactly first
-    vals = np.ldexp(_ql(*_tridiagonal(np.ldexp(a.view(float), -e).view(complex))), e)
-    return vals, 4 * n * EPS * float(norm)
+        vals = np.sort(np.diagonal(a).real, kind="stable")
+        upper = float(vals[-1])
+        return (float(vals[0]), upper, int(np.sum(vals > RANK_TOL * max(1.0, upper)))), float(off)
+    e = int(np.frexp(np.max(np.abs(a)))[1])  # the reduction squares too: scale a exactly first
+    d, sub = _tridiagonal(np.ldexp(a.view(float), -e).view(complex))
+    count, width = _sturm_count(d, sub), 2 * EPS * float(np.ldexp(norm, -e))
+    lower, upper = (float(x) for x in np.ldexp(_extremes(d, sub, count, width), e))
+    rank = n - count(float(np.ldexp(RANK_TOL * max(1.0, upper), -e)))
+    return (lower, upper, rank), 4 * n * EPS * float(norm)
 
 
 def solve_hermitian(matrix: HermitianMatrix, rhs):

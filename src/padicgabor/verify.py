@@ -230,8 +230,8 @@ def check_tight_frame_constant(p_list, size, rng, systems) -> CheckResult:
     configs = _kept(TIGHT_CONFIGS, p_list)
     worst = 0.0
     for p, mode in configs:
-        vals = systems.tight(p, mode).spectrum[0]
-        worst = _worse(worst, float(np.max(np.abs(vals - float(p * p)))))
+        (lower, upper, _), _ = systems.tight(p, mode).spectrum
+        worst = _worse(worst, abs(lower - p * p), abs(upper - p * p))
     return CheckResult(
         "tight-frame-constant", bool(configs) and worst <= 1e-9,
         f"max eigenvalue deviation {worst:.2e}", "1e-9",

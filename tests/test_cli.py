@@ -1,6 +1,5 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
-import functools
 import hashlib
 import importlib.util
 import inspect
@@ -21,12 +20,12 @@ from padicgabor import cli, gabor, linalg, verify
 from padicgabor.cli import main
 from padicgabor.density import PointSet
 from padicgabor.geometry import anchored_int, section
-from padicgabor.linalg import ConvergenceError
 from padicgabor.localfield import CARRY, MAX_BODY_DIGITS, MODULAR, GroupParams, parse_element
 from padicgabor.model import (ModelFunction, ModelSpace, StftGrid, modulation_norm, stft,
                               stft_magnitudes, wiener_norm)
 from padicgabor.rng import SplitMix64
 from padicgabor.verify import run_suite
+from test_linalg import cyclic_jacobi
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -138,7 +137,6 @@ def test_frame_tight_report(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["classification"] == "TightFrame"
     assert abs(doc["c"] - 4.0) <= 1e-9
-    assert doc["sweeps"] == 0  # always 0; the key stays so that frame bytes hold
 
 
 def test_frame_incomplete_report_is_success(tmp_path, capsys):
@@ -196,7 +194,7 @@ def test_readme_frame_example(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["c"] == 4.000000000000001
     assert doc["classification"] == "TightFrame"
-    assert (doc["count"], doc["dim"], doc["sweeps"]) == (16, 4, 0)
+    assert (doc["count"], doc["dim"]) == (16, 4) and "sweeps" not in doc
 
 
 def test_output_deterministic(tmp_path):
@@ -713,7 +711,7 @@ def test_each_command_executes_only_the_layers_it_uses(tmp_path, command):
         argv = [command, "--config", write_config(tmp_path, "c.json", doc)]
     # the lazy layers are bound on the package, as an import binds them
     probe = ("import contextlib, importlib.util, io, sys, padicgabor, padicgabor.cli as c\n"
-             "for name in ('density', 'gabor', 'linalg', 'model', 'verify'):\n"
+             "for name in ('density', 'gabor', 'model', 'verify'):\n"
              "    assert getattr(padicgabor, name) is sys.modules['padicgabor.' + name], name\n"
              "if sys.argv[1:]:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -727,8 +725,8 @@ def test_each_command_executes_only_the_layers_it_uses(tmp_path, command):
 
 
 def test_an_unexpected_exception_runs_no_further_layer(tmp_path):
-    # main matches its exit-1 failures (density.InvariantViolation, linalg.ConvergenceError)
-    # without running those layers, so a stft that fails unexpectedly runs model alone
+    # main matches its exit-1 failure (density.InvariantViolation) without running density,
+    # so a stft that fails unexpectedly runs model alone
     probe = ("import importlib.util, sys, padicgabor.cli as c\n"
              "def fail(*args):\n"
              "    raise KeyError('unexpected')\n"
@@ -786,19 +784,6 @@ def test_frame_bad_config_exits_2(tmp_path, capsys, doc):
     assert captured.out == ""
 
 
-def test_eigensolver_failure_exits_1(tmp_path, capsys, monkeypatch):
-    def no_convergence(d, e):
-        raise ConvergenceError(30, 1.0, 1e-29)
-
-    monkeypatch.setattr(linalg, "_ql", no_convergence)  # S is not diagonal: the QL runs
-    cfg = write_config(tmp_path, "f.json", PINNED_FRAMES["random-carry-3-dim27"][0])
-    assert main(["frame", "--config", cfg]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("eigensolver failed: ")
-    assert captured.err.count("\n") == 1
-    assert captured.out == ""
-
-
 def test_frame_dim_at_the_cap_is_accepted(tmp_path, capsys, monkeypatch):
     # dim 512 = MAX_FRAME_DIM reaches the real eigensolver: the ONB's 512 points take the
     # transform route, whose operator carries rounding off the diagonal, so it takes the
@@ -820,7 +805,7 @@ def test_frame_dim_at_the_cap_is_accepted(tmp_path, capsys, monkeypatch):
     assert dims == [cli.MAX_FRAME_DIM]
     report = json.loads(capsys.readouterr().out)
     assert report["dim"] == report["count"] == report["rank"] == cli.MAX_FRAME_DIM
-    assert (report["classification"], report["sweeps"]) == ("ONB", 0)
+    assert report["classification"] == "ONB"
     assert abs(report["lower"] - 1.0) <= 1e-12 and abs(report["upper"] - 1.0) <= 1e-12
 
 
@@ -858,17 +843,6 @@ def test_a_full_budget_frame_makes_no_vector_matrix(tmp_path, capsys, monkeypatc
     report = json.loads(capsys.readouterr().out)
     assert (report["dim"], report["count"], report["rank"]) == (256, 16384, 256)
     assert tables == [256]
-
-
-def test_ql_step_cap_exits_1(tmp_path, capsys, monkeypatch):
-    # the QL's own ConvergenceError, not a stub's, reaches the frame command's exit 1
-    monkeypatch.setattr(linalg, "_ql", functools.partial(linalg._ql, cap=1))
-    cfg = write_config(tmp_path, "f.json", PINNED_FRAMES["random-carry-3-dim27"][0])
-    assert main(["frame", "--config", cfg]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("eigensolver failed: no convergence in 1 QL steps on one ")
-    assert "Jacobi" not in captured.err and captured.err.count("\n") == 1
-    assert captured.out == ""
 
 
 def _run_cli(args, threads):
@@ -1207,15 +1181,15 @@ def _pinned_frame(seed):
 # the eigenvalues and every kernel under the paper checks bit for bit
 PINNED_FRAMES = {
     "onb-carry-2": (FRAME_ONB,
-                    "7bcaa07129a1ec57d8ec904fde6d47e2733330e77f04e5d972c289924419db2b"),
+                    "3152e499f5515b1969f41cf9c72abd08978cd1caa782e530e845b3d0ff69b610"),
     "tight-modular-3": ({**FRAME_TIGHT, "group": {"p": 3, "mode": "modular"}},
-                        "a4316bbac16846a5f78fd818b4287e74f02d22bf0145f2af12f86128a0f4f908"),
+                        "7698bd0f24c53b188c042c5985f2cb70f9644b02c3e3b7362c05b9a9c3e6d643"),
     "incomplete-carry-2": ({**FRAME_ONB, "lambda": {
         "ambient": "phase", "type": "product-sections",
         "x": {"outer": 2, "inner": 0}, "xi": {"outer": 2, "inner": 1}}},
-        "d2530fffdf92f5670f39c957dd6cb988a095f199a0910de248ac01d9489a3c36"),
+        "35b59f9fefbf222125818bf53a20570825587d66b759660cc4d175b1a20c411f"),
     "random-carry-3-dim27": (_pinned_frame(35),
-                             "7900c2c4963e1890925a7eaf9c0bba4291377b634c3d5f7a6a4af0e995e8a5f1"),
+                             "8c942a9c9f962e070360d5532689b656ede7097af96a1c114d8a01969bd8fca6"),
 }
 
 
@@ -1225,6 +1199,26 @@ def test_frame_output_bytes_are_pinned(tmp_path, capsys, case):
     cfg = write_config(tmp_path, "c.json", doc)
     assert main(["frame", "--config", cfg]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", list(PINNED_FRAMES))
+def test_pinned_frames_agree_with_the_jacobi(tmp_path, capsys, monkeypatch, case):
+    # the bounds each pinned frame prints lie within its reported bound, twice over, of the
+    # cyclic Jacobi's of the same S, and its rank is the Jacobi's count above the cutoff
+    taken = []
+    eigs = gabor.hermitian_eigs
+    monkeypatch.setattr(gabor, "hermitian_eigs", lambda m: taken.append(m) or eigs(m))
+    cfg = write_config(tmp_path, "c.json", PINNED_FRAMES[case][0])
+    assert main(["frame", "--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    (matrix,) = taken
+    ref, off, _ = cyclic_jacobi(matrix.entries)
+    slack = 2 * eigs(matrix)[1] + off
+    assert abs(report["lower"] - max(np.min(ref), 0.0)) <= slack
+    assert abs(report["upper"] - np.max(ref)) <= slack
+    cutoff = linalg.RANK_TOL * max(1.0, report["upper"])
+    assert np.min(np.abs(ref - cutoff)) > slack
+    assert report["rank"] == int(np.sum(ref > cutoff))
 
 
 def _record_linalg(monkeypatch):
@@ -1340,13 +1334,19 @@ def test_each_run_makes_each_model_space_once(monkeypatch):
         assert all(space.dual in made for space in made)
 
 
-def test_the_tracer_bindings_resolve():
-    # perfbench/layertrace.py patches these names from outside src/, and reads the named
-    # arguments of some: a layer that drops or renames one fails here, not only in a traced run
+def _tracer():
+    """perfbench/layertrace.py, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
         "layertrace", os.path.join(ROOT, "perfbench", "layertrace.py"))
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_the_tracer_bindings_resolve():
+    # perfbench/layertrace.py patches these names from outside src/, and reads the named
+    # arguments of some: a layer that drops or renames one fails here, not only in a traced run
+    tracer = _tracer()
     bindings = [*tracer.SPANNED.values(), *((*entry, None) for entry in tracer.COUNTED.values())]
     assert len(bindings) > 30
     for module, path, work in bindings:
@@ -1357,38 +1357,50 @@ def test_the_tracer_bindings_resolve():
             assert names <= set(inspect.signature(fn).parameters), (module, path, names)
 
 
+@pytest.mark.parametrize("m", [np.diag([2.0, 0.5, 1.0]), [[2.0, 1.0j], [-1.0j, 2.0]]],
+                         ids=["diagonal", "tridiagonal"])
+def test_the_tracer_records_the_eigen_bound_as_a_float(m):
+    # the tracer records slot 1 of a hermitian_eigs result as linalg.hermitian_eigs.max_residual:
+    # a result whose slot 1 were not the bound would record a tuple or an array there
+    work = _tracer().SPANNED["linalg.hermitian_eigs"][2]
+    matrix = linalg.HermitianMatrix(m)
+    recorded = work({"matrix": matrix}, linalg.hermitian_eigs(matrix))
+    value = recorded["linalg.hermitian_eigs.max_residual"]
+    assert type(value) is float and math.isfinite(value)
+
+
 PINNED_VERIFY_SMALL = (  # (stdout, --out)
-    "d8c422a631e5bdccceadb46a415a1a9207088f7fe1e425973acc250e1cbdeae8",
-    "e80228a420872528fa2746691731cc498a35384bbad3e13aad849ce161dbcfd5",
+    "bfbef178ec8d2ce2fe36647275f3065d65b63cf081efc49fcc5b10c44035567e",
+    "41bcbcde2238d8e8649caab5d40bb92b4b6a2ed97fb397f47a51a46b18f4167f",
 )
 
 
 PINNED_VERIFY_FULL = (  # (stdout, --out)
-    "ced5d723237fde88fd594d2382644b4ab71c42639b436019cfd45ccb32761603",
-    "6d506fd43917bc93eb3ce9eb25d57bcebbe675b419a478ea90b0a51b87897b5b",
+    "c87944719ff773f8ad663404afb6991ba382acba4dcffaab2fe12e9ac6ed9984",
+    "2d782e059906c6d8589050ca01b24a639c3ad1325f486be1f5b0cccd54c94f73",
 )
 
 
 PINNED_VERIFY_FULL_SEEDS = {  # seed: (stdout, --out) of --sizes full --seed seed
     "1": (
-        "6508fe3f5a30f3180e38ae8857d10d9ea53616ca2ad75cf210dbf9c31ee18b25",
-        "025c84245ccc041cfef785ed371dd38addcd4ee9aa5c6ae1b12d8e21b5d3a35b",
+        "65b77fd7fa254a65144d89170a91f2bde2c45512b83eb180940e126a7411d2a8",
+        "dae41c9e0bb6d611b9f98f8b9781b2b8c4eeed98fbe43925ebe117105c6685ae",
     ),
     "11": (
-        "abe3388b6b88f5ff319b5fb958e5468ef371ac1251ef1d0897528aa35d81e09b",
-        "093cf523a349da998c16e3492dd3de6264526f3a2d4f3621db710c40ddc0062e",
+        "4c0aa70558be57de7e4bac5fe48c880ec264645327b4574c10cc5757b0c0d741",
+        "cde4a1eadba5aca0913910bd7d30c13a27fc567c0acc48ea80bd806ccc26b950",
     ),
 }
 
 
 PINNED_VERIFY_SMALL_ONE_PRIME = {  # p: (stdout, --out) of --sizes small --p p
     "2": (
-        "4bc7e6ee018d0804c8e3709aa243f8caa786fe31fb2e6a19ec84bcf318874995",
-        "7bc9eccbf3a6deba6bd5844929c1c6d2e2f59d93653c5dc40e04687061a245c0",
+        "e84389fafa4beb59948910068c20919fed567228db63e11863eb415c81fc10cc",
+        "34ecbe48046fcb2c8efe03fdb0cf339455f2645f12eaae67cfee70977a5c2cc0",
     ),
     "3": (
-        "c78ae552202a8e937e70569f6b20a23cf6d96dadb13989a2ad1bf46f8b8d0be6",
-        "0a708c14ad97374843fabc9b9447f8327105d885d3e5ffa0e05250873cc85250",
+        "060c7f87a2d3474b3d6fd396d63b7021883172a558e9ea7009a76d105420bd85",
+        "568abb88f7d565f87f4575d6308afd3c3070176dd7c4e9243399242438eefa13",
     ),
 }
 

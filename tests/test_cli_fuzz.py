@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from padicgabor import linalg
 from padicgabor.cli import main
 from padicgabor.localfield import MAX_BODY_DIGITS
 
@@ -302,25 +303,39 @@ def test_a_closed_stdout_exits_2_with_one_line(command, target, tmp_path):
     assert proc.stderr.startswith("output error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
-# failures that exit 1 only under a patch: a QL capped at one step, a density that breaks
-QL_CAP_1 = ("import functools\nfrom padicgabor import linalg\n"
-            "linalg._ql = functools.partial(linalg._ql, cap=1)\n")
+# the failure that exits 1 only under a patch: a density that breaks, which verify uses too
 BROKEN_DENSITY = ("from padicgabor import density\n"
                   "def broken(*args):\n"
                   "    raise density.InvariantViolation('broken')\n"
                   "density.density_profile = broken\n")
-# a frame whose operator is not diagonal, so the eigenvalues take the QL
-QL_FRAME = {**README_CONFIG,
-            "window": {"type": "coeffs", "values": [[1, 0], [0.5, 0.25], [0, 1], [-0.5, 0]]},
-            "lambda": {"ambient": "phase", "type": "explicit",
-                       "points": [["0", "0"], ["1/2", "1/2"], ["1", "0"], ["3/2", "1"]]}}
+# a frame whose operator is not diagonal, so its spectrum takes the tridiagonal and the Sturm
+# count; the console-script step of the CI runs it too
+TRIDIAGONAL_FRAME = {
+    **README_CONFIG,
+    "window": {"type": "coeffs", "values": [[1, 0], [0.5, 0.25], [0, 1], [-0.5, 0]]},
+    "lambda": {"ambient": "phase", "type": "explicit",
+               "points": [["0", "0"], ["1/2", "1/2"], ["1", "0"], ["3/2", "1"]]}}
 # (command, failure): the exit code; every numeric command but verify reads a window
 CLOSED_STDERR = {
     **{(command, "config"): 2 for command in ("density", "frame", "stft", "norms", "verify")},
     **{(command, "output"): 2 for command in ("density", "frame", "stft", "norms", "verify")},
     **{(command, "not-finite"): 2 for command in ("frame", "stft", "norms")},
-    **{(command, "failed-check"): 1 for command in ("density", "frame", "verify")},
+    **{(command, "failed-check"): 1 for command in ("density", "verify")},
 }
+
+
+def test_only_the_tridiagonal_frame_takes_the_tridiagonal(tmp_path, capsys, monkeypatch):
+    # the README lattice's S is diagonal, so its frame run never reaches the Sturm count
+    sizes = []
+    tridiagonal = linalg._tridiagonal
+    monkeypatch.setattr(linalg, "_tridiagonal", lambda a: sizes.append(len(a)) or tridiagonal(a))
+    for doc, reduced in ((README_CONFIG, []), (TRIDIAGONAL_FRAME, [4])):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["frame", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert sizes == reduced and report["rank"] == report["dim"] == 4
+        del sizes[:]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="closes stderr in the child")
@@ -339,12 +354,8 @@ def test_a_closed_stderr_keeps_the_exit_code(command, failure, tmp_path):
     elif failure == "not-finite":
         cfg.write_text(json.dumps({**README_CONFIG, "window": {
             "type": "coeffs", "values": [[1e200, 0], [0, 1e200], [1e200, 1e200], [1, 0]]}}))
-    elif command == "density":
-        patch = BROKEN_DENSITY
     else:
-        patch = QL_CAP_1
-        if command == "frame":
-            cfg.write_text(json.dumps(QL_FRAME))
+        patch = BROKEN_DENSITY
     script = f"import sys\n{patch}from padicgabor.cli import main\nsys.exit(main(sys.argv[1:]))"
     proc = subprocess.run([sys.executable, "-c", script, *argv], env=ENV, timeout=120,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,

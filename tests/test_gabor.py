@@ -417,7 +417,7 @@ def test_analysis_products_match_inner_loops():
 
 
 def test_one_spectrum_per_system(monkeypatch):
-    # the bounds, a Riesz test and a dual's rank test read one cached values spectrum, in any
+    # the bounds, a Riesz test and a dual's rank test read one cached spectrum, in any
     # order; each dual adds one solve with S, formed again for it; no call forms the Gram
     eigs_dims, solve_dims, grams = [], [], []
     eigs, solve = gabor.hermitian_eigs, gabor.solve_hermitian

@@ -1,4 +1,4 @@
-"""Hermitian eigenvalues and solves against small dense oracles."""
+"""Hermitian extremes, ranks, Sturm counts and solves against small dense oracles."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,9 @@ from padicgabor import linalg
 from padicgabor.linalg import (
     EPS,
     RANK_TOL,
-    ConvergenceError,
     HermitianMatrix,
     RankDeficiencyError,
-    _ql,
+    _sturm_count,
     _tridiagonal,
     hermitian_eigs,
     solve_hermitian,
@@ -25,7 +24,7 @@ def random_hermitian(n, rng):
 
 
 def lu_determinant(m):
-    """Partial-pivot LU determinant; oracle for the eigenvalue product."""
+    """Partial-pivot LU determinant; oracle for the sign of the eigenvalue product."""
     a = np.array(m, dtype=complex)
     n = a.shape[0]
     det = 1.0 + 0j
@@ -43,11 +42,11 @@ def lu_determinant(m):
 
 
 def test_identity_and_diagonal():
-    vals, res = hermitian_eigs(HermitianMatrix(np.eye(4)))
-    assert np.array_equal(vals, np.ones(4)) or np.allclose(vals, 1)
+    (lower, upper, rank), res = hermitian_eigs(HermitianMatrix(np.eye(4)))
+    assert (lower, upper, rank) == (1.0, 1.0, 4)
     assert res <= 1e-12
-    vals, _ = hermitian_eigs(HermitianMatrix(np.diag([2.0, 1.0])))
-    assert np.allclose(vals, [1.0, 2.0])
+    spectrum, _ = hermitian_eigs(HermitianMatrix(np.diag([2.0, 1.0])))
+    assert spectrum == (1.0, 2.0, 2)
 
 
 def test_rank_one_spectrum():
@@ -55,30 +54,32 @@ def test_rank_one_spectrum():
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     v /= np.linalg.norm(v)
     m = HermitianMatrix(np.outer(v, v.conj()))
-    vals, res = hermitian_eigs(m)
-    assert np.allclose(vals[:7], 0.0, atol=1e-12)
-    assert abs(vals[7] - 1.0) <= 1e-12
+    (lower, upper, rank), res = hermitian_eigs(m)
+    assert abs(lower) <= 1e-12 and abs(upper - 1.0) <= 1e-12 and rank == 1
     assert res <= 1e-10
 
 
-def test_residual_and_trace_random():
+def test_residual_and_extremes_random():
+    # each extreme lies beyond every diagonal entry, a Rayleigh quotient, up to the bound
     rng = np.random.default_rng(1)
     for n in (2, 5, 9, 17, 33):
         m = random_hermitian(n, rng)
-        vals, res = hermitian_eigs(m)
+        (lower, upper, rank), res = hermitian_eigs(m)
+        diagonal = np.diagonal(m.entries).real
         assert res <= 1e-10
-        assert list(vals) == sorted(vals)
-        assert abs(vals.sum() - np.trace(m.entries).real) <= 1e-10 * np.linalg.norm(m.entries)
+        assert lower <= np.min(diagonal) + res and upper >= np.max(diagonal) - res
+        assert 0 < rank < n  # a random Hermitian matrix has eigenvalues of both signs
 
 
-def test_eigenvalue_product_matches_lu_determinant():
+def test_negative_count_matches_the_lu_determinant_sign():
+    # det = the product of the eigenvalues, so its sign is (-1)^#(lambda < 0)
     rng = np.random.default_rng(2)
     for n in (2, 4, 8):
         m = random_hermitian(n, rng)
-        vals, _ = hermitian_eigs(m)
         det = lu_determinant(m.entries)
-        assert abs(np.prod(vals) - det.real) <= 1e-8 * max(1.0, abs(det))
         assert abs(det.imag) <= 1e-8 * max(1.0, abs(det))
+        negative = _sturm_count(*_tridiagonal(m.entries))(0.0)
+        assert np.sign(det.real) == (-1) ** negative
 
 
 def test_solve_examples():
@@ -140,13 +141,14 @@ def test_construction_validation():
 
 
 def test_zero_matrix():
-    vals, bound = hermitian_eigs(HermitianMatrix(np.zeros((3, 3))))
-    assert np.array_equal(vals, np.zeros(3))
+    spectrum, bound = hermitian_eigs(HermitianMatrix(np.zeros((3, 3))))
+    assert spectrum == (0.0, 0.0, 0)
     assert bound == 0.0
 
 
 def cyclic_jacobi(matrix, sweeps=60, tol=1e-30):
-    """Row-cyclic Jacobi, one rotation at a time: the eigenvalue oracle for hermitian_eigs.
+    """Row-cyclic Jacobi, one rotation at a time: the eigenvalue oracle for hermitian_eigs
+    and the Sturm count.
 
     Returns (eigenvalues in diagonal order, off-diagonal Frobenius norm at exit, sweeps run);
     each eigenvalue lies within that norm of one of the final rotated matrix (Weyl).
@@ -189,28 +191,34 @@ def cyclic_jacobi(matrix, sweeps=60, tol=1e-30):
     raise AssertionError(f"the reference Jacobi did not converge in {sweeps} sweeps")
 
 
-def assert_values_only_matches(m):
-    """hermitian_eigs against cyclic_jacobi: where the reference runs no sweep, the sorted
-    diagonal with its bytes and the reference's off-diagonal norm as the bound; else the bound
-    4 n EPS ||A||_F, within which, twice over, plus the reference's exit norm, the values lie of
-    the reference's, the second bound standing for the reference's own rounding.  Returns both
-    spectra, ascending."""
+def assert_matches_jacobi(m):
+    """hermitian_eigs against cyclic_jacobi: where the reference runs no sweep, the ends of the
+    sorted diagonal with their bytes and the reference's off-diagonal norm as the bound; else
+    the bound 4 n EPS ||A||_F, within which, twice over, plus the reference's exit norm, the
+    extremes lie of the reference's, the second bound standing for the reference's own rounding.
+    The rank is the reference's count above the cutoff wherever no reference eigenvalue lies
+    that close to it.  Returns ((lower, upper, rank), bound) and the reference's spectrum,
+    ascending."""
     m = HermitianMatrix(m).entries
     vals, off, sweeps = cyclic_jacobi(m)
     ref = np.sort(vals, kind="stable")
-    only, bound = hermitian_eigs(HermitianMatrix(m))
-    assert list(only) == sorted(only)
+    (lower, upper, rank), bound = result = hermitian_eigs(HermitianMatrix(m))
+    assert lower <= upper and isinstance(rank, int)
     if sweeps == 0:
-        assert only.tobytes() == ref.tobytes() and bound == pytest.approx(off, rel=1e-12)
+        assert np.array([lower, upper]).tobytes() == ref[[0, -1]].tobytes()
+        assert bound == pytest.approx(off, rel=1e-12)
     else:
         assert bound == pytest.approx(4 * len(m) * EPS * np.linalg.norm(m), rel=1e-12)
-        assert np.max(np.abs(only - ref)) <= 2 * bound + off
-    return only, ref
+        assert max(abs(lower - ref[0]), abs(upper - ref[-1])) <= 2 * bound + off
+    cutoff = RANK_TOL * max(1.0, upper)
+    if np.min(np.abs(ref - cutoff)) > 2 * bound + off:
+        assert rank == int(np.sum(ref > cutoff))
+    return result, ref
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 16, 27, 64, 81])
 def test_values_path_matches_cyclic_reference(n):
-    assert_values_only_matches(random_hermitian(n, np.random.default_rng(100 + n)).entries)
+    assert_matches_jacobi(random_hermitian(n, np.random.default_rng(100 + n)).entries)
 
 
 @pytest.mark.parametrize("n", [3, 8, 9])
@@ -228,7 +236,7 @@ def test_values_path_degenerate_and_special_spectra(n):
         1j * np.triu(np.ones((n, n)), 1) - 1j * np.tril(np.ones((n, n)), -1),
     ]
     for m in cases:
-        assert_values_only_matches(HermitianMatrix(m).entries)
+        assert_matches_jacobi(HermitianMatrix(m).entries)
 
 
 def test_values_path_extreme_scales():
@@ -237,12 +245,12 @@ def test_values_path_extreme_scales():
     for scale in (1e-150, 1e150):
         m = random_hermitian(6, rng).entries * scale
         m[0, 3] = m[3, 0] = 0.0
-        assert_values_only_matches(m)
+        assert_matches_jacobi(m)
 
 
-# The values path against the cyclic Jacobi.  Entries are dyadic, k / 64 for |k| <= 2^16, times
-# 2^j for |j| <= 64: squares and their sums stay normal floats, so both paths' Frobenius norms
-# are exact to rounding.  The stated bound is assert_values_only_matches's.
+# The extremes and the rank against the cyclic Jacobi.  Entries are dyadic, k / 64 for
+# |k| <= 2^16, times 2^j for |j| <= 64: squares and their sums stay normal floats, so both
+# paths' Frobenius norms are exact to rounding.  The stated bound is assert_matches_jacobi's.
 ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 SIZES = st.integers(1, 12)
 SCALES = st.integers(-64, 64).map(lambda j: 2.0**j)
@@ -269,7 +277,7 @@ def _unitary(n, seed):
 @ORACLE
 @given(hermitian_matrices())
 def test_values_path_matches_jacobi_on_random_hermitian(m):
-    assert_values_only_matches(m)
+    assert_matches_jacobi(m)
 
 
 @ORACLE
@@ -281,20 +289,63 @@ def test_values_path_rank_count_on_low_rank_psd(n, data, seed):
     weights = np.array(data.draw(st.lists(st.integers(64, 2**16), min_size=r, max_size=r))) / 64
     u = _unitary(n, seed)[:, :r]
     m = HermitianMatrix(np.einsum("ai,i,bi->ab", u, weights, u.conj())).entries
-    vals, ref = assert_values_only_matches(m)
-    for spectrum in (vals, ref):
-        assert int(np.sum(spectrum > RANK_TOL * max(1.0, float(np.max(spectrum))))) == r
+    ((_, _, rank), _), ref = assert_matches_jacobi(m)
+    assert rank == r
+    assert int(np.sum(ref > RANK_TOL * max(1.0, float(np.max(ref))))) == r
+
+
+@ORACLE
+@given(SIZES, st.data(), st.integers(0, 2**32 - 1))
+def test_rank_on_eigenvalues_clustered_at_the_cutoff(n, data, seed):
+    # a top eigenvalue 2^j and the rest at cutoff * (1 + i 2^-s), cutoff = RANK_TOL max(1, 2^j),
+    # 0 < |i| <= 8: with s <= 12 every eigenvalue lies clear of the cutoff, some above and some
+    # below it; with s up to 60 some lie within the bound of it, where the rank is not checked
+    top = 2.0 ** data.draw(st.integers(-8, 16))
+    cutoff = RANK_TOL * max(1.0, top)
+    finest = data.draw(st.sampled_from([12, 60]))
+    steps = st.integers(1, 8).flatmap(lambda i: st.sampled_from([-i, i]))
+    offsets = data.draw(st.lists(st.tuples(steps, st.integers(3, finest)),
+                                 min_size=n - 1, max_size=n - 1))
+    spectrum = np.array([top, *(cutoff * (1.0 + i * 2.0**-s) for i, s in offsets)])
+    u = _unitary(n, seed)
+    m = HermitianMatrix(np.einsum("ai,i,bi->ab", u, spectrum, u.conj())).entries
+    assert_matches_jacobi(m)  # the rank is the reference's count where all lie clear
+
+
+@ORACLE
+@given(hermitian_matrices(), st.lists(st.integers(0, 2**10), max_size=8))
+def test_sturm_count_against_jacobi(m, fractions):
+    # on the tridiagonal of m: nondecreasing in sigma, 0 below the Gershgorin interval and n past
+    # it, and #(oracle < sigma) at every sigma at least 2 bound from every oracle eigenvalue,
+    # bound = 4 n EPS ||A||_F (1 for the zero matrix)
+    n = len(m)
+    d, e = _tridiagonal(m)
+    count = _sturm_count(d, e)
+    radii = np.array([0.0, *e]) + np.array([*e, 0.0])
+    low, high = float(np.min(np.array(d) - radii)), float(np.max(np.array(d) + radii))
+    ref, off, _ = cyclic_jacobi(m)
+    margin = 2 * (4 * n * EPS * np.linalg.norm(m) or 1.0) + off
+    sigmas = sorted([low - margin, high + margin, *ref,
+                     *(low + (high - low) * f / 2**10 for f in fractions)])
+    counts = [count(sigma) for sigma in sigmas]
+    assert counts == sorted(counts)
+    assert (counts[0], counts[-1]) == (0, n)
+    for sigma, c in zip(sigmas, counts):
+        if np.min(np.abs(ref - sigma)) >= margin:
+            assert c == int(np.sum(ref < sigma))
 
 
 @ORACLE
 @given(SIZES.flatmap(lambda n: st.lists(
     st.floats(-1e100, 1e100, allow_nan=False), min_size=n, max_size=n)))
 def test_values_path_keeps_a_diagonal_bit_for_bit(diagonal):
-    # the diagonal test comes first, so a diagonal (signed zeros, subnormals and all) is
-    # returned sorted bit for bit, with the bound 0
+    # the diagonal test comes first, so the ends of a sorted diagonal (signed zeros, subnormals
+    # and all) are returned bit for bit, with the count above the cutoff and the bound 0
     m = np.diag(np.array(diagonal, dtype=complex))
-    vals, bound = hermitian_eigs(HermitianMatrix(m))
-    assert vals.tobytes() == np.array(sorted(diagonal), dtype=float).tobytes()
+    (lower, upper, rank), bound = hermitian_eigs(HermitianMatrix(m))
+    ends = np.array(sorted(diagonal), dtype=float)[[0, -1]]
+    assert np.array([lower, upper]).tobytes() == ends.tobytes()
+    assert rank == sum(x > RANK_TOL * max(1.0, upper) for x in diagonal)
     assert bound == 0.0
 
 
@@ -306,19 +357,21 @@ def test_values_path_on_repeated_eigenvalues(n, data, seed):
     spectrum = np.array([distinct[i % len(distinct)] for i in range(n)], dtype=float) / 4
     u = _unitary(n, seed)
     m = HermitianMatrix(np.einsum("ai,i,bi->ab", u, spectrum, u.conj())).entries
-    vals, _ = assert_values_only_matches(m)
+    ((lower, upper, _), _), _ = assert_matches_jacobi(m)
     # and against the exact spectrum: the path's bound, plus twice that for the rounding of
     # u diag(spectrum) u^H itself
-    assert np.max(np.abs(vals - np.sort(spectrum))) <= 12 * n * EPS * np.linalg.norm(m)
+    errors = (lower - np.min(spectrum), upper - np.max(spectrum))
+    assert np.max(np.abs(errors)) <= 12 * n * EPS * np.linalg.norm(m)
 
 
 def test_values_path_small_and_zero():
     for m in ([[2.5]], [[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -3.0]], [[0.0, 1.0], [1.0, 0.0]]):
-        assert_values_only_matches(np.array(m, dtype=complex))
-    vals, bound = hermitian_eigs(HermitianMatrix(np.zeros((4, 4))))
-    assert vals.tobytes() == np.zeros(4).tobytes() and bound == 0.0
-    vals, bound = hermitian_eigs(HermitianMatrix([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.max(np.abs(vals - [-1.0, 1.0])) <= bound
+        assert_matches_jacobi(np.array(m, dtype=complex))
+    (lower, upper, rank), bound = hermitian_eigs(HermitianMatrix(np.zeros((4, 4))))
+    assert np.array([lower, upper]).tobytes() == np.zeros(2).tobytes() and rank == 0
+    assert bound == 0.0
+    (lower, upper, rank), bound = hermitian_eigs(HermitianMatrix([[0.0, 1.0], [1.0, 0.0]]))
+    assert max(abs(lower + 1.0), abs(upper - 1.0)) <= bound and rank == 1
 
 
 def test_tridiagonal_is_unitarily_similar():
@@ -332,34 +385,27 @@ def test_tridiagonal_is_unitarily_similar():
     assert np.max(np.abs(np.sort(cyclic_jacobi(t)[0]) - ref)) <= 64 * EPS * np.linalg.norm(m)
 
 
-def test_ql_step_cap_raises_convergence_error():
-    d, e = _tridiagonal(random_hermitian(8, np.random.default_rng(12)).entries)
-    with pytest.raises(ConvergenceError, match="in 1 QL steps on one eigenvalue") as exc:
-        _ql(d, e, cap=1)
-    assert exc.value.steps == 1
-    vals = _ql(d, e)  # the default cap is far from reached
-    assert len(vals) == 8 and vals == sorted(vals)
-
-
 @pytest.mark.parametrize("scale", [1e-200, 2.0**-1000, 1e200, 1e300])
 def test_norms_and_eigenvalues_at_extreme_scales(scale):
     # squares of the entries under- or overflow at these scales, the entries do not
     m = HermitianMatrix(np.array([[0.0, scale], [scale, 0.0]]))
-    vals, bound = hermitian_eigs(m)
-    assert np.all(np.isfinite(vals)) and bound < 1e-12 * scale
-    assert np.max(np.abs(vals - [-scale, scale])) <= bound
+    (lower, upper, rank), bound = hermitian_eigs(m)
+    assert np.all(np.isfinite([lower, upper])) and bound < 1e-12 * scale
+    assert max(abs(lower + scale), abs(upper - scale)) <= bound
+    assert rank == (1 if scale > RANK_TOL else 0)
     assert linalg._frobenius(m.entries) == pytest.approx(np.sqrt(2.0) * scale, rel=2 * EPS)
 
 
 @pytest.mark.parametrize("e", [-1000, -600, 600, 990])
 def test_values_path_commutes_with_power_of_two_scaling(e):
-    # a power of two scales exactly, so the bits of the values and the bound scale with it
+    # a power of two scales exactly, so the bits of the extremes and the bound scale with it
     rng = np.random.default_rng(abs(e))
     a = random_hermitian(7, rng).entries
-    vals, bound = hermitian_eigs(HermitianMatrix(a))
+    (lower, upper, _), bound = hermitian_eigs(HermitianMatrix(a))
     scaled = np.ldexp(a.view(float), e).view(complex)
-    got, got_bound = hermitian_eigs(HermitianMatrix(scaled))
-    assert np.array_equal(got, np.ldexp(vals, e)) and got_bound == np.ldexp(bound, e)
+    (got_lower, got_upper, _), got_bound = hermitian_eigs(HermitianMatrix(scaled))
+    assert np.array_equal([got_lower, got_upper], np.ldexp([lower, upper], e))
+    assert got_bound == np.ldexp(bound, e)
 
 
 def test_fortran_ordered_input_is_accepted():
