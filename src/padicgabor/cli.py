@@ -2,18 +2,20 @@
 
 Configs are JSON documents; group elements appear in their text form
 (`3/2^2` carry, `[-2]102` modular), and a lambda's points are parsed
-straight to the integer keys of a density.PointSet.  Every config value is
-read through `_get`, and every size a config sets is bounded from its
-exponents before anything is built (MAX_ENTRIES, MAX_FRAME_DIM, MAX_POINTS,
-MAX_P, MAX_SCALE below).  All structured output is JSON with sorted keys,
-exact rationals as "a/b" strings and complex numbers as [re, im] pairs, so
-a fixed config and seed reproduce byte-identical bytes; `--out` is opened
-before the command runs, and a file there is replaced only by a whole
-result.  `_dump` writes it: json.dumps(indent=2), and the same bytes
-without that pure-Python encoder for complex arrays (the stft grid, its
-floats written by orjson) and for the decomposition's point texts, made
-from the keys, which go to `--out` CHUNK items at a time.  `norms` reads
-only |V_g f| and never holds the complex grid (model.stft_magnitudes).
+straight to the integer keys of a density.PointSet, its explicit texts in
+one localfield.parse_rationals call.  Every config value is read through
+`_get`, and every size a config sets is bounded from its exponents before
+anything is built (MAX_ENTRIES, MAX_FRAME_DIM, MAX_POINTS, MAX_P, MAX_SCALE
+below).  All structured output is JSON with sorted keys, exact rationals as
+"a/b" strings and complex numbers as [re, im] pairs, so a fixed config and
+seed reproduce byte-identical bytes; `--out` is opened before the command
+runs, and a file there is replaced only by a whole result.  `_dump` writes
+it: json.dumps(indent=2), and the same bytes without that pure-Python
+encoder for complex arrays (the stft grid, its floats written by orjson)
+and for the decomposition's point texts, made from the keys by one
+localfield.rational_texts call per CHUNK keys as they go to `--out` CHUNK
+items at a time.  `norms` reads only |V_g f| and never holds the complex
+grid (model.stft_magnitudes).
 numpy loads on first use (padicgabor._lazy): the numeric commands load it, and
 density, which counts exactly, never does.  So do the layers below the cli:
 the import runs localfield alone, and each command the layers it uses
@@ -43,10 +45,11 @@ import os
 import stat
 import sys
 import tempfile
-from itertools import islice, product, repeat
+from itertools import chain, islice, product
 
 from ._lazy import _lazy, np, ran
-from .localfield import CARRY, GroupElement, GroupParams, parse_rational, rational_text
+from .localfield import (CARRY, GroupElement, GroupParams, parse_rational, parse_rationals,
+                         rational_texts)
 
 # the layers some command never uses run on first use, as numpy does (_lazy)
 density = _lazy("padicgabor.density")
@@ -124,6 +127,18 @@ def _rational(params: GroupParams, text, where: str) -> tuple[int, int]:
     return num, vexp
 
 
+def _rationals(params: GroupParams, texts: list, where: str) -> list[tuple[int, int]]:
+    """[_rational(params, t, where) for t in texts] from one parse_rationals call; on any bad
+    text that list is made, so the first bad text names the error, whatever its kind."""
+    try:
+        coords = parse_rationals(params, texts)
+        if max(map(abs, {vexp for _, vexp in coords}), default=0) <= MAX_SCALE:  # zero is (0, 0)
+            return coords
+    except ValueError:
+        pass
+    return [_rational(params, text, where) for text in texts]
+
+
 def _parse_group(doc: dict) -> GroupParams:
     group = _get(doc, "group", "config")
     return GroupParams(_get(group, "p", "group", int, hi=MAX_P),
@@ -196,13 +211,16 @@ def _parse_points(doc: dict, params: GroupParams, budget: int = MAX_POINTS) -> d
         if len(points) > budget:
             raise ConfigError(f"lambda lists {len(points)} points, more than the {budget} allowed")
         if ambient == "group":
-            return density.PointSet.rationals(ambient, [_rational(params, text, "lambda point")
-                                                        for text in points], params)
-        coords = []
-        for pair in points:
-            if not (isinstance(pair, list) and len(pair) == 2):  # a 2-char text would unpack
-                raise ConfigError(f"a phase lambda point must be a pair [x, xi], got {pair!r:.80}")
-            coords += [_rational(params, text, "lambda point") for text in pair]
+            return density.PointSet.rationals(ambient, _rationals(params, points, "lambda point"),
+                                              params)
+        # a 2-char text would unpack; the texts of the pairs before a bad one are read first
+        bad = next((i for i, pair in enumerate(points)
+                    if not (isinstance(pair, list) and len(pair) == 2)), len(points))
+        coords = _rationals(params, [text for pair in points[:bad] for text in pair],
+                            "lambda point")
+        if bad < len(points):
+            raise ConfigError(f"a phase lambda point must be a pair [x, xi], got "
+                              f"{points[bad]!r:.80}")
         return density.PointSet.rationals(ambient, coords, params)
     if kind == "product-sections":
         x = _section_scales(_get(doc, "x", "lambda"), "lambda.x")
@@ -235,17 +253,19 @@ def _dump(doc, out) -> None:
     """Write doc to out as strict JSON: a NaN or infinity in a result (say, from overflow) is an
     input error, and a refused result writes nothing.
 
-    A complex ndarray in doc (its [re, im] pairs) and a map of strings (their JSON texts) get the
-    bytes json.dumps gives them as lists, without its pure-Python encoder: json.dumps writes the
-    rest with a hole for each, every array passes one np.isfinite test before the first write, and
-    then each hole's items go out CHUNK at a time, an array's through one %s template per pair.
+    A complex ndarray in doc (its [re, im] pairs) and a map or chain of strings (their JSON texts;
+    _texts makes one from keys) get the bytes json.dumps gives them as lists, without its
+    pure-Python encoder: json.dumps writes the rest with a hole for each, every array passes one
+    np.isfinite test before the first write, and then each hole's items go out CHUNK at a time, an
+    array's through one %s template per pair.
     orjson, which writes an array's floats, is loaded then too: a command that writes no array
     never loads it, and a missing orjson fails before anything is written.
     """
     holes = []
 
     def hole(value):
-        if not (isinstance(value, map) or isinstance(value, np.ndarray) and value.dtype == complex):
+        if not (isinstance(value, (map, chain)) or
+                isinstance(value, np.ndarray) and value.dtype == complex):
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
         holes.append(value)
         return f"\0{len(holes) - 1}"  # written "\u0000<i>", which no result string holds
@@ -254,7 +274,7 @@ def _dump(doc, out) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=hole)
     except ValueError as exc:
         raise _not_finite(exc)
-    arrays = [value for value in holes if not isinstance(value, map)]  # no numpy for texts
+    arrays = [value for value in holes if not isinstance(value, (map, chain))]  # no numpy for texts
     if not all(np.isfinite(_floats(value)).all() for value in arrays):
         raise _not_finite("the array holds NaN or infinity")
     if arrays:
@@ -274,6 +294,13 @@ def _dump(doc, out) -> None:
     out.write(text + "\n")
 
 
+def _texts(params: GroupParams, keys: tuple, anchor: int) -> chain:
+    """The texts of keys at anchor for a hole of _dump, made by one rational_texts call per CHUNK
+    keys as they are written."""
+    starts = range(0, len(keys), CHUNK)
+    return chain.from_iterable(rational_texts(params, keys[i:i + CHUNK], anchor) for i in starts)
+
+
 def _floats(value: np.ndarray) -> np.ndarray:
     """The re, im, re, im, ... floats of a complex array."""
     return value.reshape(-1).view(np.float64)
@@ -285,7 +312,7 @@ def _chunks(value, sep: str, pair: str):
     round-trip digits (Ryu) are repr's, and so is their notation but for a decimal exponent
     of -9 to -5 or of 16 up (1e-9 <= |x| < 1e-4, |x| >= 1e16): there orjson writes 1e-9,
     0.00001 and 1e16 for 1e-09, 1e-05 and 1e+16, and those floats are written with repr."""
-    if isinstance(value, map):
+    if isinstance(value, (map, chain)):
         texts = map(json.encoder.encode_basestring_ascii, value)
         yield from iter(lambda: sep.join(islice(texts, CHUNK)), "")  # no item text is empty
         return
@@ -345,8 +372,7 @@ def cmd_density(args, out) -> int:
                     {
                         "label": part.label,
                         "c0_index": part.c0_index,
-                        "points": map(rational_text, repeat(params), part.points.keys,
-                                      repeat(part.points.anchor)),
+                        "points": _texts(params, part.points.keys, part.points.anchor),
                     }
                     for part in parts
                 ],

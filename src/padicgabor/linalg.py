@@ -108,18 +108,24 @@ def _sturm_count(d: list[float], e: list[float]):
     T - sigma I = L D L^T, q_i = d_i - sigma - e_(i-1)^2 / q_(i-1) (Sylvester's inertia).  A
     pivot of modulus below pivmin = TINY max(1, max e_i^2) is taken as pivmin, so no division is
     by zero and no quotient exceeds 1 / TINY: the guard of LAPACK dstebz, whose -pivmin would
-    count an eigenvalue at sigma in."""
+    count an eigenvalue at sigma in.  count(sigma, True) stops at the first negative pivot and
+    count(sigma, False) at the first that is not (a guarded one included), which decide count > 0
+    and count == n."""
     squares = [0.0, *(x * x for x in e)]
     pivmin = TINY * max(1.0, *squares)
 
-    def count(sigma: float) -> int:
+    def count(sigma: float, until: bool | None = None) -> int:
         c, q = 0, 1.0
         for di, sq in zip(d, squares):
             q = di - sigma - sq / q
-            if -pivmin < q < pivmin:
-                q = pivmin
-            elif q < 0.0:
+            if q <= -pivmin:
                 c += 1
+                if until:
+                    break
+            elif until is False:
+                break
+            elif q < pivmin:
+                q = pivmin
         return c
 
     return count
@@ -131,15 +137,16 @@ def _extremes(d: list[float], e: list[float], count, width: float) -> tuple[floa
     lambda_min in [min(d_i - r_i), min d_i] and lambda_max in [max d_i, max(d_i + r_i)] with
     r_i = e_(i-1) + e_i, until each is at most width wide.  With width 2 EPS ||T||_F, every
     step halves a wider bracket: its ends lie in the Gershgorin interval, within sqrt(3) ||T||_F
-    of 0, where one ulp is below width, so its midpoint rounds strictly inside it."""
+    of 0, where one ulp is below width, so its midpoint rounds strictly inside it.  Each count
+    stops at the pivot that decides its question (_sturm_count)."""
     n = len(d)
     radii = [x + y for x, y in zip([0.0, *e], [*e, 0.0])]
     low = [min(x - r for x, r in zip(d, radii)), min(d)]
     high = [max(d), max(x + r for x, r in zip(d, radii))]
     while low[1] - low[0] > width or high[1] - high[0] > width:
         s, t = 0.5 * (low[0] + low[1]), 0.5 * (high[0] + high[1])
-        low[count(s) > 0] = s  # an eigenvalue below s: lambda_min is in [low[0], s]
-        high[count(t) == n] = t  # every eigenvalue below t: lambda_max is in [high[0], t]
+        low[count(s, True) > 0] = s  # an eigenvalue below s: lambda_min is in [low[0], s]
+        high[count(t, False) == n] = t  # every eigenvalue below t: lambda_max is in [high[0], t]
     return 0.5 * (low[0] + low[1]), 0.5 * (high[0] + high[1])
 
 

@@ -34,7 +34,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 
 CARRY = "carry"
 MODULAR = "modular"
@@ -256,13 +256,32 @@ class GroupElement:
 
 def rational_text(params: GroupParams, num: int, vexp: int) -> str:
     """The bytes of GroupElement.from_rational(params, num, vexp).text(), with no element."""
+    return rational_texts(params, (num,), vexp)[0]
+
+
+def rational_texts(params: GroupParams, keys, anchor: int) -> list[str]:
+    """[rational_text(params, c, anchor) for c in keys], keys a sequence.  The keys p does not
+    divide are in normal form and share one head or tail; the others take one more round at
+    anchor - 1, until only zeros are left."""
     p = params.p
-    num, vexp = _normal(p, num, vexp)
     if params.mode == CARRY:
-        return str(num * p**-vexp) if vexp <= 0 else f"{num}/{p}^{vexp}"
-    sep = "" if p <= 10 else ","  # p = 2: the binary text reversed, with no loop per digit
-    body = f"{num:b}"[::-1] if p == 2 else sep.join(map(str, _digits(num, p) or [0]))
-    return f"[{-vexp}]{body}"
+        if anchor <= 0:  # integers
+            q = p**-anchor
+            return [str(c * q) for c in keys]
+        tail = f"/{p}^{anchor}"
+        texts = [f"{c}{tail}" if c % p else None for c in keys]
+    elif p == 2:  # the binary text reversed, with no loop per digit
+        head = f"[{-anchor}]"
+        texts = [head + f"{c:b}"[::-1] if c & 1 else None for c in keys]
+    else:
+        head, sep = f"[{-anchor}]", "" if p <= 10 else ","
+        texts = [head + sep.join(map(str, _digits(c, p))) if c % p else None for c in keys]
+    if None not in texts:
+        return texts
+    rest = [c // p for c in keys if not c % p]
+    rest = iter(rational_texts(params, rest, anchor - 1) if any(rest) else
+                repeat("0" if params.mode == CARRY else "[0]0"))
+    return [t or next(rest) for t in texts]
 
 
 def parse_rational(params: GroupParams, text: str) -> tuple[int, int]:
@@ -295,6 +314,39 @@ def parse_rational(params: GroupParams, text: str) -> tuple[int, int]:
     if any(not 0 <= d < params.p for d in digits):
         raise ValueError(f"digits of {text!r:.80} must lie in 0..{params.p - 1}")
     return _normal(params.p, _from_digits(digits, params.p), -lo)
+
+
+def parse_rationals(params: GroupParams, texts) -> list[tuple[int, int]]:
+    """[parse_rational(params, t) for t in texts], the common shapes read directly: a carry
+    num/p^e, p^e read once per distinct tail, and for p <= 10 a modular [lo]body of the digits
+    0..p-1, int(body[::-1], p).  Any other text, or one that fails, goes to parse_rational, so
+    each result and each message is its own."""
+    p, carry, digits = params.p, params.mode == CARRY, "0123456789"[:params.p]
+    vexps, out = {}, []  # carry: the vexp a tail after "/" names, None for a tail not p^e
+    for t in texts:
+        num = None
+        if type(t) is str:
+            try:
+                if carry:
+                    num_s, slash, tail = t.partition("/")
+                    vexp = vexps.get(tail, -1) if slash else 0
+                    if vexp == -1:
+                        base, _, e = tail.partition("^")
+                        vexp = vexps[tail] = int(e) if e.isdecimal() and base == str(p) else None
+                    if vexp is not None:
+                        num = int(num_s)
+                elif p <= 10 and t[:1] == "[":
+                    close = t.find("]")  # with no "]", the body keeps the "[" and is refused
+                    body = t[close + 1:]
+                    if len(body) <= MAX_BODY_DIGITS and not body.strip(digits):
+                        num, vexp = int(body[::-1], p), -int(t[1:close])
+            except ValueError:  # parse_rational names it
+                pass
+        if num is None:
+            out.append(parse_rational(params, t))
+        else:
+            out.append((num, vexp) if num % p else _normal(p, num, vexp))
+    return out
 
 
 def parse_element(params: GroupParams, text: str) -> GroupElement:

@@ -1651,6 +1651,45 @@ BAD_POINTS = {
     "outside-model-p5": ("frame", _explicit("frame", 5, CARRY, [["0", "0"], ["7/5^3", "1"]],
                                             "phase", m=2, k=0),
                          f"7/5^3 lies outside A^2H (valuation -3 < -2); {EMBED}"),
+    # the lambda's texts are read in one batch, and the first bad text names the error whatever
+    # its kind: a valuation past MAX_SCALE, a text that does not parse, a non-string entry, or a
+    # phase entry that is not a pair
+    "first-bad-valuation-then-base": ("density", _explicit("density", 2, CARRY,
+                                                           ["0", "1/2^65", "1/3^2"]),
+                                      "lambda point '1/2^65' has valuation -65 outside [-64, 64]"),
+    "first-bad-base-then-valuation": ("density", _explicit("density", 2, CARRY,
+                                                           ["0", "1/3^2", "1/2^65"]),
+                                      "denominator base 3 != p = 2"),
+    "first-bad-valuation-then-digit": ("density", _explicit("density", 2, MODULAR,
+                                                            ["[0]1", "[65]1", "[0]2"]),
+                                       "lambda point '[65]1' has valuation 65 outside [-64, 64]"),
+    "first-bad-digit-then-valuation": ("density", _explicit("density", 2, MODULAR,
+                                                            ["[0]1", "[0]2", "[65]1"]),
+                                       "digits of '[0]2' must lie in 0..1"),
+    "first-bad-phase-valuation-then-base": (
+        "density", _explicit("density", 3, CARRY, [["1/3", "1/3^66"], ["1/2", "0"]], "phase"),
+        "lambda point '1/3^66' has valuation -66 outside [-64, 64]"),
+    "first-bad-phase-base-then-valuation": (
+        "density", _explicit("density", 3, CARRY, [["1/2", "0"], ["1/3", "1/3^66"]], "phase"),
+        "denominator base 2 != p = 3"),
+    "first-bad-phase-valuation-then-shape": (
+        "density", _explicit("density", 5, MODULAR, [["[0]1", "[-70]1"], ["[0]1"]], "phase"),
+        "lambda point '[-70]1' has valuation -70 outside [-64, 64]"),
+    "first-bad-phase-shape-then-digit": (
+        "density", _explicit("density", 5, MODULAR, [["[0]1", "[0]4"], "[0]1", ["[0]9", "0"]],
+                             "phase"),
+        "a phase lambda point must be a pair [x, xi], got '[0]1'"),
+    "first-bad-phase-digit-then-valuation": (
+        "frame", _explicit("frame", 5, MODULAR, [["[0]1", "[0]7"], ["[90]1", "[0]1"]], "phase",
+                           m=1, k=0),
+        "digits of '[0]7' must lie in 0..4"),
+    "first-bad-then-non-string": ("density", _explicit("density", 2, CARRY, ["1/2^65", 5]),
+                                  "lambda point '1/2^65' has valuation -65 outside [-64, 64]"),
+    "first-bad-text-then-non-string": ("density", _explicit("density", 7, MODULAR,
+                                                            ["[0]16", "[0]7", 5]),
+                                       "digits of '[0]7' must lie in 0..6"),
+    "non-string-then-bad": ("density", _explicit("density", 2, CARRY, ["1", 5, "1/3"]),
+                            "element text must be a string, got 5"),
 }
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from padicgabor import linalg
@@ -10,7 +10,9 @@ from padicgabor.linalg import (
     EPS,
     RANK_TOL,
     HermitianMatrix,
+    TINY,
     RankDeficiencyError,
+    _extremes,
     _sturm_count,
     _tridiagonal,
     hermitian_eigs,
@@ -333,6 +335,76 @@ def test_sturm_count_against_jacobi(m, fractions):
     for sigma, c in zip(sigmas, counts):
         if np.min(np.abs(ref - sigma)) >= margin:
             assert c == int(np.sum(ref < sigma))
+
+
+def _full_count_extremes(d, e, width):
+    """_extremes with every count taken over all pivots, and the pivots the guard moved."""
+    squares = [0.0, *(x * x for x in e)]
+    pivmin = TINY * max(1.0, *squares)
+    guarded = []
+
+    def count(sigma):
+        c, q = 0, 1.0
+        for di, sq in zip(d, squares):
+            q = di - sigma - sq / q
+            if -pivmin < q < pivmin:
+                guarded.append(q)
+                q = pivmin
+            elif q < 0.0:
+                c += 1
+        return c
+
+    n, radii = len(d), [x + y for x, y in zip([0.0, *e], [*e, 0.0])]
+    low = [min(x - r for x, r in zip(d, radii)), min(d)]
+    high = [max(d), max(x + r for x, r in zip(d, radii))]
+    while low[1] - low[0] > width or high[1] - high[0] > width:
+        s, t = 0.5 * (low[0] + low[1]), 0.5 * (high[0] + high[1])
+        low[count(s) > 0] = s
+        high[count(t) == n] = t
+    return (0.5 * (low[0] + low[1]), 0.5 * (high[0] + high[1])), guarded
+
+
+# quarter-integer entries: midpoints of the brackets meet the diagonal exactly, so pivots fall
+# inside pivmin; zero off-diagonals split T, and a few repeated values cluster the eigenvalues
+QUARTERS = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+GUARDED = (([-0.25, -1.0, 0.75, 1.0], [0.75, 0.0, 0.0]), ([0.0, 0.0, -0.5], [0.25, 0.75]))
+
+
+@st.composite
+def tridiagonals(draw):
+    n = draw(SIZES)
+    values = draw(st.lists(QUARTERS, min_size=1, max_size=3))
+    d = [draw(st.sampled_from(values)) if draw(st.booleans()) else draw(QUARTERS)
+         for _ in range(n)]
+    e = [abs(draw(QUARTERS)) if draw(st.booleans()) else 0.0 for _ in range(n - 1)]
+    scale = draw(st.sampled_from([1.0, 2.0**-30, 2.0**40, 1e-3]))
+    return [x * scale for x in d], [x * scale for x in e]
+
+
+@ORACLE
+@given(tridiagonals())
+@example(GUARDED[0])
+@example(GUARDED[1])
+def test_extremes_from_stopped_counts_match_full_counts(tri):
+    # the counts that stop at the deciding pivot give the bits of a bisection that counts every
+    # pivot, guarded pivots included
+    d, e = tri
+    width = _width(d, e)
+    want, guarded = _full_count_extremes(d, e, width)
+    assert _extremes(d, e, _sturm_count(d, e), width) == want
+    event(f"guarded pivots: {bool(guarded)}")
+
+
+def _width(d, e):
+    """hermitian_eigs's width 2 EPS ||T||_F (2 EPS for the zero matrix, whose brackets are 0)."""
+    return 2 * EPS * (float(np.sqrt(sum(x * x for x in d) + 2 * sum(x * x for x in e))) or 1.0)
+
+
+def test_the_guard_examples_reach_the_guard():
+    for d, e in GUARDED:
+        assert _full_count_extremes(d, e, _width(d, e))[1]
 
 
 @ORACLE

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from padicgabor.geometry import anchored_int, coset_rep
 from padicgabor.localfield import (
     CARRY,
+    MAX_BODY_DIGITS,
     MODULAR,
     GroupElement,
     GroupParams,
@@ -20,7 +21,9 @@ from padicgabor.localfield import (
     pairing_phases,
     parse_element,
     parse_rational,
+    parse_rationals,
     rational_text,
+    rational_texts,
 )
 from padicgabor.rng import SplitMix64
 
@@ -630,3 +633,120 @@ def test_automorphism_shifts_the_valuation(data):
         assert y.valuation() == x.valuation() - shift or x.is_zero() and y.is_zero()
     # A**n x = p**-n x (resp. t**-n x)
     assert element(params, ox).automorphism(n) == element(params, o_scale(params, ox, -n))
+
+
+# -- the batched codec against the one-text functions ---------------------------------
+#
+# rational_texts against a writer that normalizes digit by digit, and parse_rationals
+# against parse_rational text by text, results and exceptions alike: its common shapes are
+# read directly, everything else must reach parse_rational unchanged.
+
+CODEC = settings(derandomize=True, database=None, deadline=None, max_examples=300,
+                 suppress_health_check=[HealthCheck.too_slow])
+CODEC_PARAMS = st.sampled_from([GroupParams(p, mode) for p in (2, 3, 5, 7, 11, 13)
+                                for mode in (CARRY, MODULAR)])
+ANCHORS = st.integers(-3, 13)
+# texts at the edges of the common shapes; {p} is the prime
+SPECIAL_TEXTS = (" 5/{p}^3 ", "+5/{p}^3", "1_0/{p}^3", "1/{p}^", "1/{p}", "5/{p}^03", "5/{p}^-3",
+                 "5 /{p}^3", "\x1c5/{p}^3", "5/{p}^3 ", "5/{p}^\u0663", "\u0663/{p}^3", "0/{p}^4",
+                 "-{p}/{p}^3", "5/2^3", "5/3^2", "5/{p}^3/{p}", "[-2]", "[-2]0", "[0]3,11",
+                 "[0]3,1", "[0]1,0", " [1]01", "[1]01 ", "[+1]1", "[1_0]1", "[]1", "[1", "1]1",
+                 "[0]\u0661", "[\u0661]1", "[0]1_0", "[0]+1", "[0]-1", "[0] 1", "", "[0]")
+NON_STRINGS = (5, None, 1.5, ["1"], b"1")
+
+
+def _reference_text(params, num, vexp):
+    """The text of num * p**-vexp: its normal form digit by digit, then the text form."""
+    p = params.p
+    while num and num % p == 0:
+        num, vexp = num // p, vexp - 1
+    vexp = vexp if num else 0
+    if params.mode == CARRY:
+        return str(num * p**-vexp) if vexp <= 0 else f"{num}/{p}^{vexp}"
+    digits, n = [], num
+    while n:
+        n, d = divmod(n, p)
+        digits.append(str(d))
+    return f"[{-vexp}]" + ("" if p <= 10 else ",").join(digits or ["0"])
+
+
+def _reference_normal(params, num, vexp):
+    while num and num % params.p == 0:
+        num, vexp = num // params.p, vexp - 1
+    return (num, vexp) if num else (0, 0)
+
+
+def codec_keys(params):
+    """Keys at an anchor: zero, multiples of p**j and, in carry mode, negatives."""
+    p = params.p
+    multiples = st.builds(lambda a, j: a * p**j, st.integers(1, p**6), st.integers(0, 5))
+    keys = st.one_of(st.just(0), multiples)
+    return keys if params.mode == MODULAR else st.one_of(keys, multiples.map(lambda c: -c))
+
+
+def codec_texts(params):
+    """Written texts, texts of the same values not in normal form, edge texts and junk."""
+    p, sep = params.p, "" if params.p <= 10 else ","
+    written = st.builds(lambda c, a: rational_text(params, c, a), codec_keys(params), ANCHORS)
+    if params.mode == CARRY:
+        loose = st.builds(lambda c, a: f"{c}/{p}^{a}", codec_keys(params), st.integers(0, 13))
+    else:  # zero digits at both ends, and now and then a digit out of range
+        digit = st.one_of(st.integers(0, p - 1), st.integers(0, p - 1), st.integers(p, p + 9))
+        loose = st.builds(lambda lo, ds: f"[{lo}]" + sep.join(map(str, ds)), ANCHORS,
+                          st.lists(digit, max_size=8))
+    special = st.sampled_from([t.format(p=p) for t in SPECIAL_TEXTS])
+    junk = st.text(alphabet=f"0123456789/^[]-+_, \t\x1c\u0663{p}", max_size=8)
+    return st.one_of(written, written, loose, loose, special, junk, st.sampled_from(NON_STRINGS))
+
+
+def _outcome(run):
+    """run()'s result, or the type and message of what it raised."""
+    try:
+        return run()
+    except Exception as exc:  # noqa: BLE001  every exception is compared
+        return type(exc), str(exc)
+
+
+@CODEC
+@given(data=st.data())
+def test_rational_texts_match_a_text_by_text_writer(data):
+    params, anchor = data.draw(CODEC_PARAMS), data.draw(ANCHORS)
+    keys = data.draw(st.lists(codec_keys(params), max_size=12))
+    texts = rational_texts(params, keys, anchor)
+    assert texts == [_reference_text(params, c, anchor) for c in keys]
+    assert texts == [rational_text(params, c, anchor) for c in keys]
+    # and back: the texts parse to the keys' normal forms
+    assert parse_rationals(params, texts) == [_reference_normal(params, c, anchor) for c in keys]
+
+
+@CODEC
+@given(data=st.data())
+def test_parse_rationals_matches_parse_rational_text_by_text(data):
+    params = data.draw(CODEC_PARAMS)
+    texts = data.draw(st.lists(codec_texts(params), max_size=10))
+    assert (_outcome(lambda: parse_rationals(params, texts)) ==
+            _outcome(lambda: [parse_rational(params, t) for t in texts]))
+
+
+@pytest.mark.parametrize("params", [GroupParams(p, mode) for p in (2, 3, 11)
+                                    for mode in (CARRY, MODULAR)], ids=str)
+def test_parse_rationals_on_each_edge_text(params):
+    # each edge text alone and after a good one, whatever the draws above reach
+    good = rational_text(params, 3, 2)
+    for t in [*(t.format(p=params.p) for t in SPECIAL_TEXTS), *NON_STRINGS]:
+        for texts in ([t], [good, t, good]):
+            assert (_outcome(lambda: parse_rationals(params, texts)) ==
+                    _outcome(lambda: [parse_rational(params, t) for t in texts])), texts
+
+
+@pytest.mark.parametrize("params", [P2, P3, M2, M3, GroupParams(11, MODULAR)], ids=str)
+def test_parse_rationals_at_the_digit_limits(params):
+    # a modular body of MAX_BODY_DIGITS digits parses and one more is refused, p = 2 too, whose
+    # int(body, 2) has no limit of its own; so is a carry exponent past int's digit limit
+    p, sep = params.p, "" if params.p <= 10 else ","
+    for count in (MAX_BODY_DIGITS, MAX_BODY_DIGITS + 1):
+        texts = ["[0]1", "[3]" + sep.join("1" * count), "[0]1"]
+        if params.mode == CARRY:
+            texts = ["1", f"1/{p}^" + "1" * count, f"1/{p}^2"]
+        assert (_outcome(lambda: parse_rationals(params, texts)) ==
+                _outcome(lambda: [parse_rational(params, t) for t in texts]))
